@@ -23,8 +23,9 @@ from .engine import (CandidateVector, Certificate, Compat, StarContext,
                      search_star_sets, solution_from_assembled,
                      verify_star_pair)
 from .errors import (BadTag, DivisibilityViolation, DuplicateNeighbourhood,
-                     HypothesisViolated, MalformedGraph6, MuIsEigenvalue,
-                     StarCompError, TooLarge, Unbounded, UnknownName)
+                     HypothesisViolated, InternalInconsistency, MalformedGraph6,
+                     MuIsEigenvalue, StarCompError, TooLarge, Unbounded,
+                     UnknownName)
 from .graphs import (Graph, SrgParams, complete, cycle, disjoint_union,
                      graph6_decode, graph6_encode, induced_subgraph,
                      is_connected, regular_degree, srg_check)

@@ -26,7 +26,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .algebra import IntPoly, QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical
-from .errors import BadTag, DuplicateNeighbourhood, TooLarge, Unbounded
+from .errors import (BadTag, DuplicateNeighbourhood, InternalInconsistency,
+                     TooLarge, Unbounded)
 from .graphs import Graph, graph6_encode, induced_subgraph, regular_degree
 from .kts import VertexType, make_kts, solve_types_fixed
 from .linalg import (char_polynomial, field_rank, mat_mul, mat_vec,
@@ -87,11 +88,14 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
             fast_ok = mval == mu * shift and all(
                 N_gen[i][j] == C2[i][j] + mu * C[i][j] + (shift if i == j else 0)
                 for i in range(n) for j in range(n))
-            assert fast_ok, "cubic-relation resolvent disagrees with the minimal-polynomial route"
+            if not fast_ok:
+                raise InternalInconsistency(
+                    "cubic-relation resolvent disagrees with the minimal-polynomial route")
     # resolvent identity N (mu I - C) = mval I, entrywise
     M = [[(mu if i == j else qnum(0)) - C[i][j] for j in range(n)] for i in range(n)]
     P = mat_mul(N_gen, M)
-    assert all(P[i][j] == (mval if i == j else 0) for i in range(n) for j in range(n))
+    if not all(P[i][j] == (mval if i == j else 0) for i in range(n) for j in range(n)):
+        raise InternalInconsistency("resolvent identity N (mu I - C) = mval I fails")
     ones = mat_vec(N_gen, [1] * n)
     return StarContext(H=H, mu=mu,
                        N=tuple(tuple(qnum(x) for x in row) for row in N_gen),
@@ -162,8 +166,10 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
                                  for i in range(ctx.q))
                     cand = _candidate(ctx, bits, tp)
                     # the type equations and the resolvent must agree
-                    assert cand.self_pair == target_self
-                    assert not non_main or cand.ones_pair == target_ones
+                    if cand.self_pair != target_self or \
+                            (non_main and cand.ones_pair != target_ones):
+                        raise InternalInconsistency(
+                            f"vertex type {tp} disagrees with the resolvent pairing")
                     out.append(cand)
         out.sort(key=lambda c: (c.type_ab, c.bits))
         return out
@@ -229,7 +235,9 @@ def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> C
     if ctx.tag is not None and sum(ctx.tag) >= 3 \
             and u.type_ab is not None and v.type_ab is not None:
         closed = _closed_form_pairing(ctx, u, v)
-        assert closed == val, "closed-form pair relation disagrees with the resolvent pairing"
+        if closed != val:
+            raise InternalInconsistency(
+                "closed-form pair relation disagrees with the resolvent pairing")
     return _label_from_value(ctx, val)
 
 
@@ -476,7 +484,8 @@ def search_star_sets(ctx: StarContext,
     solutions = []
     for g, xs, _key in _dedupe(found):
         sol = solution_from_assembled(ctx, g, xs)
-        assert sol.cert.passed, "assembled solution failed certification"
+        if not sol.cert.passed:
+            raise InternalInconsistency("assembled solution failed certification")
         solutions.append(sol)
     return solutions
 

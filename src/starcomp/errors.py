@@ -45,3 +45,8 @@ class MalformedGraph6(StarCompError):
 
 class UnknownName(StarCompError):
     """No catalogue entry under the requested name."""
+
+
+class InternalInconsistency(StarCompError):
+    """Two independent routes to the same quantity disagree, or a result fails
+    its certificate: a bug in the package, never a property of the input."""

@@ -8,6 +8,10 @@ existed, and the brute-force comparison is re-run here.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +25,7 @@ from starcomp.engine import (Compat, make_context, classify_pair,
                              verify_star_pair)
 from starcomp.errors import (BadTag, DuplicateNeighbourhood, MuIsEigenvalue,
                              TooLarge, Unbounded)
+import starcomp
 from starcomp.graphs import Graph, cycle, graph6_encode, induced_subgraph
 from starcomp.kts import make_kts
 
@@ -322,6 +327,34 @@ def test_verify_never_raises_on_disconnected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     cert = verify_star_pair(g, [3], qnum(1))
     assert not cert.passed
+
+
+def test_certificate_gate_survives_optimize_flag():
+    # python -O strips asserts; the gate on every returned solution must not
+    # depend on them.  A certificate forced to fail has to stop the search.
+    script = textwrap.dedent("""
+        import dataclasses
+        from starcomp import engine
+        from starcomp.algebra import qnum
+        from starcomp.errors import InternalInconsistency
+        from starcomp.kts import make_kts
+        assert False, "asserts are live: not running under -O"
+        real = engine.verify_star_pair
+        engine.verify_star_pair = lambda *a: dataclasses.replace(
+            real(*a), reconstruction_ok=False)
+        ctx = engine.make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3))
+        try:
+            engine.search_star_sets(ctx, require_regular=4)
+        except InternalInconsistency as exc:
+            print("raised:", exc)
+    """)
+    src = os.path.dirname(os.path.dirname(starcomp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: assembled solution failed certification\n"
 
 
 # ---------------------------------------------------------------- bounds

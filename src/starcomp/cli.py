@@ -71,7 +71,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-x", type=int, default=None,
                     help="cap |X| (mandatory for mu in {-1, 0})")
     sp.add_argument("--max-solutions", type=int, default=None,
-                    help="stop the raw enumeration after this many finds")
+                    help="stop after this many raw finds (graphs before isomorphism "
+                         "reduction), counted over the whole search, sweeps included")
     sp.add_argument("--no-symmetry", action="store_true",
                     help="disable the part-permutation first-branch reduction")
     sp.add_argument("--output", default=None, help="write JSON lines here instead of stdout")

@@ -15,14 +15,25 @@ complements K_{t,s} with t + s >= 3 admit a closed-form candidate path
 through the vertex-type equations; K_{1,1} falls outside (its minimal
 polynomial is quadratic, not the cubic x^3 - ts x) and always takes the
 generic route.
+
+The pair relation has one route, _pair_label: the closed form over types
+and common neighbours where the cubic applies, the resolvent pairing
+elsewhere.  classify_pair and the search both use it; the tests check the
+closed form against the resolvent pairing.  One function, _search, runs a
+search for one degree r (or for maximal families when r is None): it
+filters the candidates, builds the pair-label tables, breaks the
+symmetry of K_{t,s} at the first choice and assembles every find.  Only
+its recursion depends on the mode: a DFS that prunes by the degree
+equations, or a walk over maximal cliques of the compatibility relation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import IntPoly, QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical
@@ -131,14 +142,17 @@ class CandidateVector:
         return sum(self.bits)
 
 
-def _candidate(ctx: StarContext, bits: tuple[int, ...],
-               type_ab: Optional[VertexType] = None) -> CandidateVector:
+def _candidate(ctx: StarContext, bits: tuple[int, ...]) -> CandidateVector:
     mask = 0
     op = qnum(0)
     for i, b in enumerate(bits):
         if b:
             mask |= 1 << i
             op = op + ctx.ones_pairing[i]
+    type_ab = None
+    if ctx.tag is not None:
+        t = ctx.tag[0]
+        type_ab = VertexType(sum(bits[:t]), sum(bits[t:]))
     return CandidateVector(bits=bits, mask=mask,
                            self_pair=pairing(ctx, bits, bits),
                            ones_pair=op, type_ab=type_ab)
@@ -164,7 +178,7 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
                 for wpart in combinations(range(t, t + s), b):
                     bits = tuple(1 if (i in vbits or i in wpart) else 0
                                  for i in range(ctx.q))
-                    cand = _candidate(ctx, bits, tp)
+                    cand = _candidate(ctx, bits)
                     # the type equations and the resolvent must agree
                     if cand.self_pair != target_self or \
                             (non_main and cand.ones_pair != target_ones):
@@ -178,11 +192,7 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     start = 0 if ctx.mu == 0 else 1
     for mask in range(start, 1 << ctx.q):
         bits = tuple((mask >> i) & 1 for i in range(ctx.q))
-        type_ab = None
-        if ctx.tag is not None:
-            t, s = ctx.tag
-            type_ab = VertexType(sum(bits[:t]), sum(bits[t:]))
-        cand = _candidate(ctx, bits, type_ab)
+        cand = _candidate(ctx, bits)
         if cand.self_pair != target_self:
             continue
         if non_main and cand.ones_pair != target_ones:
@@ -213,9 +223,10 @@ def _closed_form_pairing(ctx: StarContext, u: CandidateVector,
 
 
 def _pair_label(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> Compat:
-    """Label used inside the search; closed form when the cubic applies."""
-    if ctx.tag is not None and sum(ctx.tag) >= 3 \
-            and u.type_ab is not None and v.type_ab is not None:
+    """The pair relation: closed form when the cubic applies (tagged, with
+    t + s >= 3), the resolvent pairing otherwise.  The tests check the
+    closed form against the resolvent pairing."""
+    if ctx.tag is not None and sum(ctx.tag) >= 3:
         return _label_from_value(ctx, _closed_form_pairing(ctx, u, v))
     return _label_from_value(ctx, pairing(ctx, u.bits, v.bits))
 
@@ -225,20 +236,11 @@ def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> C
 
     Equal vectors are co-duplicates, legal only for mu in {-1, 0} (where the
     same arithmetic labels the pair); for any other mu they are rejected
-    with DuplicateNeighbourhood.  On tagged contexts with t + s >= 3 the
-    generic resolvent pairing and the closed-form pair relation are
-    evaluated independently and must agree.
+    with DuplicateNeighbourhood.  The label is the one the search uses.
     """
     if u.bits == v.bits and not ctx.mu_special:
         raise DuplicateNeighbourhood("equal H-neighbourhoods require mu in {-1, 0}")
-    val = pairing(ctx, u.bits, v.bits)
-    if ctx.tag is not None and sum(ctx.tag) >= 3 \
-            and u.type_ab is not None and v.type_ab is not None:
-        closed = _closed_form_pairing(ctx, u, v)
-        if closed != val:
-            raise InternalInconsistency(
-                "closed-form pair relation disagrees with the resolvent pairing")
-    return _label_from_value(ctx, val)
+    return _pair_label(ctx, u, v)
 
 
 # --------------------------------------------------------------------------
@@ -342,11 +344,7 @@ def solution_from_assembled(ctx: StarContext, G: Graph,
     chosen = []
     for x in xs:
         bits = tuple(1 if G.adjacent(x, v) else 0 for v in range(ctx.q))
-        type_ab = None
-        if ctx.tag is not None:
-            t, s = ctx.tag
-            type_ab = VertexType(sum(bits[:t]), sum(bits[t:]))
-        chosen.append(_candidate(ctx, bits, type_ab))
+        chosen.append(_candidate(ctx, bits))
     ax = induced_subgraph(G, xs)
     cert = verify_star_pair(G, xs, ctx.mu)
     return StarSolution(candidates=tuple(chosen), ax=ax, graph=G,
@@ -372,38 +370,30 @@ def _effective_cap(ctx: StarContext, max_x: Optional[int], n_cands: int) -> int:
     return cap
 
 
-def _orbit_reps(ctx: StarContext, cands: list[CandidateVector]) -> list[int]:
-    """Index of the least candidate in each orbit of the part-permuting
-    symmetries of K_{t,s} (S_t x S_s, plus the part swap when t = s).
-    Untagged contexts get no reduction.
+def _reps_mask(ctx: StarContext, cands: list[CandidateVector], symmetry: bool) -> int:
+    """Candidates the first (least-index) choice may take.  With symmetry on
+    a tagged context, that is the least candidate in each orbit of the
+    part-permuting symmetries of K_{t,s} (S_t x S_s, plus the part swap
+    when t = s); untagged contexts get no reduction.
 
-    Restricting only the first (least-index) choice to orbit minima is
-    complete: candidates sort by type, orbits are unions of type blocks,
-    so mapping the least element of a solution onto its orbit's least
-    index never pulls another element below it.
+    Restricting only the first choice to orbit minima is complete:
+    candidates sort by type, orbits are unions of type blocks, so mapping
+    the least element of a solution onto its orbit's least index never
+    pulls another element below it.
     """
-    if ctx.tag is None or any(c.type_ab is None for c in cands):
-        return list(range(len(cands)))
+    if not symmetry or ctx.tag is None:
+        return (1 << len(cands)) - 1
     t, s = ctx.tag
     seen = set()
-    reps = []
+    mask = 0
     for i, c in enumerate(cands):
-        key = (c.type_ab.a, c.type_ab.b)
+        key = c.type_ab
         if t == s:
-            key = min(key, (key[1], key[0]))
+            key = min(key, key[::-1])
         if key not in seen:
             seen.add(key)
-            reps.append(i)
-    return reps
-
-
-def _reps_mask(ctx: StarContext, cands: list[CandidateVector], symmetry: bool) -> int:
-    if not symmetry:
-        return (1 << len(cands)) - 1
-    m = 0
-    for i in _orbit_reps(ctx, cands):
-        m |= 1 << i
-    return m
+            mask |= 1 << i
+    return mask
 
 
 def _dedupe(found: list[tuple[Graph, tuple[int, ...]]]
@@ -442,8 +432,10 @@ def search_star_sets(ctx: StarContext,
     max_x bounds |X|; it is mandatory for mu in {-1, 0}, where co-duplicate
     vertices make the families infinite (Unbounded otherwise).  For other
     mu the bound (q+1)(q-2)/2 applies on top whenever q >= 3.
-    max_solutions stops the raw enumeration early (before isomorphism
-    reduction), as a work limit.
+    max_solutions is a work limit on raw finds: graphs the search assembles
+    before isomorphism reduction, counted across the whole call (all the
+    degrees of a sweep together).  The search stops at that many, so fewer
+    isomorphism classes may come back.
 
     Results are deduplicated up to isomorphism, certified (every returned
     solution passes verify_star_pair) and sorted by order then canonical
@@ -451,15 +443,6 @@ def search_star_sets(ctx: StarContext,
     """
     if ctx.mu_special and max_x is None:
         raise Unbounded("mu in {-1, 0}: co-duplicates make families infinite, set max_x")
-
-    pool: dict[bool, list[CandidateVector]] = {}
-
-    def cand_pool(non_main: bool) -> list[CandidateVector]:
-        if non_main not in pool:
-            pool[non_main] = enumerate_candidates(ctx, non_main=non_main)
-        return pool[non_main]
-
-    found: list[tuple[Graph, tuple[int, ...]]] = []
     if require_regular == "sweep":
         if max_x is not None:
             cap_guess = max_x
@@ -468,18 +451,23 @@ def search_star_sets(ctx: StarContext,
         else:
             cap_guess = 1 << ctx.q
         lo = max(ctx.H.degrees(), default=0)
-        for r in range(lo, ctx.q + cap_guess + 1):
-            found.extend(_search_regular(ctx, r, max_x, max_solutions, symmetry,
-                                         cand_pool))
-            if max_solutions is not None and len(found) >= max_solutions:
-                break
-    elif require_regular is None:
-        found = _search_maximal(ctx, max_x, max_solutions, symmetry, cand_pool)
-    elif isinstance(require_regular, int):
-        found = _search_regular(ctx, require_regular, max_x, max_solutions,
-                                symmetry, cand_pool)
+        degrees = range(lo, ctx.q + cap_guess + 1)
+    elif require_regular is None or isinstance(require_regular, int):
+        degrees = [require_regular]
     else:
         raise ValueError("require_regular must be None, an integer, or 'sweep'")
+
+    pools: dict[bool, list[CandidateVector]] = {}
+    found: list[tuple[Graph, tuple[int, ...]]] = []
+    for r in degrees:
+        if len(found) == max_solutions:
+            break
+        # mu = r is the one main eigenvalue of an r-regular graph: for that
+        # sweep step only, the non-main filter must come off
+        non_main = r is None or ctx.mu != r
+        if non_main not in pools:
+            pools[non_main] = enumerate_candidates(ctx, non_main=non_main)
+        _search(ctx, pools[non_main], r, max_x, max_solutions, symmetry, found)
 
     solutions = []
     for g, xs, _key in _dedupe(found):
@@ -510,42 +498,38 @@ def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
     return label, compat_mask, adj_mask
 
 
-def _search_regular(ctx: StarContext, r: int, max_x: Optional[int],
-                    max_solutions: Optional[int], symmetry: bool,
-                    cand_pool: Callable[[bool], list[CandidateVector]]
-                    ) -> list[tuple[Graph, tuple[int, ...]]]:
+class _BudgetSpent(Exception):
+    """Unwinds a search once it holds max_solutions raw finds."""
+
+
+def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
+            max_x: Optional[int], max_solutions: Optional[int], symmetry: bool,
+            found: list[tuple[Graph, tuple[int, ...]]]) -> None:
+    """Append to found the star sets built from pool: r-regular extensions,
+    or maximal compatible families when r is None.  Stops once found holds
+    max_solutions raw finds."""
     q = ctx.q
-    need = [r - ctx.H.degree(v) for v in range(q)]
-    if any(x < 0 for x in need):
-        return []
-    total = sum(need)
-    if total == 0:
-        return []
-    # mu = r is the one main eigenvalue of an r-regular graph: for that
-    # sweep step only, the non-main filter must come off
-    non_main = ctx.mu != r
-    cands = [c for c in cand_pool(non_main)
-             if 0 < c.size <= r and all(need[v] for v in range(q) if c.bits[v])]
+    if r is None:
+        need = [0] * q
+        cands = [c for c in pool if c.size > 0]
+    else:
+        need = [r - ctx.H.degree(v) for v in range(q)]
+        if any(x < 0 for x in need) or not any(need):
+            return
+        cands = [c for c in pool
+                 if 0 < c.size <= r and all(need[v] for v in range(q) if c.bits[v])]
     if not cands:
-        return []
+        return
     cap = _effective_cap(ctx, max_x, len(cands))
     max_size = max(c.size for c in cands)
-    if cap < 1 or (total + max_size - 1) // max_size > cap:
-        return []
+    if cap < 1 or (sum(need) + max_size - 1) // max_size > cap:
+        return
 
     k = len(cands)
     label, compat_mask, adj_mask = _build_label_tables(ctx, cands)
-    cover_mask = [0] * q
-    for i, c in enumerate(cands):
-        for v in range(q):
-            if c.bits[v]:
-                cover_mask[v] |= 1 << i
     full = (1 << k) - 1
     ge_mask = [(full >> i) << i for i in range(k)]
-    special = ctx.mu_special
-
-    found: list[tuple[Graph, tuple[int, ...]]] = []
-    budget = [-1 if max_solutions is None else max_solutions]
+    first = _reps_mask(ctx, cands, symmetry)
 
     def emit(chosen_idx: list[int]):
         chosen = [cands[i] for i in chosen_idx]
@@ -553,13 +537,32 @@ def _search_regular(ctx: StarContext, r: int, max_x: Optional[int],
                      for a in chosen_idx]
         found.append((_assemble(ctx, chosen, adjacency),
                       tuple(range(q, q + len(chosen)))))
-        if budget[0] > 0:
-            budget[0] -= 1
+        if len(found) == max_solutions:
+            raise _BudgetSpent
 
-    def dfs(chosen_idx: list[int], cov: list[int], adeg: list[int],
-            allowed: int, pick_from: int):
-        if budget[0] == 0:
+    def maximal(chosen_idx: list[int], allowed_all: int, pick_from: int):
+        # maximal: nothing anywhere (even below the ascending floor)
+        # extends X; the cap also closes a branch
+        if chosen_idx and (not allowed_all or len(chosen_idx) >= cap):
+            emit(chosen_idx)
             return
+        m = pick_from
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            m ^= low
+            nxt_all = allowed_all & compat_mask[i]
+            maximal(chosen_idx + [i], nxt_all, nxt_all & ge_mask[i])
+
+    cover_mask = [0] * q
+    for i, c in enumerate(cands):
+        for v in range(q):
+            if c.bits[v]:
+                cover_mask[v] |= 1 << i
+    special = ctx.mu_special
+
+    def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
+                allowed: int, pick_from: int):
         if all(cov[v] == need[v] for v in range(q)):
             # H-side degrees are saturated; X-side must match exactly
             if all(adeg[p] == r - cands[i].size
@@ -615,57 +618,10 @@ def _search_regular(ctx: StarContext, r: int, max_x: Optional[int],
             for p, pi in enumerate(nxt):
                 if new_adeg[p] == r - cands[pi].size:
                     pruned &= ~adj_mask[pi]
-            dfs(nxt, new_cov, new_adeg, pruned, pruned)
-            if budget[0] == 0:
-                return
+            regular(nxt, new_cov, new_adeg, pruned, pruned)
 
-    dfs([], [0] * q, [], full, full & _reps_mask(ctx, cands, symmetry))
-    return found
-
-
-def _search_maximal(ctx: StarContext, max_x: Optional[int],
-                    max_solutions: Optional[int], symmetry: bool,
-                    cand_pool: Callable[[bool], list[CandidateVector]]
-                    ) -> list[tuple[Graph, tuple[int, ...]]]:
-    cands = [c for c in cand_pool(True) if c.size > 0]
-    if not cands:
-        return []
-    cap = _effective_cap(ctx, max_x, len(cands))
-    if cap < 1:
-        return []
-    label, compat_mask, _ = _build_label_tables(ctx, cands)
-    full = (1 << len(cands)) - 1
-    ge_mask = [(full >> i) << i for i in range(len(cands))]
-
-    found: list[tuple[Graph, tuple[int, ...]]] = []
-    budget = [-1 if max_solutions is None else max_solutions]
-
-    def emit(chosen_idx: list[int]):
-        chosen = [cands[i] for i in chosen_idx]
-        adjacency = [[label[a][b] is Compat.ADJACENT for b in chosen_idx]
-                     for a in chosen_idx]
-        found.append((_assemble(ctx, chosen, adjacency),
-                      tuple(range(ctx.q, ctx.q + len(chosen)))))
-        if budget[0] > 0:
-            budget[0] -= 1
-
-    def dfs(chosen_idx: list[int], allowed_all: int, pick_from: int):
-        if budget[0] == 0:
-            return
-        # maximal: nothing anywhere (even below the ascending floor)
-        # extends X; the cap also closes a branch
-        if chosen_idx and (not allowed_all or len(chosen_idx) >= cap):
-            emit(chosen_idx)
-            return
-        m = pick_from
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            nxt_all = allowed_all & compat_mask[i]
-            dfs(chosen_idx + [i], nxt_all, nxt_all & ge_mask[i])
-            if budget[0] == 0:
-                return
-
-    dfs([], full, full & _reps_mask(ctx, cands, symmetry))
-    return found
+    with contextlib.suppress(_BudgetSpent):
+        if r is None:
+            maximal([], full, first)
+        else:
+            regular([], [0] * q, [], full, first)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import QNum, qnum
-from .errors import DivisibilityViolation, HypothesisViolated
+from .errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
 from .graphs import Graph, SrgParams
 
 Scalar = "int | Fraction | QNum"
@@ -197,7 +197,8 @@ def build_Gr(t: int, s: int, r: int):
             edges.extend((u, w) for u in vb for w in wb)
     g = Graph.from_edges(n, edges)
     # degree equations are definitive: r = s + |V_1| + s|W_1| = t + t|V_1| + |W_1|
-    assert s + p.vi_size + s * p.wi_size == r and t + t * p.vi_size + p.wi_size == r
+    if not (s + p.vi_size + s * p.wi_size == r and t + t * p.vi_size + p.wi_size == r):
+        raise InternalInconsistency(f"G({t},{s},{r}) fails its degree equations")
     from .engine import make_context, solution_from_assembled
     ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
     return solution_from_assembled(ctx, g, list(range(t + s, n)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import IntPoly, QNum, qnum
-from .errors import MuIsEigenvalue
+from .errors import InternalInconsistency, MuIsEigenvalue
 
 Matrix = list[list]
 
@@ -95,7 +95,9 @@ def char_polynomial(A: Matrix) -> IntPoly:
         for i in range(n, 0, -1):
             poly[i] = poly[i - 1] - k * poly[i]
         poly[0] = coef[k] - k * poly[0]
-    assert all(f.denominator == 1 for f in poly)
+    if any(f.denominator != 1 for f in poly):
+        raise InternalInconsistency("characteristic polynomial of an integer matrix "
+                                    "has a non-integer coefficient")
     return IntPoly([f.numerator for f in poly])
 
 
@@ -127,7 +129,9 @@ def minimal_polynomial(A: Matrix) -> IntPoly:
         if all(x == 0 for x in vec):
             lead = combo[k]
             cs = [c / lead for c in combo]
-            assert all(c.denominator == 1 for c in cs)
+            if any(c.denominator != 1 for c in cs):
+                raise InternalInconsistency("minimal polynomial of an integer matrix "
+                                            "has a non-integer coefficient")
             return IntPoly([c.numerator for c in cs])
         basis.append((vec, combo))
         power = mat_mul(power, A)

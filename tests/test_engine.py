@@ -7,6 +7,8 @@ at mu=-2, 10 for K_{1,5} at mu=1) were computed by brute force over all
 existed, and the brute-force comparison is re-run here.
 """
 
+import ast
+import hashlib
 import itertools
 import os
 import subprocess
@@ -14,11 +16,12 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, canonical
 from starcomp.catalog import named_graph, petersen
+from starcomp import engine
 from starcomp.engine import (Compat, make_context, classify_pair,
                              enumerate_candidates, multiplicity_cap, pairing,
                              search_star_sets, solution_from_assembled,
@@ -197,6 +200,33 @@ def test_classify_pair_duplicates():
     assert classify_pair(ctx0, e, e) == Compat.NON_ADJACENT
 
 
+# (sqrt(5) - 1)/2 = 1/phi; with -1/phi and phi = 1 + 1/phi it covers the
+# golden-ratio field Q(sqrt(5))
+GOLDEN = QNum.quadratic_root(-1, 1, positive=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+           lambda t: st.tuples(st.just(t), st.integers(max(t, 3 - t), 5))),
+       st.sampled_from([qnum(m) for m in range(-4, 5)] + [GOLDEN, -GOLDEN, 1 + GOLDEN]),
+       st.integers(0, 2 ** 10 - 1), st.integers(0, 2 ** 10 - 1))
+def test_closed_form_pair_relation_matches_resolvent(ts, mu, xm, ym):
+    # the search labels pairs over K_{t,s} (t + s >= 3) by the closed form
+    # alone; the resolvent pairing x^T N y is the independent oracle
+    t, s = ts
+    try:
+        ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
+    except MuIsEigenvalue:
+        assume(False)
+    vectors = [engine._candidate(ctx, tuple(m >> i & 1 for i in range(t + s)))
+               for m in (xm, ym)]
+    for non_main in (True, False):
+        vectors += enumerate_candidates(ctx, non_main=non_main)
+    for u in vectors:
+        for v in vectors:
+            assert engine._closed_form_pairing(ctx, u, v) == pairing(ctx, u.bits, v.bits)
+
+
 # ---------------------------------------------------------------- search
 
 def test_search_regular_fixed_degree(k33_ctx):
@@ -231,6 +261,67 @@ def test_search_symmetry_reduction_is_lossless(k33_ctx, k33_sweep):
 def test_search_max_solutions_budget(k33_ctx):
     some = search_star_sets(k33_ctx, require_regular=6, max_solutions=1)
     assert len(some) == 1
+
+
+def _count_raw_finds(monkeypatch) -> list[int]:
+    """Count the graphs the search assembles, i.e. raw finds before dedupe."""
+    calls = [0]
+    real = engine._assemble
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(engine, "_assemble", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t,s,untruncated,budget", [
+    (3, 3, 7, 3),
+    (2, 5, 455, 10),
+    (2, 5, 455, 50),
+])
+def test_sweep_max_solutions_is_one_budget(monkeypatch, t, s, untruncated, budget):
+    # max_solutions counts raw finds over the whole sweep, not per degree
+    calls = _count_raw_finds(monkeypatch)
+    ctx = make_context(make_kts(t, s), qnum(1), bipartite_tag=(t, s))
+    sols = search_star_sets(ctx, require_regular="sweep", max_solutions=budget)
+    assert budget < untruncated and calls[0] == budget
+    assert sols and all(sol.cert.passed for sol in sols)
+
+
+# Raw finds, isomorphism classes and the SHA-256 of one
+# "graph6 star-set" line per solution, recorded before the regular and
+# maximal searches shared one function.  Maximal mode has no benchmark
+# workload, so these pins are what guard it.
+@pytest.mark.parametrize("H,mu,tag,require,max_x,raw,classes,digest", [
+    ((3, 3), 1, True, None, None, 1, 1,
+     "98a87b6f2a7279f0a40fa3fcc9b01a43c9f27cbdfbdf6b15297187a4850eef9e"),
+    ((2, 2), -1, True, None, 4, 20, 8,
+     "8d926d2dcd83a83b9050886017f126ff9cc0941d5fce6c36dfe93fc1f490acb5"),
+    ((2, 3), -1, True, None, 5, 85, 25,
+     "16b162749c35be9f2bb58d517a3a0c3c65c599217333dacf3f4965e18945fdee"),
+    ((3, 3), 1, True, None, 4, 56, 5,
+     "9fb0f567dbb5405e4c54d386cfe7c461aa7e0c8b6e39531c6fcc4b04301f43fa"),
+    ("petersen", 2, False, None, None, 0, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((2, 5), 1, True, "sweep", None, 455, 12,
+     "fdb6e9ebfd288cb9ea3abc2afe4ddf25c6e099b11c1121f8b378dd995de7cf49"),
+    ((3, 3), 1, False, "sweep", None, 13, 3,
+     "72cde243ccde9b474da53e0ef57c7101831dc3943247fa9d5a10879395f3b86c"),
+    # tagged: the first-choice symmetry reduction leaves 7 of the 13 finds
+    ((3, 3), 1, True, "sweep", None, 7, 3,
+     "72cde243ccde9b474da53e0ef57c7101831dc3943247fa9d5a10879395f3b86c"),
+])
+def test_search_modes_pinned(monkeypatch, H, mu, tag, require, max_x, raw, classes,
+                             digest):
+    calls = _count_raw_finds(monkeypatch)
+    g = petersen() if H == "petersen" else make_kts(*H)
+    ctx = make_context(g, qnum(mu), bipartite_tag=H if tag else None)
+    sols = search_star_sets(ctx, require_regular=require, max_x=max_x)
+    lines = "".join(f"{graph6_encode(sol.graph)} {','.join(map(str, sol.x_vertices))}\n"
+                    for sol in sols)
+    assert (calls[0], len(sols)) == (raw, classes)
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 def test_search_max_x_restricts(k33_ctx):
@@ -355,6 +446,20 @@ def test_certificate_gate_survives_optimize_flag():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "raised: assembled solution failed certification\n"
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; every check in the package must
+    # raise an error instead
+    pkg = os.path.dirname(starcomp.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # ---------------------------------------------------------------- bounds

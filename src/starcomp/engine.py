@@ -16,15 +16,21 @@ through the vertex-type equations; K_{1,1} falls outside (its minimal
 polynomial is quadratic, not the cubic x^3 - ts x) and always takes the
 generic route.
 
-The pair relation has one route, _pair_label: the closed form over types
-and common neighbours where the cubic applies, the resolvent pairing
-elsewhere.  classify_pair and the search both use it; the tests check the
-closed form against the resolvent pairing.  One function, _search, runs a
-search for one degree r (or for maximal families when r is None): it
-filters the candidates, builds the pair-label tables, breaks the
-symmetry of K_{t,s} at the first choice and assembles every find.  Only
-its recursion depends on the mode: a DFS that prunes by the degree
-equations, or a walk over maximal cliques of the compatibility relation.
+Every pairing the search needs is a sum of entries of N over the support
+of 0/1 vectors, so it runs on one integer route: IntKernel, N scaled to a
+common denominator (one int per entry, packed for quadratic mu).  The
+untagged subset scan walks the 2^q subsets in Gray-code order on it, and
+the pair relation (_pair_label, used by classify_pair and the search) sums
+a candidate's integer column.  pairing() stays the QNum reference; the
+tests check the kernel against it and against the closed form over
+K_{t,s}, which lives in the tests as an oracle.
+
+One function, _search, runs a search for one degree r (or for maximal
+families when r is None): it filters the candidates, builds the
+pair-label tables, breaks the symmetry of K_{t,s} at the first choice and
+assembles every find.  Only its recursion depends on the mode: a DFS
+that prunes by the degree equations, or a walk over maximal cliques of
+the compatibility relation.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ from __future__ import annotations
 import contextlib
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .algebra import IntPoly, QNum, qnum
@@ -44,7 +53,10 @@ from .kts import VertexType, make_kts, solve_types_fixed
 from .linalg import (char_polynomial, field_rank, mat_mul, mat_vec,
                      scaled_resolvent)
 
-BRUTE_FORCE_CAP = 30
+# The untagged scan costs about 2.0-2.8 us per subset at q = 16..24
+# (Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 2.2 s,
+# q = 24 takes 38 s, so q = 25 would take about 75 s and q = 30 about 40 min.
+BRUTE_FORCE_CAP = 24
 HALF_CAP_MIN_Q = 3
 
 
@@ -73,6 +85,64 @@ class StarContext:
     def mu_special(self) -> bool:
         """mu in {-1, 0}: duplicate neighbourhoods are legal, families infinite."""
         return self.mu == -1 or self.mu == 0
+
+    @cached_property
+    def kernel(self) -> IntKernel:
+        """The integer form of N, built on first use and kept with the context."""
+        return IntKernel.of(self)
+
+
+@dataclass(frozen=True)
+class IntKernel:
+    """N, Nj and the targets scaled by the lcm D of their denominators.
+
+    Each scaled entry is A + B*sqrt(d) with A, B integers, held as the one
+    int A + B * 2^K (just A when mu is rational), so a pairing of 0/1
+    vectors is a plain int sum and a test against a target is one int
+    comparison.  Every sum the engine forms has at most q^2 terms, so its A
+    stays within bound = q^2 * max|A| < 2^(K-1) and unpacks uniquely.
+    """
+    N: tuple[tuple[int, ...], ...]   # D * N
+    ones: tuple[int, ...]            # D * N j
+    self_target: int                 # D * mval * mu
+    adjacent: int                    # -D * mval: adjacent pairs, b^T N j
+    D: int
+    d: int
+    K: int
+    bound: int
+
+    @classmethod
+    def of(cls, ctx: StarContext) -> IntKernel:
+        entries = [x for row in ctx.N for x in row] + list(ctx.ones_pairing)
+        entries += [ctx.mval * ctx.mu, -ctx.mval]
+        D = lcm(*(f.denominator for x in entries for f in (x.a, x.b)))
+        bound = ctx.q * ctx.q * max(abs(x.a * D) for x in entries).numerator
+        K = bound.bit_length() + 1
+
+        def pack(x: QNum) -> int:
+            return (x.a * D).numerator + ((x.b * D).numerator << K)
+
+        return cls(N=tuple(tuple(pack(x) for x in row) for row in ctx.N),
+                   ones=tuple(pack(x) for x in ctx.ones_pairing),
+                   self_target=pack(ctx.mval * ctx.mu), adjacent=pack(-ctx.mval),
+                   D=D, d=ctx.mu.d, K=K, bound=bound)
+
+    def column(self, support: Sequence[int]) -> list[int]:
+        """D * N b for the 0/1 vector b with the given support."""
+        N = self.N
+        return [sum(N[i][j] for i in support) for j in range(len(N))]
+
+    def value(self, packed: int) -> QNum:
+        """The scalar a packed sum of at most q^2 entries stands for."""
+        if not self.d:
+            return QNum(Fraction(packed, self.D))
+        low = packed & ((1 << self.K) - 1)
+        if low >> (self.K - 1):
+            low -= 1 << self.K
+        if abs(low) > self.bound:
+            raise InternalInconsistency("packed sum outside the range the kernel unpacks")
+        return QNum(Fraction(low, self.D), Fraction((packed - low) >> self.K, self.D),
+                    self.d)
 
 
 def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) -> StarContext:
@@ -142,20 +212,22 @@ class CandidateVector:
         return sum(self.bits)
 
 
+def _support(bits: Sequence[int]) -> list[int]:
+    return [i for i, b in enumerate(bits) if b]
+
+
 def _candidate(ctx: StarContext, bits: tuple[int, ...]) -> CandidateVector:
-    mask = 0
-    op = qnum(0)
-    for i, b in enumerate(bits):
-        if b:
-            mask |= 1 << i
-            op = op + ctx.ones_pairing[i]
+    kern = ctx.kernel
+    support = _support(bits)
+    col = kern.column(support)
     type_ab = None
     if ctx.tag is not None:
         t = ctx.tag[0]
         type_ab = VertexType(sum(bits[:t]), sum(bits[t:]))
-    return CandidateVector(bits=bits, mask=mask,
-                           self_pair=pairing(ctx, bits, bits),
-                           ones_pair=op, type_ab=type_ab)
+    return CandidateVector(bits=bits, mask=sum(1 << i for i in support),
+                           self_pair=kern.value(sum(col[i] for i in support)),
+                           ones_pair=kern.value(sum(kern.ones[i] for i in support)),
+                           type_ab=type_ab)
 
 
 def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[CandidateVector]:
@@ -163,13 +235,14 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     b^T N j = -mval when non_main is set (j the all-ones vector).
 
     Tagged K_{t,s} contexts with t + s >= 3 go type by type through the
-    vertex-type equations; everything else scans the 2^q subsets, capped at
-    q = 30.  Candidates come back sorted by (type, indicator tuple).
+    vertex-type equations; everything else scans the 2^q subsets in
+    Gray-code order, capped at q = BRUTE_FORCE_CAP.  Candidates come back
+    sorted by (type, indicator tuple).
     """
-    target_self = ctx.mval * ctx.mu
-    target_ones = -ctx.mval
-    out: list[CandidateVector] = []
     if ctx.tag is not None and sum(ctx.tag) >= 3:
+        target_self = ctx.mval * ctx.mu
+        target_ones = -ctx.mval
+        out: list[CandidateVector] = []
         t, s = ctx.tag
         for tp in solve_types_fixed(t, s, ctx.mu, non_main=non_main):
             a, b = tp
@@ -187,48 +260,48 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
                     out.append(cand)
         out.sort(key=lambda c: (c.type_ab, c.bits))
         return out
-    if ctx.q > BRUTE_FORCE_CAP:
+    q = ctx.q
+    if q > BRUTE_FORCE_CAP:
         raise TooLarge(f"untagged candidate scan is capped at q = {BRUTE_FORCE_CAP}")
-    start = 0 if ctx.mu == 0 else 1
-    for mask in range(start, 1 << ctx.q):
-        bits = tuple((mask >> i) & 1 for i in range(ctx.q))
-        cand = _candidate(ctx, bits)
-        if cand.self_pair != target_self:
-            continue
-        if non_main and cand.ones_pair != target_ones:
-            continue
-        out.append(cand)
+    kern = ctx.kernel
+    N, ones = kern.N, kern.ones
+    target_self, target_ones = kern.self_target, kern.adjacent
+    # Gray-code walk (Knuth, TAOCP 4A, 7.2.1.1): step k flips the lowest
+    # set bit i of k.  With w = N b (N is symmetric), flipping b_i changes
+    # b^T N b by N_ii +- 2 w_i and b^T N j by +- (Nj)_i.
+    w = [0] * q
+    mask = self_val = ones_val = 0
+    hits = []
+    for step in range(1 << q):
+        if step:
+            i = (step & -step).bit_length() - 1
+            mask ^= 1 << i
+            row = N[i]
+            if mask >> i & 1:
+                self_val += row[i] + 2 * w[i]
+                ones_val += ones[i]
+                w = [x + y for x, y in zip(w, row)]
+            else:
+                self_val += row[i] - 2 * w[i]
+                ones_val -= ones[i]
+                w = [x - y for x, y in zip(w, row)]
+        if self_val == target_self and (not non_main or ones_val == target_ones):
+            hits.append(mask)
+    out = [_candidate(ctx, tuple((m >> i) & 1 for i in range(q))) for m in hits]
     out.sort(key=lambda c: c.bits)
     return out
 
 
-def _label_from_value(ctx: StarContext, val: QNum) -> Compat:
+def _pair_label(kern: IntKernel, col_u: list[int], support_v: list[int]) -> Compat:
+    """The pair relation of u and v from the column D * N b_u: the packed
+    sum over the support of v against 0 and -D * mval.  The tests check it
+    against the closed form over K_{t,s} and the QNum pairing."""
+    val = sum(col_u[j] for j in support_v)
     if val == 0:
         return Compat.NON_ADJACENT
-    if val == -ctx.mval:
+    if val == kern.adjacent:
         return Compat.ADJACENT
     return Compat.INCOMPATIBLE
-
-
-def _closed_form_pairing(ctx: StarContext, u: CandidateVector,
-                         v: CandidateVector) -> QNum:
-    """Pair relation for typed candidates over K_{t,s}: with rho common
-    neighbours, (mu^2 - ts) rho + acs + bdt + mu(ad + bc)."""
-    t, s = ctx.tag
-    a, b = u.type_ab
-    c, d = v.type_ab
-    rho = bin(u.mask & v.mask).count("1")
-    return (ctx.mu * ctx.mu - t * s) * rho + a * c * s + b * d * t \
-        + ctx.mu * (a * d + b * c)
-
-
-def _pair_label(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> Compat:
-    """The pair relation: closed form when the cubic applies (tagged, with
-    t + s >= 3), the resolvent pairing otherwise.  The tests check the
-    closed form against the resolvent pairing."""
-    if ctx.tag is not None and sum(ctx.tag) >= 3:
-        return _label_from_value(ctx, _closed_form_pairing(ctx, u, v))
-    return _label_from_value(ctx, pairing(ctx, u.bits, v.bits))
 
 
 def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> Compat:
@@ -240,7 +313,8 @@ def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> C
     """
     if u.bits == v.bits and not ctx.mu_special:
         raise DuplicateNeighbourhood("equal H-neighbourhoods require mu in {-1, 0}")
-    return _pair_label(ctx, u, v)
+    kern = ctx.kernel
+    return _pair_label(kern, kern.column(_support(u.bits)), _support(v.bits))
 
 
 # --------------------------------------------------------------------------
@@ -481,12 +555,16 @@ def search_star_sets(ctx: StarContext,
 def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
     """Pairwise labels plus bitmask tables over candidate indices."""
     k = len(cands)
+    kern = ctx.kernel
+    supports = [_support(c.bits) for c in cands]
+    cols = [kern.column(sup) for sup in supports]
     label = [[None] * k for _ in range(k)]
     compat_mask = [0] * k   # j usable alongside i (diagonal bit: i may repeat)
     adj_mask = [0] * k      # j forced adjacent to i
     for i in range(k):
+        col = cols[i]
         for j in range(i, k):
-            lab = _pair_label(ctx, cands[i], cands[j])
+            lab = _pair_label(kern, col, supports[j])
             label[i][j] = label[j][i] = lab
             if lab is Compat.INCOMPATIBLE:
                 continue

@@ -16,7 +16,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, canonical
@@ -31,6 +31,25 @@ from starcomp.errors import (BadTag, DuplicateNeighbourhood, MuIsEigenvalue,
 import starcomp
 from starcomp.graphs import Graph, cycle, graph6_encode, induced_subgraph
 from starcomp.kts import make_kts
+
+# (sqrt(5) - 1)/2 = 1/phi; with -1/phi and phi = 1 + 1/phi it covers the
+# golden-ratio field Q(sqrt(5))
+GOLDEN = QNum.quadratic_root(-1, 1, positive=True)
+MUS = [qnum(m) for m in range(-4, 5)] + [GOLDEN, -GOLDEN, 1 + GOLDEN]
+
+# a graph on n <= 9 vertices as (n, bitmask over the pairs i < j)
+graphs = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+
+
+def graph_from_mask(n, edge_mask):
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [p for k, p in enumerate(pairs) if edge_mask >> k & 1])
+
+
+def ones_sum(ctx, bits):
+    """b^T N j as a sum of QNum entries."""
+    return sum((ctx.ones_pairing[i] for i, b in enumerate(bits) if b), qnum(0))
 
 
 # ----------------------------------------------------------------- context
@@ -120,7 +139,7 @@ def test_candidates_brute_force_equivalence():
     for t, s, mu in ((3, 3, qnum(1)), (2, 3, qnum(-3)), (1, 5, qnum(1)),
                      (2, 5, qnum(1)), (3, 18, None)):
         if mu is None:
-            continue   # q = 21 > brute cap, skipped by design
+            continue   # q = 21: a 2^21 scan is too slow here, skipped
         tagged = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
         untagged = make_context(make_kts(t, s), mu)
         for non_main in (True, False):
@@ -134,6 +153,47 @@ def test_candidates_too_large_untagged():
     ctx = make_context(empty, qnum(1))
     with pytest.raises(TooLarge):
         enumerate_candidates(ctx)
+
+
+def test_candidates_one_past_cap_raise_before_scanning():
+    q = engine.BRUTE_FORCE_CAP + 1
+    ctx = make_context(Graph(q, (0,) * q), qnum(1))
+    with pytest.raises(TooLarge):
+        enumerate_candidates(ctx, non_main=False)
+    # the scan runs on the integer kernel, which was never built
+    assert "kernel" not in vars(ctx)
+
+
+def naive_candidates(ctx):
+    """The subset scan as a plain QNum loop over all 2^q vectors, keyed by
+    the non_main flag."""
+    out = {True: [], False: []}
+    for mask in range(1 << ctx.q):
+        bits = tuple(mask >> i & 1 for i in range(ctx.q))
+        if pairing(ctx, bits, bits) == ctx.mval * ctx.mu:
+            out[False].append(bits)
+            if ones_sum(ctx, bits) == -ctx.mval:
+                out[True].append(bits)
+    return {key: sorted(vecs) for key, vecs in out.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs, st.sampled_from(MUS))
+@example((4, 0b101001), qnum(0))   # the path P4 at mu = 0
+def test_gray_code_scan_matches_naive_loop(g, mu):
+    try:
+        ctx = make_context(graph_from_mask(*g), mu)
+    except MuIsEigenvalue:
+        assume(False)
+    naive = naive_candidates(ctx)
+    for non_main in (True, False):
+        cands = enumerate_candidates(ctx, non_main=non_main)
+        assert [c.bits for c in cands] == naive[non_main]
+        for c in cands:
+            assert c.self_pair == ctx.mval * ctx.mu
+            assert c.ones_pair == ones_sum(ctx, c.bits)
+    if mu == 0:
+        assert (0,) * ctx.q in naive[False]
 
 
 def test_candidates_mu_zero_includes_empty_vector():
@@ -200,19 +260,25 @@ def test_classify_pair_duplicates():
     assert classify_pair(ctx0, e, e) == Compat.NON_ADJACENT
 
 
-# (sqrt(5) - 1)/2 = 1/phi; with -1/phi and phi = 1 + 1/phi it covers the
-# golden-ratio field Q(sqrt(5))
-GOLDEN = QNum.quadratic_root(-1, 1, positive=True)
+def closed_form_pairing(ctx, u, v):
+    """Pair relation for typed candidates over K_{t,s}: with rho common
+    neighbours, (mu^2 - ts) rho + acs + bdt + mu(ad + bc)."""
+    t, s = ctx.tag
+    a, b = u.type_ab
+    c, d = v.type_ab
+    rho = bin(u.mask & v.mask).count("1")
+    return (ctx.mu * ctx.mu - t * s) * rho + a * c * s + b * d * t \
+        + ctx.mu * (a * d + b * c)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5).flatmap(
            lambda t: st.tuples(st.just(t), st.integers(max(t, 3 - t), 5))),
-       st.sampled_from([qnum(m) for m in range(-4, 5)] + [GOLDEN, -GOLDEN, 1 + GOLDEN]),
+       st.sampled_from(MUS),
        st.integers(0, 2 ** 10 - 1), st.integers(0, 2 ** 10 - 1))
 def test_closed_form_pair_relation_matches_resolvent(ts, mu, xm, ym):
-    # the search labels pairs over K_{t,s} (t + s >= 3) by the closed form
-    # alone; the resolvent pairing x^T N y is the independent oracle
+    # the closed form over types and common neighbours, the QNum resolvent
+    # pairing x^T N y and the search's integer pair label must all agree
     t, s = ts
     try:
         ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
@@ -224,7 +290,45 @@ def test_closed_form_pair_relation_matches_resolvent(ts, mu, xm, ym):
         vectors += enumerate_candidates(ctx, non_main=non_main)
     for u in vectors:
         for v in vectors:
-            assert engine._closed_form_pairing(ctx, u, v) == pairing(ctx, u.bits, v.bits)
+            value = closed_form_pairing(ctx, u, v)
+            assert value == pairing(ctx, u.bits, v.bits)
+            if u.bits != v.bits or ctx.mu_special:
+                assert classify_pair(ctx, u, v) == label_of(ctx, value)
+
+
+def label_of(ctx, value):
+    if value == 0:
+        return Compat.NON_ADJACENT
+    if value == -ctx.mval:
+        return Compat.ADJACENT
+    return Compat.INCOMPATIBLE
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           st.integers(1, 5).flatmap(lambda t: st.integers(t, 5).map(
+               lambda s: (make_kts(t, s), (t, s)))),
+           graphs.map(lambda g: (graph_from_mask(*g), None))),
+       st.sampled_from(MUS), st.integers(0, 2 ** 10 - 1), st.integers(0, 2 ** 10 - 1))
+def test_int_kernel_matches_qnum_pairing(H_tag, mu, xm, ym):
+    H, tag = H_tag
+    try:
+        ctx = make_context(H, mu, bipartite_tag=tag)
+    except MuIsEigenvalue:
+        assume(False)
+    q = ctx.q
+    x = [xm >> i & 1 for i in range(q)]
+    y = [ym >> i & 1 for i in range(q)]
+    sx = [i for i in range(q) if x[i]]
+    sy = [i for i in range(q) if y[i]]
+    kern = ctx.kernel
+    col = kern.column(sx)
+    assert kern.value(sum(col[i] for i in sx)) == pairing(ctx, x, x)
+    assert kern.value(sum(col[j] for j in sy)) == pairing(ctx, x, y)
+    assert kern.value(sum(kern.ones[i] for i in sx)) == ones_sum(ctx, x)
+    assert kern.value(kern.self_target) == ctx.mval * ctx.mu
+    assert kern.value(kern.adjacent) == -ctx.mval
+    assert engine._pair_label(kern, col, sy) == label_of(ctx, pairing(ctx, x, y))
 
 
 # ---------------------------------------------------------------- search

@@ -6,8 +6,10 @@ complete bipartite graphs, the Petersen graph) checked against closed-form
 spectra before this module existed.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starcomp.algebra import QNum, qnum
 from starcomp.catalog import petersen
@@ -193,3 +195,88 @@ def test_field_rank_transpose_invariant(M):
     r = field_rank(Q)
     assert r == field_rank(QT)
     assert (r == len(M)) == (det_bareiss(M) != 0)
+
+
+# ----------------------------------------------------------- sympy oracles
+# sympy is a test-only oracle: the package never imports it
+
+small_entries = st.integers(min_value=-1, max_value=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(int_matrix))
+def test_char_polynomial_matches_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    descending = sympy.Matrix(M).charpoly().all_coeffs()
+    assert char_polynomial(M).coeffs == tuple(int(c) for c in reversed(descending))
+
+
+def _sympy_minimal_polynomial(sympy, M):
+    """Lower each exponent of the factored characteristic polynomial while
+    the product still annihilates M."""
+    x = sympy.Symbol("x")
+    S = sympy.Matrix(M)
+    _, factors = sympy.factor_list(S.charpoly(x).as_expr(), x)
+    exps = [e for _, e in factors]
+
+    def annihilates(exps):
+        poly = sympy.Poly(sympy.prod(f ** e for (f, _), e in zip(factors, exps)), x)
+        acc = sympy.zeros(len(M), len(M))
+        for c in poly.all_coeffs():
+            acc = acc * S + c * sympy.eye(len(M))
+        return acc.is_zero_matrix
+
+    for i in range(len(exps)):
+        while exps[i] > 1 and annihilates(exps[:i] + [exps[i] - 1] + exps[i + 1:]):
+            exps[i] -= 1
+    poly = sympy.Poly(sympy.prod(f ** e for (f, _), e in zip(factors, exps)), x)
+    return tuple(int(c) for c in reversed(poly.all_coeffs()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.one_of(int_matrix(n),
+                        st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                                 min_size=n, max_size=n))))
+@example([[2, 1, 0], [0, 2, 0], [0, 0, 2]])   # Jordan block plus a repeat
+@example([[0, 1, 0], [0, 0, 1], [0, 0, 0]])   # nilpotent of index 3
+@example(make_kts(3, 3).matrix())
+def test_minimal_polynomial_matches_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    assert minimal_polynomial(M).coeffs == _sympy_minimal_polynomial(sympy, M)
+
+
+def _quad_entries(d):
+    """a + b sqrt(d) with small rational a, b; rationals when d is None."""
+    rat = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if d is None:
+        return rat.map(qnum)
+    return st.builds(lambda a, b: QNum(a, b, d), rat, rat)
+
+
+@st.composite
+def _low_rank_matrices(draw, d):
+    """A product of an n x r and an r x m matrix, so rank <= r."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = draw(st.integers(1, min(n, m)))
+    entries = _quad_entries(d)
+    A = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    B = [[draw(entries) for _ in range(m)] for _ in range(r)]
+    return mat_mul(A, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, 5]).flatmap(
+    lambda d: st.tuples(st.just(d), _low_rank_matrices(d))))
+def test_field_rank_matches_sympy(d_M):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    d, M = d_M
+    root = sympy.sqrt(d) if d else sympy.Integer(0)
+    domain = sympy.QQ.algebraic_field(root) if d else sympy.QQ
+
+    def rat(f):
+        return sympy.Rational(f.numerator, f.denominator)
+
+    S = sympy.Matrix([[rat(x.a) + rat(x.b) * root for x in row] for row in M])
+    assert field_rank(M) == DomainMatrix.from_Matrix(S).convert_to(domain).rank()

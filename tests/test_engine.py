@@ -188,12 +188,13 @@ def test_gray_code_scan_matches_naive_loop(g, mu):
     naive = naive_candidates(ctx)
     for non_main in (True, False):
         cands = enumerate_candidates(ctx, non_main=non_main)
-        assert [c.bits for c in cands] == naive[non_main]
+        bits = [c.bits for c in cands]
+        assert bits == naive[non_main]
         for c in cands:
             assert c.self_pair == ctx.mval * ctx.mu
             assert c.ones_pair == ones_sum(ctx, c.bits)
-    if mu == 0:
-        assert (0,) * ctx.q in naive[False]
+        if mu == 0 and not non_main:
+            assert (0,) * ctx.q in bits
 
 
 def test_candidates_mu_zero_includes_empty_vector():

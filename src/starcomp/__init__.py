@@ -34,7 +34,6 @@ from .kts import (FamilyReport, GrParams, KssReport, ParamRow, VertexType,
                   non_main_holds, rho_bounds, rho_of_pair, rho_value,
                   self_pairing_holds, solve_types_fixed,
                   solve_types_parametric, srg_gap)
-from .linalg import (char_polynomial, field_rank, minimal_polynomial,
-                     scaled_resolvent)
+from .linalg import char_polynomial, minimal_polynomial
 
 __version__ = "0.1.0"

@@ -31,6 +31,15 @@ pair-label tables, breaks the symmetry of K_{t,s} at the first choice and
 assembles every find.  Only its recursion depends on the mode: a DFS
 that prunes by the degree equations, or a walk over maximal cliques of
 the compatibility relation.
+
+The context and the certificate check their identities on integer
+matrices too.  make_context writes N = sum_j a_j C^j and tests
+N (mu I - C) = mval I (and, over K_{t,s}, the cubic form of N) as
+combinations of the integer powers C^j with scaled, split scalars.
+verify_star_pair derives C, m and the a_j from G - X itself, never from a
+search context, takes the multiplicity from an integer rank and compares
+mval (mu I - A_X) with sum_j a_j B^T C^j B in integers.  The QNum routes
+they replaced are oracles in the tests.
 """
 
 from __future__ import annotations
@@ -50,8 +59,9 @@ from .errors import (BadTag, DuplicateNeighbourhood, InternalInconsistency,
                      TooLarge, Unbounded)
 from .graphs import Graph, graph6_encode, induced_subgraph, regular_degree
 from .kts import VertexType, make_kts, solve_types_fixed
-from .linalg import (char_polynomial, field_rank, mat_mul, mat_vec,
-                     scaled_resolvent)
+from .linalg import (char_polynomial, combination, combination_vanishes,
+                     identity, mat_mul, matrix_powers, minimal_polynomial,
+                     multiplicity, resolvent_coefficients)
 
 # The untagged scan costs about 2.0-2.8 us per subset at q = 16..24
 # (Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 2.2 s,
@@ -148,41 +158,42 @@ class IntKernel:
 def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) -> StarContext:
     """Build the search context for complement H and eigenvalue mu.
 
-    With a (t, s) tag the scaled resolvent is also derived from the cubic
-    relation C^3 = ts C as N = C^2 + mu C + (mu^2 - ts) I, and the two
-    routes are checked against each other entry by entry.  The cubic is the
+    N = sum_j a_j C^j comes from the minimal polynomial of C, and the
+    resolvent identity N (mu I - C) = mval I is checked entry by entry on
+    the integer powers C^j, with the scalars over one common denominator.
+    With a (t, s) tag N is also derived from the cubic relation C^3 = ts C
+    as N = C^2 + mu C + (mu^2 - ts) I, and the two routes are checked
+    against each other entry by entry, the same way.  The cubic is the
     minimal polynomial only for t + s >= 3, so a (1, 1) tag skips the
     closed form.  Raises MuIsEigenvalue when mu is an eigenvalue of H and
     BadTag when H is not the declared complete bipartite graph.
     """
     mu = qnum(mu)
     C = H.matrix()
-    N_gen, mval = scaled_resolvent(C, mu)
-    n = H.n
+    a, mval = resolvent_coefficients(minimal_polynomial(C), mu)
+    d = len(a)
+    powers = matrix_powers(C, d + 1)
     if bipartite_tag is not None:
         t, s = bipartite_tag
         if not (1 <= t <= s) or H != make_kts(t, s):
             raise BadTag(f"graph is not K_{{{t},{s}}} with parts in order")
         if t + s >= 3:
-            C2 = mat_mul(C, C)
+            # N - (C^2 + mu C + shift I) = 0, entrywise
             shift = mu * mu - t * s
-            fast_ok = mval == mu * shift and all(
-                N_gen[i][j] == C2[i][j] + mu * C[i][j] + (shift if i == j else 0)
-                for i in range(n) for j in range(n))
+            fast_ok = mval == mu * shift and combination_vanishes(
+                a + [-shift, -mu, qnum(-1)], powers[:d] + [powers[0], C, mat_mul(C, C)])
             if not fast_ok:
                 raise InternalInconsistency(
                     "cubic-relation resolvent disagrees with the minimal-polynomial route")
-    # resolvent identity N (mu I - C) = mval I, entrywise
-    M = [[(mu if i == j else qnum(0)) - C[i][j] for j in range(n)] for i in range(n)]
-    P = mat_mul(N_gen, M)
-    if not all(P[i][j] == (mval if i == j else 0) for i in range(n) for j in range(n)):
+    # resolvent identity N (mu I - C) = mval I, entrywise, with N = sum_j a_j C^j:
+    # sum_j a_j (mu C^j - C^(j+1)) - mval I = 0
+    if not combination_vanishes([mu * x for x in a] + [-x for x in a] + [-mval],
+                                powers[:d] + powers[1:] + [powers[0]]):
         raise InternalInconsistency("resolvent identity N (mu I - C) = mval I fails")
-    ones = mat_vec(N_gen, [1] * n)
-    return StarContext(H=H, mu=mu,
-                       N=tuple(tuple(qnum(x) for x in row) for row in N_gen),
-                       mval=qnum(mval),
-                       ones_pairing=tuple(qnum(x) for x in ones),
-                       tag=bipartite_tag)
+    N = combination(a, powers[:d], mu.d)
+    ones = combination(a, [[[sum(row)] for row in P] for P in powers[:d]], mu.d)
+    return StarContext(H=H, mu=mu, N=tuple(map(tuple, N)), mval=mval,
+                       ones_pairing=tuple(row[0] for row in ones), tag=bipartite_tag)
 
 
 def pairing(ctx: StarContext, x: Sequence[int], y: Sequence[int]) -> QNum:
@@ -357,33 +368,38 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
 
     Three independent checks: (i) mu is not an eigenvalue of G - X
     (characteristic polynomial evaluation), (ii) the multiplicity of mu in
-    G equals |X| (rank of mu I - A over the exact field), (iii) the scaled
+    G equals |X| (a fraction-free integer rank), (iii) the scaled
     reconstruction identity mval (mu I - A_X) = B^T N B entry by entry.
-    Failures land in the certificate flags; nothing is raised.
+    For (iii), C, its minimal polynomial m and the coefficients a_j of
+    N = sum_j a_j C^j come from G - X itself, so B^T N B =
+    sum_j a_j B^T C^j B with integer matrices B^T C^j B, and the identity
+    is compared in integers.  Failures land in the certificate flags;
+    nothing is raised.
     """
     mu = qnum(mu)
     X = list(X)
     xset = set(X)
     rest = [v for v in range(G.n) if v not in xset]
-    H = induced_subgraph(G, rest)
-    C = H.matrix()
+    C = induced_subgraph(G, rest).matrix()
     mu_ok = char_polynomial(C)(mu) != 0
 
     A = G.matrix()
-    M = [[(mu if i == j else qnum(0)) - A[i][j] for j in range(G.n)]
-         for i in range(G.n)]
-    mult = G.n - field_rank(M)
+    mult = multiplicity(A, mu)
 
     recon = False
     if mu_ok:
-        N, mval = scaled_resolvent(C, mu)
-        B = [[1 if G.adjacent(h, x) else 0 for x in X] for h in rest]
-        AX = [[1 if G.adjacent(u, v) else 0 for v in X] for u in X]
-        NB = mat_mul(N, B)
-        BtNB = mat_mul([list(col) for col in zip(*B)], NB) if X else []
-        recon = all(
-            mval * ((mu if i == j else qnum(0)) - AX[i][j]) == BtNB[i][j]
-            for i in range(len(X)) for j in range(len(X)))
+        a, mval = resolvent_coefficients(minimal_polynomial(C), mu)
+        B = [[A[h][x] for x in X] for h in rest]
+        Bt = [[A[x][h] for h in rest] for x in X]
+        terms = []
+        CjB = B
+        for j in range(len(a)):
+            if j:
+                CjB = mat_mul(C, CjB)
+            terms.append(mat_mul(Bt, CjB))
+        AX = [[A[u][v] for v in X] for u in X]
+        recon = combination_vanishes(a + [-mval * mu, mval],
+                                     terms + [identity(len(X)), AX])
 
     return Certificate(mu=mu, x_size=len(X), multiplicity=mult,
                        regular_degree=regular_degree(G),

@@ -1,13 +1,20 @@
 """Exact linear algebra over Z, Q and quadratic extensions.
 
-Matrices are plain lists of row lists.  Integer matrices stay integer for as
-long as possible (fraction-free determinants); anything involving an
-irrational eigenvalue is carried by QNum.
+Matrices are plain lists of row lists, and every matrix here is an integer
+matrix.  Determinants and ranks share one fraction-free (Bareiss)
+elimination, and the multiplicity of an eigenvalue, rational or quadratic,
+is an integer rank.  Scalars from Q(sqrt(d)) enter only as coefficients
+of integer matrices: a combination sum_j c_j M_j is summed over one
+common denominator, split into its rational and sqrt(d) parts, so testing
+it for zero is pure int.  QNum entries appear only where a caller asks
+for the matrix itself (the scaled resolvent N).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 from .algebra import IntPoly, QNum, qnum
 from .errors import InternalInconsistency, MuIsEigenvalue
@@ -20,55 +27,88 @@ def identity(n: int, one=1) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            acc = Ai[0] * B[0][j]
-            for l in range(1, k):
-                acc = acc + Ai[l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
 
 
-def mat_vec(A: Matrix, v: list) -> list:
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for l in range(1, len(v)):
-            acc = acc + row[l] * v[l]
-        out.append(acc)
-    return out
+def _eliminate(a: Matrix, ncols: int) -> tuple[int, int, int]:
+    """Bareiss's fraction-free elimination of the integer rows a, in place.
+
+    A column with no pivot left is skipped, so the rows end in echelon
+    form.  After the k-th pivot every entry below it is a (k+1) x (k+1)
+    minor of the input, so each division by the previous pivot is exact
+    (Bareiss, Math. Comp. 22, 1968).  Returns the rank, the sign of the
+    row permutation and the last pivot, which for a square matrix of full
+    rank is its determinant up to that sign.
+    """
+    rows = len(a)
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if rank == rows:
+            break
+        piv = next((i for i in range(rank, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        pk = top[col]
+        tail = top[col + 1:]
+        for i in range(rank + 1, rows):
+            row = a[i]
+            f = row[col]
+            if f:
+                row[col + 1:] = [(x * pk - f * y) // prev
+                                 for x, y in zip(row[col + 1:], tail)]
+            elif pk != prev:
+                row[col + 1:] = [x * pk // prev for x in row[col + 1:]]
+            row[col] = 0
+        prev = pk
+        rank += 1
+    return rank, sign, prev
 
 
 def det_bareiss(M: Matrix) -> int:
-    """Determinant of an integer matrix, fraction-free (Bareiss pivoting)."""
+    """Determinant of a square integer matrix, fraction-free."""
     n = len(M)
-    if n == 0:
-        return 1
-    a = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pk - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
+    rank, sign, last = _eliminate([row[:] for row in M], n)
+    return sign * last if rank == n else 0
+
+
+def int_rank(M: Matrix) -> int:
+    """Rank over Q of an integer matrix, fraction-free."""
+    return _eliminate([list(row) for row in M], len(M[0]) if M else 0)[0]
+
+
+def multiplicity(A: Matrix, mu) -> int:
+    """Multiplicity of mu as an eigenvalue of a symmetric integer matrix A.
+
+    For rational mu = a/b it is n - rank(bA - aI).  An irrational mu has a
+    minimal polynomial x^2 + c1 x + c0 over Q, and its conjugate has the
+    same multiplicity (the characteristic polynomial is rational), while A
+    symmetric is diagonalizable; so with L clearing the denominators of c1
+    and c0 it is (n - rank(L (A^2 + c1 A + c0 I))) / 2.  Both ranks are
+    integer ranks.
+    """
+    mu = qnum(mu)
+    n = len(A)
+    if mu.is_rational:
+        a, b = mu.a.numerator, mu.a.denominator
+        M = [[b * x - (a if i == j else 0) for j, x in enumerate(row)]
+             for i, row in enumerate(A)]
+        return n - int_rank(M)
+    c1 = -2 * mu.a
+    c0 = mu.a * mu.a - mu.b * mu.b * mu.d
+    L = lcm(c1.denominator, c0.denominator)
+    k1, k0 = (c1 * L).numerator, (c0 * L).numerator
+    M = [[L * x + k1 * y + (k0 if i == j else 0) for j, (x, y) in enumerate(zip(row2, row))]
+         for i, (row2, row) in enumerate(zip(mat_mul(A, A), A))]
+    null = n - int_rank(M)
+    if null % 2:
+        raise InternalInconsistency("conjugate eigenvalues of a symmetric integer "
+                                    "matrix have unequal multiplicities")
+    return null // 2
 
 
 def char_polynomial(A: Matrix) -> IntPoly:
@@ -138,58 +178,80 @@ def minimal_polynomial(A: Matrix) -> IntPoly:
         k += 1
 
 
+def resolvent_coefficients(m: IntPoly, mu: QNum) -> tuple[list[QNum], QNum]:
+    """The coefficients a_0..a_{d-1} of q, where m(x) - m(mu) = (x - mu) q(x),
+    and mval = m(mu), by Horner's rule.
+
+    For m the minimal polynomial of C, N = q(C) = sum_j a_j C^j satisfies
+    N (mu I - C) = mval I.  Raises MuIsEigenvalue when m(mu) = 0.
+    """
+    d = m.degree
+    a = [qnum(0)] * d
+    acc = qnum(1)
+    for j in range(d - 1, -1, -1):
+        a[j] = acc
+        acc = mu * acc + m.coeffs[j]
+    if not acc:
+        raise MuIsEigenvalue(f"mu = {mu} is an eigenvalue of the complement")
+    return a, acc
+
+
+def matrix_powers(C: Matrix, k: int) -> list[Matrix]:
+    """I, C, ..., C^(k-1) for a square integer matrix C."""
+    out = [identity(len(C))][:k]
+    while len(out) < k:
+        out.append(mat_mul(out[-1], C))
+    return out
+
+
+def _scaled_parts(coeffs: Sequence[QNum]) -> tuple[int, list[int], list[int]]:
+    """A common denominator D of the scalars, and each D*c split as p + r sqrt(d)."""
+    coeffs = [qnum(c) for c in coeffs]
+    D = lcm(*(f.denominator for c in coeffs for f in (c.a, c.b)))
+    return (D, [(c.a * D).numerator for c in coeffs],
+            [(c.b * D).numerator for c in coeffs])
+
+
+def _int_combination(coeffs: Sequence[int], mats: Sequence[Matrix]) -> list[int]:
+    """sum_j c_j M_j over integer matrices of one shape, flattened row by row."""
+    acc = [0] * sum(len(row) for row in mats[0]) if mats else []
+    for c, M in zip(coeffs, mats):
+        if c:
+            acc = [x + c * y for x, y in zip(acc, (y for row in M for y in row))]
+    return acc
+
+
+def combination_vanishes(coeffs: Sequence, mats: Sequence[Matrix]) -> bool:
+    """Whether sum_j c_j M_j is the zero matrix, for scalars c_j of one field
+    and integer matrices M_j of one shape.
+
+    The scalars are scaled to one common denominator and split into their
+    rational and sqrt(d) parts; as sqrt(d) is irrational, the sum vanishes
+    iff both integer sums do.
+    """
+    _, ps, rs = _scaled_parts(coeffs)
+    return not any(_int_combination(ps, mats)) and not any(_int_combination(rs, mats))
+
+
+def combination(coeffs: Sequence, mats: Sequence[Matrix], d: int) -> Matrix:
+    """sum_j c_j M_j as a QNum matrix, for scalars c_j in Q(sqrt(d)) and
+    integer matrices M_j of one shape, summed in integers."""
+    D, ps, rs = _scaled_parts(coeffs)
+    P, R = _int_combination(ps, mats), _int_combination(rs, mats)
+    flat = [QNum(Fraction(p, D), Fraction(r, D), d) for p, r in zip(P, R)]
+    rows = len(mats[0]) if mats else 0
+    width = len(flat) // rows if rows else 0
+    return [flat[i * width:(i + 1) * width] for i in range(rows)]
+
+
 def scaled_resolvent(C: Matrix, mu: QNum) -> tuple[Matrix, QNum]:
     """The matrix N = m(mu) * (mu*I - C)^(-1) and the scalar m(mu).
 
-    m is the monic minimal polynomial of C.  Writing m(x) - m(mu) =
-    (x - mu) * q(x) gives N = q(C), a polynomial in C whose coefficients
-    come from Horner's rule; no matrix inversion happens.  Raises
-    MuIsEigenvalue when m(mu) = 0.
+    m is the monic minimal polynomial of C, and N = q(C) with q from
+    resolvent_coefficients: a polynomial in C, summed in integers over the
+    powers of C; no matrix inversion happens.  Raises MuIsEigenvalue when
+    m(mu) = 0.
     """
-    m = minimal_polynomial(C)
-    d = m.degree
-    # q coefficients: a[d-1] = 1, a[j-1] = mu*a[j] + c[j]
-    a = [qnum(0)] * d
-    a[d - 1] = qnum(1)
-    for j in range(d - 1, 0, -1):
-        a[j - 1] = mu * a[j] + m.coeffs[j]
-    mval = mu * a[0] + m.coeffs[0]
-    if not mval:
-        raise MuIsEigenvalue(f"mu = {mu} is an eigenvalue of the complement")
-    n = len(C)
-    N = [[a[0] if i == j else qnum(0) for j in range(n)] for i in range(n)]
-    power: Matrix = C
-    for j in range(1, d):
-        if a[j]:
-            for i in range(n):
-                Ni, Pi = N[i], power[i]
-                for c in range(n):
-                    Ni[c] = Ni[c] + a[j] * Pi[c]
-        if j + 1 < d:
-            power = mat_mul(power, C)
-    return N, mval
-
-
-def field_rank(M: Matrix) -> int:
-    """Rank of a matrix with QNum / Fraction / int entries, exact elimination."""
-    rows = [[qnum(x) for x in row] for row in M]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = qnum(1) / pr[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv
-            if f:
-                ri = rows[i]
-                for j in range(col, ncols):
-                    ri[j] = ri[j] - f * pr[j]
-        rank += 1
-        col += 1
-    return rank
+    mu = qnum(mu)
+    a, mval = resolvent_coefficients(minimal_polynomial(C), mu)
+    return combination(a, matrix_powers(C, len(a)), mu.d), mval

@@ -1,0 +1,79 @@
+"""Reference implementations the tests compare the package against.
+
+They are the exact-field routes the package used before its certificate
+and context checks moved to integer matrices: Gaussian elimination over
+QNum, and the reconstruction product B^T N B with N summed in QNum.
+They are slow and simple on purpose; nothing in the package calls them.
+"""
+
+from starcomp.algebra import qnum
+from starcomp.graphs import induced_subgraph
+from starcomp.linalg import char_polynomial, mat_mul, minimal_polynomial
+
+
+def field_rank(M):
+    """Rank of a matrix with QNum / Fraction / int entries by Gaussian
+    elimination over the field."""
+    rows = [[qnum(x) for x in row] for row in M]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        inv = qnum(1) / pr[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            if f:
+                ri = rows[i]
+                for j in range(col, ncols):
+                    ri[j] = ri[j] - f * pr[j]
+        rank += 1
+        col += 1
+    return rank
+
+
+def qnum_resolvent(C, mu):
+    """N = sum_j a_j C^j and mval = m(mu), accumulated entry by entry in QNum."""
+    m = minimal_polynomial(C)
+    d = m.degree
+    a = [qnum(0)] * d
+    acc = qnum(1)
+    for j in range(d - 1, -1, -1):
+        a[j] = acc
+        acc = mu * acc + m.coeffs[j]
+    n = len(C)
+    N = [[qnum(0)] * n for _ in range(n)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(d):
+        for i in range(n):
+            for c in range(n):
+                N[i][c] = N[i][c] + a[j] * power[i][c]
+        power = mat_mul(power, C)
+    return N, acc
+
+
+def qnum_certificate(G, X, mu):
+    """(mu not in G - X, multiplicity of mu in G, reconstruction identity),
+    the three certificate checks in QNum arithmetic."""
+    mu = qnum(mu)
+    X = list(X)
+    rest = [v for v in range(G.n) if v not in set(X)]
+    C = induced_subgraph(G, rest).matrix()
+    mu_ok = char_polynomial(C)(mu) != 0
+    A = G.matrix()
+    mult = G.n - field_rank([[mu * (i == j) - A[i][j] for j in range(G.n)]
+                             for i in range(G.n)])
+    recon = False
+    if mu_ok:
+        N, mval = qnum_resolvent(C, mu)
+        B = [[A[h][x] for x in X] for h in rest]
+        Bt = [[A[x][h] for h in rest] for x in X]
+        BtNB = mat_mul(Bt, mat_mul(N, B)) if rest else [[qnum(0)] * len(X) for _ in X]
+        recon = all(mval * (mu * (i == j) - A[x][y]) == BtNB[i][j]
+                    for i, x in enumerate(X) for j, y in enumerate(X))
+    return mu_ok, mult, recon

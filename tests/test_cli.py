@@ -168,6 +168,20 @@ def test_verify_empty_star_set_just_fails(capsys):
     assert json.loads(out)["certificate"]["passed"] is False
 
 
+def test_verify_empty_complement(capsys):
+    # X = V(G) leaves a 0 x 0 complement; K_1 at mu = 0 is a star pair
+    code, out, err = run(capsys, "verify", "--graph6", "@", "--star-set", "0", "--mu", "0")
+    assert code == 0 and err == ""
+    assert json.loads(out)["certificate"]["passed"] is True
+    # K_3 at mu = 2: multiplicity 1, not 3, and the identity fails with it
+    code, out, err = run(capsys, "verify", "--graph6", "Bw", "--star-set", "0,1,2",
+                         "--mu", "2")
+    assert code == 2 and err == ""
+    cert = json.loads(out)["certificate"]
+    assert cert["muNotInComplement"] is True
+    assert cert["multiplicityMatches"] is False and cert["reconstructionOK"] is False
+
+
 def test_verify_bad_graph6(capsys):
     code, out, err = run(capsys, "verify", "--graph6", "D\x19c",
                          "--star-set", "3,4", "--mu", "2")

@@ -14,10 +14,12 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import qnum_certificate
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, canonical
 from starcomp.catalog import named_graph, petersen
@@ -29,7 +31,8 @@ from starcomp.engine import (Compat, make_context, classify_pair,
 from starcomp.errors import (BadTag, DuplicateNeighbourhood, MuIsEigenvalue,
                              TooLarge, Unbounded)
 import starcomp
-from starcomp.graphs import Graph, cycle, graph6_encode, induced_subgraph
+from starcomp.graphs import (Graph, complete, cycle, graph6_encode,
+                             induced_subgraph)
 from starcomp.kts import make_kts
 
 # (sqrt(5) - 1)/2 = 1/phi; with -1/phi and phi = 1 + 1/phi it covers the
@@ -525,6 +528,63 @@ def test_verify_never_raises_on_disconnected():
     assert not cert.passed
 
 
+def test_verify_star_pair_empty_complement():
+    # X = V(G): the minimal polynomial of the 0 x 0 complement is 1, so
+    # mval = 1, N is 0 x 0 and the identity reads mu I - A_X = 0
+    cert = verify_star_pair(Graph.from_edges(1, []), [0], qnum(0))
+    assert cert.passed and cert.multiplicity == 1
+    cert = verify_star_pair(complete(3), [0, 1, 2], qnum(2))
+    assert cert.mu_not_in_complement and cert.multiplicity == 1
+    assert not cert.multiplicity_matches and not cert.reconstruction_ok
+
+
+# the mu values of the oracle test: integers, halves and the four numbers
+# (+-1 +- sqrt 5)/2
+CERT_MUS = ([qnum(m) for m in range(-3, 4)] + [qnum(Fraction(1, 2)), qnum(Fraction(-1, 2))]
+            + [GOLDEN, -GOLDEN, 1 + GOLDEN, -1 - GOLDEN])
+
+
+def check_certificate(G, X, mu):
+    """verify_star_pair against the QNum oracle and the reconstruction
+    theorem: when mu is not an eigenvalue of G - X, the identity holds
+    exactly when the multiplicity of mu is |X|."""
+    cert = verify_star_pair(G, X, mu)
+    mu_ok, mult, recon = qnum_certificate(G, X, mu)
+    assert (cert.mu_not_in_complement, cert.multiplicity, cert.reconstruction_ok) == \
+        (mu_ok, mult, recon)
+    assert cert.multiplicity_matches == (mult == len(X))
+    if cert.mu_not_in_complement:
+        assert cert.reconstruction_ok == cert.multiplicity_matches
+    return cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs, st.integers(0, 2 ** 9 - 1), st.sampled_from(CERT_MUS))
+@example((5, 0b1010011001), 0b00011, GOLDEN)        # C_5, X = {0, 1}
+@example((5, 0b1010011001), 0b00001, -1 - GOLDEN)   # C_5, X = {0}
+def test_certificate_matches_qnum_oracle(g, xmask, mu):
+    G = graph_from_mask(*g)
+    check_certificate(G, [v for v in range(G.n) if xmask >> v & 1], mu)
+
+
+@pytest.mark.parametrize("G,X,mu,passed", [
+    (cycle(5), [0, 1], GOLDEN, True),            # C_5 - X is P_3: sqrt 2, 0
+    (cycle(5), [0, 2], -1 - GOLDEN, True),
+    (cycle(5), [0], GOLDEN, False),              # multiplicity 2, |X| = 1
+    (cycle(5), [0, 1, 2], -1 - GOLDEN, False),
+    (cycle(5), [0, 1], 1 + GOLDEN, False),
+    # the rational part of the identity holds, only the sqrt part fails
+    (Graph.from_edges(1, []), [0], QNum.sqrt(2), False),
+    (Graph.from_edges(4, [(0, 1), (0, 3), (1, 3)]), [3], -1 - GOLDEN, False),
+    (petersen(), [], 1 + GOLDEN, True),          # not an eigenvalue at all
+    (petersen(), [0], -GOLDEN, False),
+    (petersen(), [5, 6, 7, 8, 9], qnum(1), True),
+    (petersen(), [0, 1, 2, 3], qnum(-2), True),
+])
+def test_certificate_quadratic_and_petersen(G, X, mu, passed):
+    assert check_certificate(G, X, mu).passed is passed
+
+
 def test_certificate_gate_survives_optimize_flag():
     # python -O strips asserts; the gate on every returned solution must not
     # depend on them.  A certificate forced to fail has to stop the search.
@@ -551,6 +611,28 @@ def test_certificate_gate_survives_optimize_flag():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "raised: assembled solution failed certification\n"
+
+
+def test_runtime_imports_neither_sympy_nor_networkx():
+    # both are test oracles only: with them unimportable, the package must
+    # still build a tagged context, search it and certify the result
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["sympy"] = sys.modules["networkx"] = None
+        import starcomp, starcomp.cli
+        from starcomp.engine import make_context, search_star_sets, verify_star_pair
+        from starcomp.kts import make_kts
+        ctx = make_context(make_kts(3, 3), 1, bipartite_tag=(3, 3))
+        sols = search_star_sets(ctx, require_regular=4)
+        print(len(sols), verify_star_pair(sols[0].graph, sols[0].x_vertices, 1).passed)
+    """)
+    src = os.path.dirname(os.path.dirname(starcomp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 True\n"
 
 
 def test_no_assert_statements_in_package():

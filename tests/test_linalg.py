@@ -1,5 +1,7 @@
 """Exact linear algebra: determinants, characteristic and minimal
-polynomials, the scaled resolvent, and rank over the quadratic field.
+polynomials, the scaled resolvent, integer rank and eigenvalue
+multiplicity.  The field rank oracle (elimination over QNum) lives in
+oracles.py.
 
 Characteristic polynomial oracles below are classical values (cycles,
 complete bipartite graphs, the Petersen graph) checked against closed-form
@@ -16,9 +18,11 @@ from starcomp.catalog import petersen
 from starcomp.errors import MuIsEigenvalue
 from starcomp.graphs import cycle
 from starcomp.kts import make_kts
-from starcomp.linalg import (char_polynomial, det_bareiss, field_rank,
-                             identity, mat_mul, mat_vec, minimal_polynomial,
-                             scaled_resolvent)
+from oracles import field_rank
+from starcomp.linalg import (char_polynomial, combination, combination_vanishes,
+                             det_bareiss, identity, int_rank, mat_mul,
+                             minimal_polynomial, multiplicity,
+                             resolvent_coefficients, scaled_resolvent)
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -57,7 +61,7 @@ def test_mat_mul_and_vec():
     A = [[1, 2], [3, 4]]
     B = [[0, 1], [1, 0]]
     assert mat_mul(A, B) == [[2, 1], [4, 3]]
-    assert mat_vec(A, [1, 1]) == [3, 7]
+    assert mat_mul(A, [[1], [1]]) == [[3], [7]]
     assert mat_mul(A, identity(2)) == A
 
 
@@ -158,6 +162,24 @@ def test_resolvent_identity_two_sided(g, mu):
                 assert acc == (mval if i == j else qnum(0))
 
 
+def test_scaled_resolvent_empty_matrix():
+    # the minimal polynomial of the 0 x 0 matrix is 1: m(mu) = 1, N is 0 x 0
+    assert minimal_polynomial([]).coeffs == (1,)
+    assert resolvent_coefficients(minimal_polynomial([]), qnum(5)) == ([], qnum(1))
+    assert scaled_resolvent([], qnum(5)) == ([], qnum(1))
+
+
+def test_combination_over_common_denominator():
+    r2 = QNum.sqrt(2)
+    mats = [[[1, 2]], [[3, 0]]]
+    assert combination([qnum(Fraction(1, 2)), r2 / 3], mats, 2) == \
+        [[Fraction(1, 2) + r2, qnum(1)]]
+    assert combination_vanishes([r2 / 3, -r2 / 3], [mats[0], mats[0]])
+    assert not combination_vanishes([r2 / 3, -r2 / 3], mats)
+    assert not combination_vanishes([r2, qnum(-1)], [[[1]], [[1]]])
+    assert combination_vanishes([qnum(7)], [[]])
+
+
 @pytest.mark.parametrize("g,mu", [
     (make_kts(3, 3), qnum(3)),
     (make_kts(3, 3), qnum(0)),
@@ -195,6 +217,67 @@ def test_field_rank_transpose_invariant(M):
     r = field_rank(Q)
     assert r == field_rank(QT)
     assert (r == len(M)) == (det_bareiss(M) != 0)
+
+
+@st.composite
+def _low_rank_int_matrices(draw):
+    """A product of an n x r and an r x m integer matrix, so rank <= r."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(n, m)))
+    A = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    B = [[draw(entries) for _ in range(m)] for _ in range(r)]
+    return mat_mul(A, B) if r else [[0] * m for _ in range(n)]
+
+
+rect_int_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda nm: st.lists(st.lists(entries, min_size=nm[1], max_size=nm[1]),
+                        min_size=nm[0], max_size=nm[0]))
+
+
+def test_int_rank_known():
+    assert int_rank([[0]]) == 0
+    assert int_rank([[0, 0], [0, 0]]) == 0
+    assert int_rank([[0, 2, 4], [0, 1, 2]]) == 1      # first column skipped
+    assert int_rank([[0, 0, 1], [1, 2, 3], [2, 4, 7]]) == 2
+    assert int_rank([[1, 2], [3, 4], [5, 6]]) == 2
+    assert int_rank(identity(5)) == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rect_int_matrices, _low_rank_int_matrices()))
+def test_int_rank_matches_field_rank(M):
+    r = int_rank(M)
+    assert r == field_rank(M)
+    assert r == int_rank([list(col) for col in zip(*M)])
+    if len(M) == len(M[0]):
+        assert (r == len(M)) == (det_bareiss(M) != 0)
+
+
+GOLDEN = QNum.quadratic_root(-1, 1)   # (sqrt 5 - 1)/2
+
+
+def test_multiplicity_known():
+    A = petersen().matrix()
+    for mu, mult in ((1, 5), (-2, 4), (3, 1), (0, 0), (Fraction(1, 2), 0)):
+        assert multiplicity(A, mu) == mult
+    C5 = cycle(5).matrix()
+    for mu, mult in ((2, 1), (GOLDEN, 2), (-1 - GOLDEN, 2), (1 + GOLDEN, 0),
+                     (QNum.sqrt(2), 0)):
+        assert multiplicity(C5, mu) == mult
+    assert multiplicity([], 3) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(int_matrix),
+       st.sampled_from([qnum(m) for m in range(-3, 4)]
+                       + [qnum(Fraction(1, 2)), qnum(Fraction(-5, 3)), GOLDEN,
+                          -GOLDEN, 1 + GOLDEN, -1 - GOLDEN, QNum.sqrt(2),
+                          1 - QNum.sqrt(2), QNum.sqrt(3) / 2]))
+def test_multiplicity_matches_field_rank(M, mu):
+    A = _sym(M)
+    n = len(A)
+    assert multiplicity(A, mu) == n - field_rank(
+        [[mu * (i == j) - A[i][j] for j in range(n)] for i in range(n)])
 
 
 # ----------------------------------------------------------- sympy oracles
@@ -263,6 +346,17 @@ def _low_rank_matrices(draw, d):
     A = [[draw(entries) for _ in range(r)] for _ in range(n)]
     B = [[draw(entries) for _ in range(m)] for _ in range(r)]
     return mat_mul(A, B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rect_int_matrices, _low_rank_int_matrices()))
+@example([[0, 0], [0, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+def test_int_rank_matches_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    S = DomainMatrix.from_Matrix(sympy.Matrix(M)).convert_to(sympy.QQ)
+    assert int_rank(M) == S.rank()
 
 
 @settings(max_examples=60, deadline=None)

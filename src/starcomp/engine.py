@@ -32,14 +32,9 @@ assembles every find.  Only its recursion depends on the mode: a DFS
 that prunes by the degree equations, or a walk over maximal cliques of
 the compatibility relation.
 
-The context and the certificate check their identities on integer
-matrices too.  make_context writes N = sum_j a_j C^j and tests
-N (mu I - C) = mval I (and, over K_{t,s}, the cubic form of N) as
-combinations of the integer powers C^j with scaled, split scalars.
-verify_star_pair derives C, m and the a_j from G - X itself, never from a
-search context, takes the multiplicity from an integer rank and compares
-mval (mu I - A_X) with sum_j a_j B^T C^j B in integers.  The QNum routes
-they replaced are oracles in the tests.
+make_context and verify_star_pair check their identities on integer
+matrices as well; the certificate builds everything from G - X, never
+from a search context.  The tests hold their QNum oracles.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exact linear algebra over Z, Q and quadratic extensions.
 
-Matrices are plain lists of row lists, and every matrix here is an integer
-matrix.  Determinants and ranks share one fraction-free (Bareiss)
+Matrices are plain lists of row lists, with integer entries wherever the
+package calls in.  Determinants and ranks share one fraction-free (Bareiss)
 elimination, and the multiplicity of an eigenvalue, rational or quadratic,
 is an integer rank.  Scalars from Q(sqrt(d)) enter only as coefficients
 of integer matrices: a combination sum_j c_j M_j is summed over one

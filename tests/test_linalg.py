@@ -13,12 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import field_rank
 from starcomp.algebra import QNum, qnum
 from starcomp.catalog import petersen
 from starcomp.errors import MuIsEigenvalue
 from starcomp.graphs import cycle
 from starcomp.kts import make_kts
-from oracles import field_rank
 from starcomp.linalg import (char_polynomial, combination, combination_vanishes,
                              det_bareiss, identity, int_rank, mat_mul,
                              minimal_polynomial, multiplicity,

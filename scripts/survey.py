@@ -12,7 +12,8 @@ Blocks, in order:
   * the G(r) family built directly from its parameters, certified.
 
 Every solution printed has passed the three-part certificate.  Use
---quick to skip the degree-10 block (the slowest, tens of seconds).
+--quick to skip the degree-10 block (the slowest; about 0.15 s, and a
+full run under a second, with Python 3.11 on a shared 2-vCPU Xeon).
 """
 
 from __future__ import annotations

@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
                     help="stop after this many raw finds (graphs before isomorphism "
                          "reduction), counted over the whole search, sweeps included")
     sp.add_argument("--no-symmetry", action="store_true",
-                    help="disable the part-permutation first-branch reduction")
+                    help="disable orderly pruning under the part permutations of "
+                         "K_{t,s} (same output, slower)")
     sp.add_argument("--output", default=None, help="write JSON lines here instead of stdout")
 
     sp = sub.add_parser("verify", help="certify a star set inside a given graph")

@@ -27,10 +27,12 @@ K_{t,s}, which lives in the tests as an oracle.
 
 One function, _search, runs a search for one degree r (or for maximal
 families when r is None): it filters the candidates, builds the
-pair-label tables, breaks the symmetry of K_{t,s} at the first choice and
-assembles every find.  Only its recursion depends on the mode: a DFS
-that prunes by the degree equations, or a walk over maximal cliques of
-the compatibility relation.
+pair-label tables and assembles every find.  Only its recursion depends
+on the mode: a DFS that prunes by the degree equations, or a walk over
+maximal cliques of the compatibility relation.  On a tagged context both
+drop the choices that a part permutation of K_{t,s} maps to a
+lexicographically smaller one (orderly generation, _orderly_test), so
+each orbit of finds is assembled about once; _dedupe removes the rest.
 
 make_context and verify_star_pair check their identities on integer
 matrices as well; the certificate builds everything from G - X, never
@@ -455,30 +457,81 @@ def _effective_cap(ctx: StarContext, max_x: Optional[int], n_cands: int) -> int:
     return cap
 
 
-def _reps_mask(ctx: StarContext, cands: list[CandidateVector], symmetry: bool) -> int:
-    """Candidates the first (least-index) choice may take.  With symmetry on
-    a tagged context, that is the least candidate in each orbit of the
-    part-permuting symmetries of K_{t,s} (S_t x S_s, plus the part swap
-    when t = s); untagged contexts get no reduction.
+def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool):
+    """The orderly-generation test (Read, "Every one a winner", 1978;
+    Faradzev, 1978) under the part permutations of K_{t,s}: S_t x S_s,
+    plus the part swap when t = s.  Returns (root, extend); with symmetry
+    off, or on an untagged context, extend passes every prefix.
 
-    Restricting only the first choice to orbit minima is complete:
-    candidates sort by type, orbits are unions of type blocks, so mapping
-    the least element of a solution onto its orbit's least index never
-    pulls another element below it.
+    extend(state, prefix, k) takes the state of prefix[:-k], a
+    non-decreasing tuple of candidate indices, and returns the state of
+    prefix, or None when some symmetry g maps prefix to a set whose sorted
+    tuple is lexicographically smaller; root is the state of ().  Every
+    prefix of the lex-least member of an orbit passes, so pruning on the
+    test keeps one find per orbit, and the first of each isomorphism class.
+
+    The symmetries that map the sources matched so far onto P[:depth]
+    form a coset held as paired cells (a, b) of vertex bitmasks: g maps
+    each a onto b.  A source with support S maps onto target T iff
+    |S & a| = |T & b| in every cell, and its least image sets the top
+    |S & a| bits of each b (ones late in the tuple sort first).  When an
+    unused source has a least image below P[depth], P is not minimal.
+    Otherwise only the first source that maps onto P[depth] is followed,
+    which keeps the test sound and one branch deep; it may miss a smaller
+    image down another tie, and _dedupe catches that.  A state keeps, per
+    start coset, the cells at each matched depth and the sources left
+    unused, so extending a prefix by one index replays the new source
+    through the stored cells instead of starting over.
     """
     if not symmetry or ctx.tag is None:
-        return (1 << len(cands)) - 1
+        return [], lambda state, prefix, k=1: state
     t, s = ctx.tag
-    seen = set()
-    mask = 0
-    for i, c in enumerate(cands):
-        key = c.type_ab
-        if t == s:
-            key = min(key, key[::-1])
-        if key not in seen:
-            seen.add(key)
-            mask |= 1 << i
-    return mask
+    A, B = (1 << t) - 1, ((1 << s) - 1) << t
+    starts = [((A, A), (B, B))]
+    if t == s:
+        starts.append(((A, B), (B, A)))
+    masks = [c.mask for c in cands]
+    index = {m: i for i, m in enumerate(masks)}
+
+    def least(S: int, cells) -> int:
+        image = 0
+        for a, b in cells:
+            for _ in range(b.bit_count() - (S & a).bit_count()):
+                b &= b - 1
+            image |= b
+        return index[image]
+
+    def extend(state, prefix: list[int], k: int = 1):
+        added = prefix[-k:]
+        out = []
+        for levels, unused in state:
+            depth = len(levels) - 1
+            for d in range(depth):
+                if any(least(masks[p], levels[d]) < prefix[d] for p in added):
+                    return None
+            levels, unused = levels[:], unused + added
+            cells = levels[-1]
+            for target in prefix[depth:]:
+                T = masks[target]
+                fit = None
+                for pos, p in enumerate(unused):
+                    if pos and unused[pos - 1] == p:
+                        continue   # a repeat (mu in {-1, 0}) has the same images
+                    i = least(masks[p], cells)
+                    if i < target:
+                        return None
+                    if i == target and fit is None:
+                        fit = pos
+                if fit is None:
+                    break      # every image of the rest lies above P[depth]
+                S = masks[unused.pop(fit)]
+                cells = [cell for a, b in cells
+                         for cell in ((a & S, b & T), (a & ~S, b & ~T)) if cell[0]]
+                levels.append(cells)
+            out.append((levels, unused))
+        return out
+
+    return [([cells], []) for cells in starts], extend
 
 
 def _dedupe(found: list[tuple[Graph, tuple[int, ...]]]
@@ -518,9 +571,16 @@ def search_star_sets(ctx: StarContext,
     vertices make the families infinite (Unbounded otherwise).  For other
     mu the bound (q+1)(q-2)/2 applies on top whenever q >= 3.
     max_solutions is a work limit on raw finds: graphs the search assembles
-    before isomorphism reduction, counted across the whole call (all the
-    degrees of a sweep together).  The search stops at that many, so fewer
-    isomorphism classes may come back.
+    after orderly pruning and before isomorphism reduction, counted across
+    the whole call (all the degrees of a sweep together).  The search stops
+    at that many, so fewer isomorphism classes may come back.
+
+    symmetry (tagged contexts only) prunes a partial choice of candidates
+    once a part permutation of K_{t,s} (S_t x S_s, and the part swap when
+    t = s) is found to map it to a lexicographically smaller one (orderly
+    generation).  The first find of each isomorphism class survives, so
+    the output is the same either way; symmetry=False assembles every
+    find and is the slower reference.
 
     Results are deduplicated up to isomorphism, certified (every returned
     solution passes verify_star_pair) and sorted by order then canonical
@@ -618,7 +678,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
     label, compat_mask, adj_mask = _build_label_tables(ctx, cands)
     full = (1 << k) - 1
     ge_mask = [(full >> i) << i for i in range(k)]
-    first = _reps_mask(ctx, cands, symmetry)
+    root, extend = _orderly_test(ctx, cands, symmetry)
 
     def emit(chosen_idx: list[int]):
         chosen = [cands[i] for i in chosen_idx]
@@ -629,19 +689,34 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
         if len(found) == max_solutions:
             raise _BudgetSpent
 
-    def maximal(chosen_idx: list[int], allowed_all: int, pick_from: int):
+    def maximal(chosen_idx: list[int], allowed_all: int, pick_from: int, state):
         # maximal: nothing anywhere (even below the ascending floor)
         # extends X; the cap also closes a branch
         if chosen_idx and (not allowed_all or len(chosen_idx) >= cap):
-            emit(chosen_idx)
+            # state is None once the walk has stopped testing prefixes
+            if state is not None or extend(root, chosen_idx, len(chosen_idx)) is not None:
+                emit(chosen_idx)
             return
         m = pick_from
         while m:
             low = m & -m
             i = low.bit_length() - 1
             m ^= low
+            nxt = chosen_idx + [i]
             nxt_all = allowed_all & compat_mask[i]
-            maximal(chosen_idx + [i], nxt_all, nxt_all & ge_mask[i])
+            nxt_pick = nxt_all & ge_mask[i]
+            nxt_state = None
+            # a test costs about one least image per chosen index and may cut
+            # up to 2^|nxt_pick| nodes, so the walk tests only while more
+            # candidates are pickable than chosen.  On K_{2,5} mu=1 (20
+            # mutually compatible candidates; median of five in-process
+            # runs, Python 3.11, shared 2-vCPU Xeon) testing every node took
+            # 4.3 s, first choices and emissions only 0.4 s, this rule 0.14 s.
+            if state is not None and nxt_pick.bit_count() > len(nxt):
+                nxt_state = extend(state, nxt)
+                if nxt_state is None:
+                    continue
+            maximal(nxt, nxt_all, nxt_pick, nxt_state)
 
     cover_mask = [0] * q
     for i, c in enumerate(cands):
@@ -651,7 +726,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
     special = ctx.mu_special
 
     def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
-                allowed: int, pick_from: int):
+                allowed: int, pick_from: int, state):
         if all(cov[v] == need[v] for v in range(q)):
             # H-side degrees are saturated; X-side must match exactly
             if all(adeg[p] == r - cands[i].size
@@ -698,6 +773,9 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                 continue
             new_adeg[-1] = acount
             nxt = chosen_idx + [i]
+            nxt_state = extend(state, nxt)
+            if nxt_state is None:
+                continue
             # ge_mask keeps choices ascending; the diagonal bit of
             # compat_mask decides whether i itself may repeat
             pruned = allowed & compat_mask[i] & ge_mask[i]
@@ -707,10 +785,10 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             for p, pi in enumerate(nxt):
                 if new_adeg[p] == r - cands[pi].size:
                     pruned &= ~adj_mask[pi]
-            regular(nxt, new_cov, new_adeg, pruned, pruned)
+            regular(nxt, new_cov, new_adeg, pruned, pruned, nxt_state)
 
     with contextlib.suppress(_BudgetSpent):
         if r is None:
-            maximal([], full, first)
+            maximal([], full, full, root)
         else:
-            regular([], [0] * q, [], full, first)
+            regular([], [0] * q, [], full, full, root)

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import qnum_certificate
 from starcomp.algebra import QNum, qnum
-from starcomp.canon import are_isomorphic, canonical
+from starcomp.canon import are_isomorphic
 from starcomp.catalog import named_graph, petersen
 from starcomp import engine
 from starcomp.engine import (Compat, make_context, classify_pair,
@@ -360,10 +360,26 @@ def test_search_deterministic(k33_ctx, k33_sweep):
         [graph6_encode(s.graph) for s in k33_sweep]
 
 
-def test_search_symmetry_reduction_is_lossless(k33_ctx, k33_sweep):
-    plain = search_star_sets(k33_ctx, require_regular="sweep", symmetry=False)
-    assert [canonical(s.graph).bytes for s in plain] == \
-        [canonical(s.graph).bytes for s in k33_sweep]
+def solution_lines(sols) -> str:
+    """One "graph6 star-set" line per solution, the bytes the pins hash."""
+    return "".join(f"{graph6_encode(sol.graph)} {','.join(map(str, sol.x_vertices))}\n"
+                   for sol in sols)
+
+
+def test_search_symmetry_reduction_is_lossless():
+    # orderly pruning keeps the first find of every class, so the output
+    # is byte-identical: regular sweeps and maximal mode, t = s (with the
+    # part swap) and t < s, and mu = -1, where indices repeat
+    cases = [((3, 3), 1, "sweep", None), ((2, 5), 1, "sweep", None),
+             ((3, 3), 1, None, 4), ((1, 5), 1, None, 4),
+             ((2, 2), -1, None, 4), ((2, 3), -1, None, 5),
+             ((2, 2), -1, "sweep", 4)]
+    for (t, s), mu, require, max_x in cases:
+        ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+        runs = [solution_lines(search_star_sets(ctx, require_regular=require,
+                                                max_x=max_x, symmetry=sym))
+                for sym in (True, False)]
+        assert runs[0] and runs[0] == runs[1], (t, s, mu, require, max_x)
 
 
 def test_search_max_solutions_budget(k33_ctx):
@@ -383,41 +399,45 @@ def _count_raw_finds(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("t,s,untruncated,budget", [
-    (3, 3, 7, 3),
-    (2, 5, 455, 10),
-    (2, 5, 455, 50),
+@pytest.mark.parametrize("t,s,budget", [
+    (3, 3, 2),
+    (2, 5, 10),
+    (2, 5, 50),
 ])
-def test_sweep_max_solutions_is_one_budget(monkeypatch, t, s, untruncated, budget):
+def test_sweep_max_solutions_is_one_budget(monkeypatch, t, s, budget):
     # max_solutions counts raw finds over the whole sweep, not per degree
     calls = _count_raw_finds(monkeypatch)
     ctx = make_context(make_kts(t, s), qnum(1), bipartite_tag=(t, s))
+    search_star_sets(ctx, require_regular="sweep")
+    untruncated, calls[0] = calls[0], 0
     sols = search_star_sets(ctx, require_regular="sweep", max_solutions=budget)
     assert budget < untruncated and calls[0] == budget
     assert sols and all(sol.cert.passed for sol in sols)
 
 
 # Raw finds, isomorphism classes and the SHA-256 of one
-# "graph6 star-set" line per solution, recorded before the regular and
-# maximal searches shared one function.  Maximal mode has no benchmark
-# workload, so these pins are what guard it.
+# "graph6 star-set" line per solution.  Classes and digests were recorded
+# before the regular and maximal searches shared one function; the raw
+# finds of the tagged searches fell with orderly pruning (20, 85, 56, 455
+# and 7 before it).  Maximal mode has no benchmark workload, so these pins
+# are what guard it.
 @pytest.mark.parametrize("H,mu,tag,require,max_x,raw,classes,digest", [
     ((3, 3), 1, True, None, None, 1, 1,
      "98a87b6f2a7279f0a40fa3fcc9b01a43c9f27cbdfbdf6b15297187a4850eef9e"),
-    ((2, 2), -1, True, None, 4, 20, 8,
+    ((2, 2), -1, True, None, 4, 10, 8,
      "8d926d2dcd83a83b9050886017f126ff9cc0941d5fce6c36dfe93fc1f490acb5"),
-    ((2, 3), -1, True, None, 5, 85, 25,
+    ((2, 3), -1, True, None, 5, 41, 25,
      "16b162749c35be9f2bb58d517a3a0c3c65c599217333dacf3f4965e18945fdee"),
-    ((3, 3), 1, True, None, 4, 56, 5,
+    ((3, 3), 1, True, None, 4, 12, 5,
      "9fb0f567dbb5405e4c54d386cfe7c461aa7e0c8b6e39531c6fcc4b04301f43fa"),
     ("petersen", 2, False, None, None, 0, 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ((2, 5), 1, True, "sweep", None, 455, 12,
+    ((2, 5), 1, True, "sweep", None, 119, 12,
      "fdb6e9ebfd288cb9ea3abc2afe4ddf25c6e099b11c1121f8b378dd995de7cf49"),
     ((3, 3), 1, False, "sweep", None, 13, 3,
      "72cde243ccde9b474da53e0ef57c7101831dc3943247fa9d5a10879395f3b86c"),
-    # tagged: the first-choice symmetry reduction leaves 7 of the 13 finds
-    ((3, 3), 1, True, "sweep", None, 7, 3,
+    # tagged: orderly pruning leaves 3 of the 13 finds, one per class
+    ((3, 3), 1, True, "sweep", None, 3, 3,
      "72cde243ccde9b474da53e0ef57c7101831dc3943247fa9d5a10879395f3b86c"),
 ])
 def test_search_modes_pinned(monkeypatch, H, mu, tag, require, max_x, raw, classes,
@@ -426,10 +446,89 @@ def test_search_modes_pinned(monkeypatch, H, mu, tag, require, max_x, raw, class
     g = petersen() if H == "petersen" else make_kts(*H)
     ctx = make_context(g, qnum(mu), bipartite_tag=H if tag else None)
     sols = search_star_sets(ctx, require_regular=require, max_x=max_x)
-    lines = "".join(f"{graph6_encode(sol.graph)} {','.join(map(str, sol.x_vertices))}\n"
-                    for sol in sols)
     assert (calls[0], len(sols)) == (raw, classes)
-    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+    assert hashlib.sha256(solution_lines(sols).encode()).hexdigest() == digest
+
+
+def part_symmetries(t, s):
+    """Aut(K_{t,s}) listed in full: every vertex permutation g (g[v] is
+    the image of v) that maps the parts onto parts."""
+    q = t + s
+    parts = ({*range(t)}, {*range(t, q)})
+    return [g for g in itertools.permutations(range(q))
+            if {*g[:t]} == parts[0] or (t == s and {*g[:t]} == parts[1])]
+
+
+def record_searches(monkeypatch):
+    """Per _search call, its candidate list and the index tuples it assembled."""
+    runs = []
+    real_test, real_assemble = engine._orderly_test, engine._assemble
+
+    def test(ctx, cands, symmetry):
+        runs.append((cands, []))
+        return real_test(ctx, cands, symmetry)
+
+    def assemble(ctx, chosen, adjacency):
+        index = {c.bits: i for i, c in enumerate(runs[-1][0])}
+        runs[-1][1].append(tuple(index[c.bits] for c in chosen))
+        return real_assemble(ctx, chosen, adjacency)
+    monkeypatch.setattr(engine, "_orderly_test", test)
+    monkeypatch.setattr(engine, "_assemble", assemble)
+    return runs
+
+
+# K_{2,3} has no candidate at mu = 1, so it is taken at mu = -1
+@pytest.mark.parametrize("t,s,mu,require,max_x", [
+    (2, 2, -1, None, 4),
+    (2, 2, -1, "sweep", 4),
+    (2, 3, -1, None, 5),
+    (3, 3, 1, None, 4),
+    (3, 3, 1, "sweep", None),
+    (1, 5, 1, None, 4),
+])
+def test_orderly_test_matches_brute_force(monkeypatch, t, s, mu, require, max_x):
+    # the whole group against the one-branch test: a rejected prefix has a
+    # lex-smaller image, and every prefix of an orbit's lex-least find passes
+    ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+    runs = record_searches(monkeypatch)
+    search_star_sets(ctx, require_regular=require, max_x=max_x, symmetry=False)
+    monkeypatch.undo()
+    group = part_symmetries(t, s)
+    tuples = (itertools.combinations_with_replacement if ctx.mu_special
+              else itertools.combinations)
+    rejected = 0
+    for cands, finds in runs:
+        root, extend = engine._orderly_test(ctx, cands, True)
+        index = {c.mask: i for i, c in enumerate(cands)}
+
+        def least_image(P):
+            return min(tuple(sorted(index[sum(1 << g[v] for v in range(ctx.q)
+                                              if cands[i].mask >> v & 1)]
+                                    for i in P))
+                       for g in group)
+
+        def passes(P):
+            whole = extend(root, list(P), len(P)) is not None
+            state = root
+            for n in range(1, len(P) + 1):
+                state = extend(state, list(P[:n]))
+                if state is None:
+                    break
+            # one index at a time is the from-scratch test of every prefix
+            assert (state is not None) == all(
+                extend(root, list(P[:n]), n) is not None for n in range(1, len(P) + 1))
+            return whole
+
+        prefixes = {F[:n] for F in finds for n in range(1, len(F) + 1)}
+        prefixes.update(P for n in (1, 2, 3) for P in tuples(range(len(cands)), n))
+        for P in sorted(prefixes):
+            if not passes(P):
+                rejected += 1
+                assert least_image(P) < P, P
+        for L in {least_image(F) for F in finds}:
+            assert L in finds
+            assert all(passes(L[:n]) for n in range(1, len(L) + 1)), L
+    assert rejected
 
 
 def test_search_max_x_restricts(k33_ctx):

@@ -19,9 +19,8 @@ from .catalog import (catalog_entry, expected_spectrum, named_graph,
                       spectrum_matches)
 from .engine import (CandidateVector, Certificate, Compat, StarContext,
                      StarSolution, classify_pair, enumerate_candidates,
-                     make_context, multiplicity_cap, pairing,
-                     search_star_sets, solution_from_assembled,
-                     verify_star_pair)
+                     make_context, multiplicity_cap, search_star_sets,
+                     solution_from_assembled, verify_star_pair)
 from .errors import (BadTag, DivisibilityViolation, DuplicateNeighbourhood,
                      HypothesisViolated, InternalInconsistency, MalformedGraph6,
                      MuIsEigenvalue, StarCompError, TooLarge, Unbounded,

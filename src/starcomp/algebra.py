@@ -241,10 +241,6 @@ class QNum:
         return f"QNum({self})"
 
 
-ZERO = QNum(0)
-ONE = QNum(1)
-
-
 def qnum(x) -> QNum:
     """Coerce an int, Fraction, or QNum to QNum."""
     return x if isinstance(x, QNum) else QNum(x)

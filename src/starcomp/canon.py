@@ -4,7 +4,8 @@ Colour refinement seeded with (degree, triangle count), then backtracking over
 individualization choices; the canonical form is the lexicographically least
 graph6 encoding over all leaves, and its perm is that of the first leaf, in
 depth-first order, to reach it.  Sound and complete for the enforced n <= 20
-cap (the largest graph needing dedupe here has 18 vertices).
+cap; larger graphs, such as the order 21-27 finds of a sweep, are
+deduplicated with are_isomorphic instead.
 
 The search tree is pruned with automorphisms, after McKay and Piperno,
 "Practical graph isomorphism, II" (J. Symbolic Comput. 60, 2014).  Twins

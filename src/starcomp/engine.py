@@ -17,13 +17,14 @@ polynomial is quadratic, not the cubic x^3 - ts x) and always takes the
 generic route.
 
 Every pairing the search needs is a sum of entries of N over the support
-of 0/1 vectors, so it runs on one integer route: IntKernel, N scaled to a
-common denominator (one int per entry, packed for quadratic mu).  The
-untagged subset scan walks the 2^q subsets in Gray-code order on it, and
-the pair relation (_pair_label, used by classify_pair and the search) sums
-a candidate's integer column.  pairing() stays the QNum reference; the
-tests check the kernel against it and against the closed form over
-K_{t,s}, which lives in the tests as an oracle.
+of 0/1 vectors, so N exists only in integer form: make_context sums it
+over the integer powers of C into an IntKernel, N scaled to a common
+denominator (one int per entry, packed for quadratic mu), and no QNum
+matrix is built.  The untagged subset scan walks the 2^q subsets in
+Gray-code order on it, and the pair relation (_pair_label, used by
+classify_pair and the search) sums a candidate's integer column.  The
+tests check the kernel against the QNum resolvent and the closed form
+over K_{t,s}, both of which live in the tests as oracles.
 
 One function, _search, runs a search for one degree r (or for maximal
 families when r is None): it filters the candidates, builds the
@@ -35,8 +36,8 @@ lexicographically smaller one (orderly generation, _orderly_test), so
 each orbit of finds is assembled about once; _dedupe removes the rest.
 
 make_context and verify_star_pair check their identities on integer
-matrices as well; the certificate builds everything from G - X, never
-from a search context.  The tests hold their QNum oracles.
+matrices; the certificate builds everything from G - X, never from a
+search context.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ from __future__ import annotations
 import contextlib
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .algebra import IntPoly, QNum, qnum
@@ -56,9 +54,9 @@ from .errors import (BadTag, DuplicateNeighbourhood, InternalInconsistency,
                      TooLarge, Unbounded)
 from .graphs import Graph, graph6_encode, induced_subgraph, regular_degree
 from .kts import VertexType, make_kts, solve_types_fixed
-from .linalg import (char_polynomial, combination, combination_vanishes,
-                     identity, mat_mul, matrix_powers, minimal_polynomial,
-                     multiplicity, resolvent_coefficients)
+from .linalg import (char_polynomial, combination_vanishes, identity, mat_mul,
+                     matrix_powers, minimal_polynomial, multiplicity,
+                     resolvent_coefficients, scaled_parts, weighted_sum)
 
 # The untagged scan costs about 2.0-2.8 us per subset at q = 16..24
 # (Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 2.2 s,
@@ -75,13 +73,36 @@ class Compat(enum.Enum):
 
 
 @dataclass(frozen=True)
+class IntKernel:
+    """N, Nj and the targets scaled by one common denominator D.
+
+    Each scaled entry is A + B*sqrt(d) with A, B integers, held as the one
+    int A + B * 2^K (just A when mu is rational), so a pairing of 0/1
+    vectors is a plain int sum and a test against a target is one int
+    comparison.  Every sum the engine forms has at most q^2 terms, so its A
+    stays within q^2 * max|A| < 2^(K-1), and two packed sums are equal iff
+    both their parts are.
+    """
+    N: tuple[tuple[int, ...], ...]   # D * N
+    ones: tuple[int, ...]            # D * N j
+    self_target: int                 # D * mval * mu
+    adjacent: int                    # -D * mval: adjacent pairs, b^T N j
+    D: int
+    K: int
+
+    def column(self, support: Sequence[int]) -> list[int]:
+        """D * N b for the 0/1 vector b with the given support."""
+        N = self.N
+        return [sum(N[i][j] for i in support) for j in range(len(N))]
+
+
+@dataclass(frozen=True)
 class StarContext:
     """Everything fixed by the choice of complement H and eigenvalue mu."""
     H: Graph
     mu: QNum
-    N: tuple             # q x q scaled resolvent, tuples of QNum
     mval: QNum           # minimal polynomial of A(H) evaluated at mu
-    ones_pairing: tuple  # N applied to the all-ones vector
+    kernel: IntKernel    # the scaled resolvent N in integers
     tag: Optional[tuple[int, int]]
 
     @property
@@ -92,64 +113,6 @@ class StarContext:
     def mu_special(self) -> bool:
         """mu in {-1, 0}: duplicate neighbourhoods are legal, families infinite."""
         return self.mu == -1 or self.mu == 0
-
-    @cached_property
-    def kernel(self) -> IntKernel:
-        """The integer form of N, built on first use and kept with the context."""
-        return IntKernel.of(self)
-
-
-@dataclass(frozen=True)
-class IntKernel:
-    """N, Nj and the targets scaled by the lcm D of their denominators.
-
-    Each scaled entry is A + B*sqrt(d) with A, B integers, held as the one
-    int A + B * 2^K (just A when mu is rational), so a pairing of 0/1
-    vectors is a plain int sum and a test against a target is one int
-    comparison.  Every sum the engine forms has at most q^2 terms, so its A
-    stays within bound = q^2 * max|A| < 2^(K-1) and unpacks uniquely.
-    """
-    N: tuple[tuple[int, ...], ...]   # D * N
-    ones: tuple[int, ...]            # D * N j
-    self_target: int                 # D * mval * mu
-    adjacent: int                    # -D * mval: adjacent pairs, b^T N j
-    D: int
-    d: int
-    K: int
-    bound: int
-
-    @classmethod
-    def of(cls, ctx: StarContext) -> IntKernel:
-        entries = [x for row in ctx.N for x in row] + list(ctx.ones_pairing)
-        entries += [ctx.mval * ctx.mu, -ctx.mval]
-        D = lcm(*(f.denominator for x in entries for f in (x.a, x.b)))
-        bound = ctx.q * ctx.q * max(abs(x.a * D) for x in entries).numerator
-        K = bound.bit_length() + 1
-
-        def pack(x: QNum) -> int:
-            return (x.a * D).numerator + ((x.b * D).numerator << K)
-
-        return cls(N=tuple(tuple(pack(x) for x in row) for row in ctx.N),
-                   ones=tuple(pack(x) for x in ctx.ones_pairing),
-                   self_target=pack(ctx.mval * ctx.mu), adjacent=pack(-ctx.mval),
-                   D=D, d=ctx.mu.d, K=K, bound=bound)
-
-    def column(self, support: Sequence[int]) -> list[int]:
-        """D * N b for the 0/1 vector b with the given support."""
-        N = self.N
-        return [sum(N[i][j] for i in support) for j in range(len(N))]
-
-    def value(self, packed: int) -> QNum:
-        """The scalar a packed sum of at most q^2 entries stands for."""
-        if not self.d:
-            return QNum(Fraction(packed, self.D))
-        low = packed & ((1 << self.K) - 1)
-        if low >> (self.K - 1):
-            low -= 1 << self.K
-        if abs(low) > self.bound:
-            raise InternalInconsistency("packed sum outside the range the kernel unpacks")
-        return QNum(Fraction(low, self.D), Fraction((packed - low) >> self.K, self.D),
-                    self.d)
 
 
 def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) -> StarContext:
@@ -162,8 +125,9 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
     as N = C^2 + mu C + (mu^2 - ts) I, and the two routes are checked
     against each other entry by entry, the same way.  The cubic is the
     minimal polynomial only for t + s >= 3, so a (1, 1) tag skips the
-    closed form.  Raises MuIsEigenvalue when mu is an eigenvalue of H and
-    BadTag when H is not the declared complete bipartite graph.
+    closed form.  The kernel is summed the same way over the powers of C.
+    Raises MuIsEigenvalue when mu is an eigenvalue of H and BadTag when H
+    is not the declared complete bipartite graph.
     """
     mu = qnum(mu)
     C = H.matrix()
@@ -187,23 +151,18 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
     if not combination_vanishes([mu * x for x in a] + [-x for x in a] + [-mval],
                                 powers[:d] + powers[1:] + [powers[0]]):
         raise InternalInconsistency("resolvent identity N (mu I - C) = mval I fails")
-    N = combination(a, powers[:d], mu.d)
-    ones = combination(a, [[[sum(row)] for row in P] for P in powers[:d]], mu.d)
-    return StarContext(H=H, mu=mu, N=tuple(map(tuple, N)), mval=mval,
-                       ones_pairing=tuple(row[0] for row in ones), tag=bipartite_tag)
-
-
-def pairing(ctx: StarContext, x: Sequence[int], y: Sequence[int]) -> QNum:
-    """Scaled pairing x^T N y; the reference values are mval*mu (self),
-    -mval (adjacent pair) and 0 (non-adjacent pair)."""
-    acc = qnum(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = ctx.N[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    acc = acc + row[j] * (xi * yj)
-    return acc
+    # D N = P + R sqrt(d), then D Nj (the row sums) and the two targets
+    q = H.n
+    D, ps, rs = scaled_parts(a + [mval * mu, -mval])
+    sums = [[[sum(row)] for row in M] for M in powers[:d]]
+    P, R = (weighted_sum(c, powers[:d]) + weighted_sum(c, sums) + c[d:]
+            for c in (ps, rs))
+    K = (q * q * max(map(abs, P))).bit_length() + 1
+    packed = [p + (r << K) for p, r in zip(P, R)]
+    kernel = IntKernel(N=tuple(tuple(packed[i * q:(i + 1) * q]) for i in range(q)),
+                       ones=tuple(packed[q * q:q * q + q]), self_target=packed[-2],
+                       adjacent=packed[-1], D=D, K=K)
+    return StarContext(H=H, mu=mu, mval=mval, kernel=kernel, tag=bipartite_tag)
 
 
 @dataclass(frozen=True)
@@ -211,8 +170,6 @@ class CandidateVector:
     """A 0/1 H-neighbourhood vector passing the self (and non-main) tests."""
     bits: tuple[int, ...]
     mask: int
-    self_pair: QNum
-    ones_pair: QNum
     type_ab: Optional[VertexType]
 
     @property
@@ -225,16 +182,11 @@ def _support(bits: Sequence[int]) -> list[int]:
 
 
 def _candidate(ctx: StarContext, bits: tuple[int, ...]) -> CandidateVector:
-    kern = ctx.kernel
-    support = _support(bits)
-    col = kern.column(support)
     type_ab = None
     if ctx.tag is not None:
         t = ctx.tag[0]
         type_ab = VertexType(sum(bits[:t]), sum(bits[t:]))
-    return CandidateVector(bits=bits, mask=sum(1 << i for i in support),
-                           self_pair=kern.value(sum(col[i] for i in support)),
-                           ones_pair=kern.value(sum(kern.ones[i] for i in support)),
+    return CandidateVector(bits=bits, mask=sum(1 << i for i in _support(bits)),
                            type_ab=type_ab)
 
 
@@ -247,33 +199,29 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     Gray-code order, capped at q = BRUTE_FORCE_CAP.  Candidates come back
     sorted by (type, indicator tuple).
     """
+    kern = ctx.kernel
+    N, ones = kern.N, kern.ones
+    target_self, target_ones = kern.self_target, kern.adjacent
     if ctx.tag is not None and sum(ctx.tag) >= 3:
-        target_self = ctx.mval * ctx.mu
-        target_ones = -ctx.mval
         out: list[CandidateVector] = []
         t, s = ctx.tag
         for tp in solve_types_fixed(t, s, ctx.mu, non_main=non_main):
             a, b = tp
             for vpart in combinations(range(t), a):
-                vbits = set(vpart)
                 for wpart in combinations(range(t, t + s), b):
-                    bits = tuple(1 if (i in vbits or i in wpart) else 0
-                                 for i in range(ctx.q))
-                    cand = _candidate(ctx, bits)
+                    support = vpart + wpart
                     # the type equations and the resolvent must agree
-                    if cand.self_pair != target_self or \
-                            (non_main and cand.ones_pair != target_ones):
+                    if sum(N[i][j] for i in support for j in support) != target_self or \
+                            (non_main and sum(ones[i] for i in support) != target_ones):
                         raise InternalInconsistency(
                             f"vertex type {tp} disagrees with the resolvent pairing")
-                    out.append(cand)
+                    out.append(_candidate(ctx, tuple(1 if i in support else 0
+                                                     for i in range(ctx.q))))
         out.sort(key=lambda c: (c.type_ab, c.bits))
         return out
     q = ctx.q
     if q > BRUTE_FORCE_CAP:
         raise TooLarge(f"untagged candidate scan is capped at q = {BRUTE_FORCE_CAP}")
-    kern = ctx.kernel
-    N, ones = kern.N, kern.ones
-    target_self, target_ones = kern.self_target, kern.adjacent
     # Gray-code walk (Knuth, TAOCP 4A, 7.2.1.1): step k flips the lowest
     # set bit i of k.  With w = N b (N is symmetric), flipping b_i changes
     # b^T N b by N_ii +- 2 w_i and b^T N j by +- (Nj)_i.
@@ -407,7 +355,7 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
 
 
 def _assemble(ctx: StarContext, chosen: list[CandidateVector],
-              adjacency: list[list[bool]]) -> Graph:
+              adjacency: list[list[int]]) -> Graph:
     """Graph with H on vertices 0..q-1 and the star set after, in choice order."""
     q, k = ctx.q, len(chosen)
     rows = list(ctx.H.adj)
@@ -624,19 +572,18 @@ def search_star_sets(ctx: StarContext,
 
 
 def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
-    """Pairwise labels plus bitmask tables over candidate indices."""
+    """The pair labels as bitmask tables over candidate indices, returned
+    as (adj_mask, compat_mask)."""
     k = len(cands)
     kern = ctx.kernel
     supports = [_support(c.bits) for c in cands]
     cols = [kern.column(sup) for sup in supports]
-    label = [[None] * k for _ in range(k)]
     compat_mask = [0] * k   # j usable alongside i (diagonal bit: i may repeat)
-    adj_mask = [0] * k      # j forced adjacent to i
+    adj_mask = [0] * k      # j forced adjacent to i (diagonal bit: to a repeat of i)
     for i in range(k):
         col = cols[i]
         for j in range(i, k):
             lab = _pair_label(kern, col, supports[j])
-            label[i][j] = label[j][i] = lab
             if lab is Compat.INCOMPATIBLE:
                 continue
             compat_mask[i] |= 1 << j
@@ -644,7 +591,7 @@ def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
             if lab is Compat.ADJACENT:
                 adj_mask[i] |= 1 << j
                 adj_mask[j] |= 1 << i
-    return label, compat_mask, adj_mask
+    return adj_mask, compat_mask
 
 
 class _BudgetSpent(Exception):
@@ -675,15 +622,14 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
         return
 
     k = len(cands)
-    label, compat_mask, adj_mask = _build_label_tables(ctx, cands)
+    adj_mask, compat_mask = _build_label_tables(ctx, cands)
     full = (1 << k) - 1
     ge_mask = [(full >> i) << i for i in range(k)]
     root, extend = _orderly_test(ctx, cands, symmetry)
 
     def emit(chosen_idx: list[int]):
         chosen = [cands[i] for i in chosen_idx]
-        adjacency = [[label[a][b] is Compat.ADJACENT for b in chosen_idx]
-                     for a in chosen_idx]
+        adjacency = [[adj_mask[a] >> b & 1 for b in chosen_idx] for a in chosen_idx]
         found.append((_assemble(ctx, chosen, adjacency),
                       tuple(range(q, q + len(chosen)))))
         if len(found) == max_solutions:
@@ -726,7 +672,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
     special = ctx.mu_special
 
     def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
-                allowed: int, pick_from: int, state):
+                allowed: int, state):
         if all(cov[v] == need[v] for v in range(q)):
             # H-side degrees are saturated; X-side must match exactly
             if all(adeg[p] == r - cands[i].size
@@ -741,9 +687,9 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                 avail = allowed & cover_mask[v]
                 if not avail:
                     return
-                if not special and bin(avail).count("1") < deficit:
+                if not special and avail.bit_count() < deficit:
                     return
-        m = pick_from
+        m = allowed
         while m:
             low = m & -m
             i = low.bit_length() - 1
@@ -763,7 +709,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             acount = 0
             ok = True
             for p, pi in enumerate(chosen_idx):
-                if label[pi][i] is Compat.ADJACENT:
+                if adj_mask[pi] >> i & 1:
                     new_adeg[p] += 1
                     acount += 1
                     if new_adeg[p] > r - cands[pi].size:
@@ -785,10 +731,10 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             for p, pi in enumerate(nxt):
                 if new_adeg[p] == r - cands[pi].size:
                     pruned &= ~adj_mask[pi]
-            regular(nxt, new_cov, new_adeg, pruned, pruned, nxt_state)
+            regular(nxt, new_cov, new_adeg, pruned, nxt_state)
 
     with contextlib.suppress(_BudgetSpent):
         if r is None:
             maximal([], full, full, root)
         else:
-            regular([], [0] * q, [], full, full, root)
+            regular([], [0] * q, [], full, root)

@@ -12,10 +12,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import MalformedGraph6, TooLarge
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 class Graph:
     __slots__ = ("n", "adj")
 
@@ -58,10 +54,10 @@ class Graph:
         return [[self.adj[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [_popcount(r) for r in self.adj]
+        return [r.bit_count() for r in self.adj]
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -213,7 +209,7 @@ def srg_check(g: Graph) -> Optional[SrgParams]:
     e = f = None
     for v in range(g.n):
         for u in range(v + 1, g.n):
-            common = _popcount(g.adj[u] & g.adj[v])
+            common = (g.adj[u] & g.adj[v]).bit_count()
             if g.adjacent(u, v):
                 if e is None:
                     e = common

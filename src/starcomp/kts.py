@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .algebra import QNum, qnum
 from .errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
 from .graphs import Graph, SrgParams
-
-Scalar = "int | Fraction | QNum"
-
 
 class VertexType(NamedTuple):
     a: int
@@ -156,14 +154,8 @@ def gr_params(t: int, s: int, r: int) -> GrParams:
         if val.denominator != 1 or val < 0:
             raise DivisibilityViolation(
                 f"{name} = {val} is not a nonnegative integer at r={r}"
-                f" (r must be -1 mod {(t * s - 1) // _gcd(s - 1, t - 1)})")
+                f" (r must be -1 mod {(t * s - 1) // gcd(s - 1, t - 1)})")
     return GrParams(t, s, r, int(vi), int(wi))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def build_Gr(t: int, s: int, r: int):

@@ -6,8 +6,8 @@ elimination, and the multiplicity of an eigenvalue, rational or quadratic,
 is an integer rank.  Scalars from Q(sqrt(d)) enter only as coefficients
 of integer matrices: a combination sum_j c_j M_j is summed over one
 common denominator, split into its rational and sqrt(d) parts, so testing
-it for zero is pure int.  QNum entries appear only where a caller asks
-for the matrix itself (the scaled resolvent N).
+it for zero is pure int.  No QNum matrix is built: the engine takes the
+scaled resolvent N as those integer parts.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def matrix_powers(C: Matrix, k: int) -> list[Matrix]:
     return out
 
 
-def _scaled_parts(coeffs: Sequence[QNum]) -> tuple[int, list[int], list[int]]:
+def scaled_parts(coeffs: Sequence[QNum]) -> tuple[int, list[int], list[int]]:
     """A common denominator D of the scalars, and each D*c split as p + r sqrt(d)."""
     coeffs = [qnum(c) for c in coeffs]
     D = lcm(*(f.denominator for c in coeffs for f in (c.a, c.b)))
@@ -212,7 +212,7 @@ def _scaled_parts(coeffs: Sequence[QNum]) -> tuple[int, list[int], list[int]]:
             [(c.b * D).numerator for c in coeffs])
 
 
-def _int_combination(coeffs: Sequence[int], mats: Sequence[Matrix]) -> list[int]:
+def weighted_sum(coeffs: Sequence[int], mats: Sequence[Matrix]) -> list[int]:
     """sum_j c_j M_j over integer matrices of one shape, flattened row by row."""
     acc = [0] * sum(len(row) for row in mats[0]) if mats else []
     for c, M in zip(coeffs, mats):
@@ -229,29 +229,5 @@ def combination_vanishes(coeffs: Sequence, mats: Sequence[Matrix]) -> bool:
     rational and sqrt(d) parts; as sqrt(d) is irrational, the sum vanishes
     iff both integer sums do.
     """
-    _, ps, rs = _scaled_parts(coeffs)
-    return not any(_int_combination(ps, mats)) and not any(_int_combination(rs, mats))
-
-
-def combination(coeffs: Sequence, mats: Sequence[Matrix], d: int) -> Matrix:
-    """sum_j c_j M_j as a QNum matrix, for scalars c_j in Q(sqrt(d)) and
-    integer matrices M_j of one shape, summed in integers."""
-    D, ps, rs = _scaled_parts(coeffs)
-    P, R = _int_combination(ps, mats), _int_combination(rs, mats)
-    flat = [QNum(Fraction(p, D), Fraction(r, D), d) for p, r in zip(P, R)]
-    rows = len(mats[0]) if mats else 0
-    width = len(flat) // rows if rows else 0
-    return [flat[i * width:(i + 1) * width] for i in range(rows)]
-
-
-def scaled_resolvent(C: Matrix, mu: QNum) -> tuple[Matrix, QNum]:
-    """The matrix N = m(mu) * (mu*I - C)^(-1) and the scalar m(mu).
-
-    m is the monic minimal polynomial of C, and N = q(C) with q from
-    resolvent_coefficients: a polynomial in C, summed in integers over the
-    powers of C; no matrix inversion happens.  Raises MuIsEigenvalue when
-    m(mu) = 0.
-    """
-    mu = qnum(mu)
-    a, mval = resolvent_coefficients(minimal_polynomial(C), mu)
-    return combination(a, matrix_powers(C, len(a)), mu.d), mval
+    _, ps, rs = scaled_parts(coeffs)
+    return not any(weighted_sum(ps, mats)) and not any(weighted_sum(rs, mats))

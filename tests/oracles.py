@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the package against.
 
-They are the exact-field routes the package used before its certificate
-and context checks moved to integer matrices: Gaussian elimination over
-QNum, and the reconstruction product B^T N B with N summed in QNum.
-They are slow and simple on purpose; nothing in the package calls them.
+They are the exact-field routes the package used before its certificate,
+context checks and scaled resolvent moved to integer matrices: Gaussian
+elimination over QNum, the scaled resolvent N summed in QNum, its pairing
+x^T N y, and the reconstruction product B^T N B.  They are slow and
+simple on purpose; nothing in the package calls them.
 """
 
 from starcomp.algebra import qnum
@@ -55,6 +56,19 @@ def qnum_resolvent(C, mu):
                 N[i][c] = N[i][c] + a[j] * power[i][c]
         power = mat_mul(power, C)
     return N, acc
+
+
+def pairing(N, x, y):
+    """Scaled pairing x^T N y in QNum; the reference values are mval*mu
+    (self), -mval (adjacent pair) and 0 (non-adjacent pair)."""
+    acc = qnum(0)
+    for i, xi in enumerate(x):
+        if xi:
+            row = N[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    acc = acc + row[j] * (xi * yj)
+    return acc
 
 
 def qnum_certificate(G, X, mu):

@@ -19,13 +19,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import qnum_certificate
+from oracles import pairing, qnum_certificate, qnum_resolvent
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic
 from starcomp.catalog import named_graph, petersen
 from starcomp import engine
 from starcomp.engine import (Compat, make_context, classify_pair,
-                             enumerate_candidates, multiplicity_cap, pairing,
+                             enumerate_candidates, multiplicity_cap,
                              search_star_sets, solution_from_assembled,
                              verify_star_pair)
 from starcomp.errors import (BadTag, DuplicateNeighbourhood, MuIsEigenvalue,
@@ -50,9 +50,14 @@ def graph_from_mask(n, edge_mask):
     return Graph.from_edges(n, [p for k, p in enumerate(pairs) if edge_mask >> k & 1])
 
 
-def ones_sum(ctx, bits):
+def oracle_N(ctx):
+    """The QNum scaled resolvent of the context's complement."""
+    return qnum_resolvent(ctx.H.matrix(), ctx.mu)[0]
+
+
+def ones_sum(N, bits):
     """b^T N j as a sum of QNum entries."""
-    return sum((ctx.ones_pairing[i] for i, b in enumerate(bits) if b), qnum(0))
+    return pairing(N, bits, [1] * len(N))
 
 
 # ----------------------------------------------------------------- context
@@ -61,20 +66,19 @@ def test_make_context_tagged():
     ctx = make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3))
     assert ctx.q == 6 and ctx.mval == qnum(-8)
     assert not ctx.mu_special
-    assert [x.as_int() for x in ctx.N[0]] == [-5, 3, 3, 1, 1, 1]
+    assert ctx.kernel.D == 1 and ctx.kernel.N[0] == (-5, 3, 3, 1, 1, 1)
 
 
 def test_make_context_untagged_any_graph():
     ctx = make_context(petersen(), qnum(2))
     n = ctx.q
-    # two-sided resolvent identity
+    # resolvent identity on the integer kernel, D N (2I - C) = D mval I
+    N, D = ctx.kernel.N, ctx.kernel.D
     C = petersen().matrix()
     for i in range(n):
         for j in range(n):
-            acc = qnum(0)
-            for k in range(n):
-                acc = acc + ctx.N[i][k] * (qnum(2) * (k == j) - C[k][j])
-            assert acc == (ctx.mval if i == j else qnum(0))
+            acc = sum(N[i][k] * (2 * (k == j) - C[k][j]) for k in range(n))
+            assert acc == (ctx.mval * D if i == j else 0)
 
 
 def test_make_context_rejects_eigenvalues():
@@ -114,9 +118,10 @@ def test_candidate_counts(t, s, mu, count, types):
     assert len(cands) == count
     assert {c.type_ab for c in cands} == types
     # each candidate satisfies the scaled self-pairing and non-main checks
+    N = oracle_N(ctx)
     for c in cands:
-        assert c.self_pair == ctx.mval * ctx.mu
-        assert c.ones_pair == -ctx.mval
+        assert pairing(N, c.bits, c.bits) == ctx.mval * ctx.mu
+        assert ones_sum(N, c.bits) == -ctx.mval
 
 
 def test_candidates_sorted_and_deterministic():
@@ -163,19 +168,18 @@ def test_candidates_one_past_cap_raise_before_scanning():
     ctx = make_context(Graph(q, (0,) * q), qnum(1))
     with pytest.raises(TooLarge):
         enumerate_candidates(ctx, non_main=False)
-    # the scan runs on the integer kernel, which was never built
-    assert "kernel" not in vars(ctx)
 
 
 def naive_candidates(ctx):
     """The subset scan as a plain QNum loop over all 2^q vectors, keyed by
     the non_main flag."""
+    N = oracle_N(ctx)
     out = {True: [], False: []}
     for mask in range(1 << ctx.q):
         bits = tuple(mask >> i & 1 for i in range(ctx.q))
-        if pairing(ctx, bits, bits) == ctx.mval * ctx.mu:
+        if pairing(N, bits, bits) == ctx.mval * ctx.mu:
             out[False].append(bits)
-            if ones_sum(ctx, bits) == -ctx.mval:
+            if ones_sum(N, bits) == -ctx.mval:
                 out[True].append(bits)
     return {key: sorted(vecs) for key, vecs in out.items()}
 
@@ -193,9 +197,6 @@ def test_gray_code_scan_matches_naive_loop(g, mu):
         cands = enumerate_candidates(ctx, non_main=non_main)
         bits = [c.bits for c in cands]
         assert bits == naive[non_main]
-        for c in cands:
-            assert c.self_pair == ctx.mval * ctx.mu
-            assert c.ones_pair == ones_sum(ctx, c.bits)
         if mu == 0 and not non_main:
             assert (0,) * ctx.q in bits
 
@@ -214,15 +215,15 @@ def test_candidates_mu_zero_includes_empty_vector():
 
 @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))
 def test_pairing_symmetric_bilinear(xm, ym):
-    ctx = make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3))
+    N = oracle_N(make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3)))
     x = [xm >> i & 1 for i in range(6)]
     y = [ym >> i & 1 for i in range(6)]
-    assert pairing(ctx, x, y) == pairing(ctx, y, x)
+    assert pairing(N, x, y) == pairing(N, y, x)
     two_x = [2 * v for v in x]
-    assert pairing(ctx, two_x, y) == qnum(2) * pairing(ctx, x, y)
+    assert pairing(N, two_x, y) == qnum(2) * pairing(N, x, y)
     xy = [a + b for a, b in zip(x, y)]
-    assert (pairing(ctx, xy, xy)
-            == pairing(ctx, x, x) + qnum(2) * pairing(ctx, x, y) + pairing(ctx, y, y))
+    assert (pairing(N, xy, xy)
+            == pairing(N, x, x) + qnum(2) * pairing(N, x, y) + pairing(N, y, y))
 
 
 def test_classify_pair_labels():
@@ -288,6 +289,7 @@ def test_closed_form_pair_relation_matches_resolvent(ts, mu, xm, ym):
         ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
     except MuIsEigenvalue:
         assume(False)
+    N = oracle_N(ctx)
     vectors = [engine._candidate(ctx, tuple(m >> i & 1 for i in range(t + s)))
                for m in (xm, ym)]
     for non_main in (True, False):
@@ -295,7 +297,7 @@ def test_closed_form_pair_relation_matches_resolvent(ts, mu, xm, ym):
     for u in vectors:
         for v in vectors:
             value = closed_form_pairing(ctx, u, v)
-            assert value == pairing(ctx, u.bits, v.bits)
+            assert value == pairing(N, u.bits, v.bits)
             if u.bits != v.bits or ctx.mu_special:
                 assert classify_pair(ctx, u, v) == label_of(ctx, value)
 
@@ -308,31 +310,57 @@ def label_of(ctx, value):
     return Compat.INCOMPATIBLE
 
 
+def unpack(kern, packed, d):
+    """The QNum a packed sum stands for, when its rational part A keeps
+    |A| < 2^(K-1); a packing overflow unpacks to a different number."""
+    if not d:
+        return QNum(Fraction(packed, kern.D))
+    low = packed & ((1 << kern.K) - 1)
+    if low >> (kern.K - 1):
+        low -= 1 << kern.K
+    return QNum(Fraction(low, kern.D), Fraction((packed - low) >> kern.K, kern.D), d)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
            st.integers(1, 5).flatmap(lambda t: st.integers(t, 5).map(
                lambda s: (make_kts(t, s), (t, s)))),
            graphs.map(lambda g: (graph_from_mask(*g), None))),
        st.sampled_from(MUS), st.integers(0, 2 ** 10 - 1), st.integers(0, 2 ** 10 - 1))
+@example((make_kts(4, 5), (4, 5)), 1 + GOLDEN, 2 ** 10 - 1, 2 ** 10 - 1)
+@example((complete(6), None), -GOLDEN, 2 ** 10 - 1, 2 ** 10 - 1)
 def test_int_kernel_matches_qnum_pairing(H_tag, mu, xm, ym):
+    # every kernel entry is D times the QNum resolvent entry, packed with K,
+    # and sums of up to q^2 entries (the all-ones support is the largest)
+    # unpack to the QNum pairing
     H, tag = H_tag
     try:
         ctx = make_context(H, mu, bipartite_tag=tag)
     except MuIsEigenvalue:
         assume(False)
+    N, mval = qnum_resolvent(H.matrix(), ctx.mu)
+    kern = ctx.kernel
+
+    def pack(x):
+        a, b = x.a * kern.D, x.b * kern.D
+        assert a.denominator == b.denominator == 1
+        return a.numerator + (b.numerator << kern.K)
+
     q = ctx.q
+    assert kern.N == tuple(tuple(pack(x) for x in row) for row in N)
+    assert kern.ones == tuple(pack(sum(row, qnum(0))) for row in N)
+    assert kern.self_target == pack(mval * ctx.mu)
+    assert kern.adjacent == pack(-mval)
     x = [xm >> i & 1 for i in range(q)]
     y = [ym >> i & 1 for i in range(q)]
     sx = [i for i in range(q) if x[i]]
     sy = [i for i in range(q) if y[i]]
-    kern = ctx.kernel
     col = kern.column(sx)
-    assert kern.value(sum(col[i] for i in sx)) == pairing(ctx, x, x)
-    assert kern.value(sum(col[j] for j in sy)) == pairing(ctx, x, y)
-    assert kern.value(sum(kern.ones[i] for i in sx)) == ones_sum(ctx, x)
-    assert kern.value(kern.self_target) == ctx.mval * ctx.mu
-    assert kern.value(kern.adjacent) == -ctx.mval
-    assert engine._pair_label(kern, col, sy) == label_of(ctx, pairing(ctx, x, y))
+    d = ctx.mu.d
+    assert unpack(kern, sum(col[i] for i in sx), d) == pairing(N, x, x)
+    assert unpack(kern, sum(col[j] for j in sy), d) == pairing(N, x, y)
+    assert unpack(kern, sum(kern.ones[i] for i in sx), d) == ones_sum(N, x)
+    assert engine._pair_label(kern, col, sy) == label_of(ctx, pairing(N, x, y))
 
 
 # ---------------------------------------------------------------- search

@@ -1,7 +1,7 @@
 """Exact linear algebra: determinants, characteristic and minimal
-polynomials, the scaled resolvent, integer rank and eigenvalue
-multiplicity.  The field rank oracle (elimination over QNum) lives in
-oracles.py.
+polynomials, the resolvent coefficients, integer rank and eigenvalue
+multiplicity.  The oracles (elimination over QNum, the QNum scaled
+resolvent) live in oracles.py.
 
 Characteristic polynomial oracles below are classical values (cycles,
 complete bipartite graphs, the Petersen graph) checked against closed-form
@@ -13,16 +13,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import field_rank
+from oracles import field_rank, qnum_resolvent
 from starcomp.algebra import QNum, qnum
 from starcomp.catalog import petersen
 from starcomp.errors import MuIsEigenvalue
 from starcomp.graphs import cycle
 from starcomp.kts import make_kts
-from starcomp.linalg import (char_polynomial, combination, combination_vanishes,
-                             det_bareiss, identity, int_rank, mat_mul,
-                             minimal_polynomial, multiplicity,
-                             resolvent_coefficients, scaled_resolvent)
+from starcomp.linalg import (char_polynomial, combination_vanishes, det_bareiss,
+                             identity, int_rank, mat_mul, minimal_polynomial,
+                             multiplicity, resolvent_coefficients, scaled_parts,
+                             weighted_sum)
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -132,7 +132,7 @@ def test_minimal_polynomial_known():
 
 def test_scaled_resolvent_known_row():
     # K_{3,3} at mu=1: m(x) = x^3 - 9x, m(1) = -8, N = C^2 + C - 8I
-    N, mval = scaled_resolvent(make_kts(3, 3).matrix(), qnum(1))
+    N, mval = qnum_resolvent(make_kts(3, 3).matrix(), qnum(1))
     assert mval == qnum(-8)
     assert [x.as_int() for x in N[0]] == [-5, 3, 3, 1, 1, 1]
 
@@ -146,7 +146,7 @@ def test_scaled_resolvent_known_row():
 ])
 def test_resolvent_identity_two_sided(g, mu):
     C = g.matrix()
-    N, mval = scaled_resolvent(C, mu)
+    N, mval = qnum_resolvent(C, mu)
     assert bool(mval)
     n = g.n
     for side in ("left", "right"):
@@ -166,14 +166,16 @@ def test_scaled_resolvent_empty_matrix():
     # the minimal polynomial of the 0 x 0 matrix is 1: m(mu) = 1, N is 0 x 0
     assert minimal_polynomial([]).coeffs == (1,)
     assert resolvent_coefficients(minimal_polynomial([]), qnum(5)) == ([], qnum(1))
-    assert scaled_resolvent([], qnum(5)) == ([], qnum(1))
+    assert qnum_resolvent([], qnum(5)) == ([], qnum(1))
 
 
 def test_combination_over_common_denominator():
     r2 = QNum.sqrt(2)
     mats = [[[1, 2]], [[3, 0]]]
-    assert combination([qnum(Fraction(1, 2)), r2 / 3], mats, 2) == \
-        [[Fraction(1, 2) + r2, qnum(1)]]
+    # 6 (1/2 M_0 + sqrt(2)/3 M_1) = [3 + 6 sqrt(2), 6]
+    D, ps, rs = scaled_parts([qnum(Fraction(1, 2)), r2 / 3])
+    assert (D, ps, rs) == (6, [3, 0], [0, 2])
+    assert (weighted_sum(ps, mats), weighted_sum(rs, mats)) == ([3, 6], [6, 0])
     assert combination_vanishes([r2 / 3, -r2 / 3], [mats[0], mats[0]])
     assert not combination_vanishes([r2 / 3, -r2 / 3], mats)
     assert not combination_vanishes([r2, qnum(-1)], [[[1]], [[1]]])
@@ -189,7 +191,7 @@ def test_combination_over_common_denominator():
 ])
 def test_resolvent_rejects_eigenvalues(g, mu):
     with pytest.raises(MuIsEigenvalue):
-        scaled_resolvent(g.matrix(), mu)
+        resolvent_coefficients(minimal_polynomial(g.matrix()), mu)
 
 
 # ------------------------------------------------------------------ rank

@@ -363,10 +363,24 @@ class IntPoly:
         return not rem
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
-        quo, rem = self.divmod_exact(other)
-        if rem or any(f.denominator != 1 for f in quo):
+        """The quotient self / other by long division in integers; raises
+        ValueError unless other divides self over Z."""
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        lead, dv = other.coeffs[-1], other.degree
+        quo = [0] * max(len(rem) - dv, 0)
+        for i in range(len(quo) - 1, -1, -1):
+            f, inexact = divmod(rem[i + dv], lead)
+            if inexact:
+                break  # rem[i + dv] stays non-zero
+            quo[i] = f
+            if f:
+                for j, c in enumerate(other.coeffs):
+                    rem[i + j] -= f * c
+        if any(rem):
             raise ValueError(f"{other} does not divide {self} over Z")
-        return IntPoly([f.numerator for f in quo])
+        return IntPoly(quo)
 
     def integer_roots(self) -> dict[int, int]:
         """Integer roots with multiplicities (leading coefficient arbitrary)."""

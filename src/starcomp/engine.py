@@ -312,8 +312,8 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
     """Exact certificate that X is a star set for mu in G.
 
     Three independent checks: (i) mu is not an eigenvalue of G - X
-    (characteristic polynomial evaluation), (ii) the multiplicity of mu in
-    G equals |X| (a fraction-free integer rank), (iii) the scaled
+    (its multiplicity there, an integer rank, is 0), (ii) the multiplicity
+    of mu in G equals |X| (a fraction-free integer rank), (iii) the scaled
     reconstruction identity mval (mu I - A_X) = B^T N B entry by entry.
     For (iii), C, its minimal polynomial m and the coefficients a_j of
     N = sum_j a_j C^j come from G - X itself, so B^T N B =
@@ -326,7 +326,7 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
     xset = set(X)
     rest = [v for v in range(G.n) if v not in xset]
     C = induced_subgraph(G, rest).matrix()
-    mu_ok = char_polynomial(C)(mu) != 0
+    mu_ok = multiplicity(C, mu) == 0
 
     A = G.matrix()
     mult = multiplicity(A, mu)
@@ -374,7 +374,8 @@ def _assemble(ctx: StarContext, chosen: list[CandidateVector],
 
 def solution_from_assembled(ctx: StarContext, G: Graph,
                             x_vertices: Sequence[int]) -> StarSolution:
-    """Wrap an already-built graph (H on vertices 0..q-1) as a certified solution."""
+    """Wrap an already-built graph (H on vertices 0..q-1) as a certified
+    solution; raises InternalInconsistency when its certificate fails."""
     xs = tuple(x_vertices)
     chosen = []
     for x in xs:
@@ -382,6 +383,8 @@ def solution_from_assembled(ctx: StarContext, G: Graph,
         chosen.append(_candidate(ctx, bits))
     ax = induced_subgraph(G, xs)
     cert = verify_star_pair(G, xs, ctx.mu)
+    if not cert.passed:
+        raise InternalInconsistency("assembled solution failed certification")
     return StarSolution(candidates=tuple(chosen), ax=ax, graph=G,
                         x_vertices=xs, cert=cert)
 
@@ -562,13 +565,7 @@ def search_star_sets(ctx: StarContext,
             pools[non_main] = enumerate_candidates(ctx, non_main=non_main)
         _search(ctx, pools[non_main], r, max_x, max_solutions, symmetry, found)
 
-    solutions = []
-    for g, xs, _key in _dedupe(found):
-        sol = solution_from_assembled(ctx, g, xs)
-        if not sol.cert.passed:
-            raise InternalInconsistency("assembled solution failed certification")
-        solutions.append(sol)
-    return solutions
+    return [solution_from_assembled(ctx, g, xs) for g, xs, _key in _dedupe(found)]
 
 
 def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):

@@ -161,7 +161,8 @@ def gr_params(t: int, s: int, r: int) -> GrParams:
 def build_Gr(t: int, s: int, r: int):
     """The r-regular graph with K_{t,s} star complement for -1: cliques V_i of
     type-(1,s) vertices on each v_i, cliques W_j of type-(t,1) vertices on
-    each w_j, and all V_i x W_j edges.  Returns a certified StarSolution."""
+    each w_j, and all V_i x W_j edges.  Returns a certified StarSolution
+    and raises InternalInconsistency when the certificate fails."""
     p = gr_params(t, s, r)
     n = t + s + t * p.vi_size + s * p.wi_size
     edges = [(i, t + j) for i in range(t) for j in range(s)]

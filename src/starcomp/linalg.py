@@ -2,8 +2,9 @@
 
 Matrices are plain lists of row lists, with integer entries wherever the
 package calls in.  Determinants and ranks share one fraction-free (Bareiss)
-elimination, and the multiplicity of an eigenvalue, rational or quadratic,
-is an integer rank.  Scalars from Q(sqrt(d)) enter only as coefficients
+elimination, the characteristic polynomial comes from Berkowitz's
+division-free algorithm, and the multiplicity of an eigenvalue, rational
+or quadratic, is an integer rank.  Scalars from Q(sqrt(d)) enter only as coefficients
 of integer matrices: a combination sum_j c_j M_j is summed over one
 common denominator, split into its rational and sqrt(d) parts, so testing
 it for zero is pure int.  No QNum matrix is built: the engine takes the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .algebra import IntPoly, QNum, qnum
@@ -112,33 +114,27 @@ def multiplicity(A: Matrix, mu) -> int:
 
 
 def char_polynomial(A: Matrix) -> IntPoly:
-    """Characteristic polynomial det(xI - A) of an integer matrix.
+    """Characteristic polynomial det(xI - A) of a square integer matrix.
 
-    Sampled at x = 0..n with exact integer determinants, then interpolated.
-    The result is monic of degree n with integer coefficients.
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
+    with A_r the leading r x r block, R = A[r][:r] and S = A[:r][r],
+    det(xI - A_{r+1}) is the product of the lower-triangular Toeplitz
+    matrix with first column 1, -a_rr, -R S, -R A_r S, ..., -R A_r^(r-1) S
+    and the coefficients of det(xI - A_r).  It uses integer additions and
+    multiplications only; the result is monic of degree n.
     """
-    n = len(A)
-    samples = []
-    for x in range(n + 1):
-        M = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
-        samples.append(det_bareiss(M))
-    # Newton's divided differences on the nodes 0..n
-    coef = [Fraction(s) for s in samples]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / j
-    # expand the Newton form back to the power basis
-    poly = [Fraction(0)] * (n + 1)
-    poly[0] = coef[n]
-    for k in range(n - 1, -1, -1):
-        # poly <- poly * (x - k) + coef[k]
-        for i in range(n, 0, -1):
-            poly[i] = poly[i - 1] - k * poly[i]
-        poly[0] = coef[k] - k * poly[0]
-    if any(f.denominator != 1 for f in poly):
-        raise InternalInconsistency("characteristic polynomial of an integer matrix "
-                                    "has a non-integer coefficient")
-    return IntPoly([f.numerator for f in poly])
+    poly = [1]  # det(xI - A_r), highest power first
+    for r, row in enumerate(A):
+        R = row[:r]
+        block = [A[i][:r] for i in range(r)]
+        v = [A[i][r] for i in range(r)]
+        col = [1, -row[r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, b, v)) for b in block]
+            col.append(-sum(map(mul, R, v)))
+        poly = [sum(map(mul, col[i::-1], poly)) for i in range(r + 2)]
+    return IntPoly(reversed(poly))
 
 
 def minimal_polynomial(A: Matrix) -> IntPoly:

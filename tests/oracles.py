@@ -3,13 +3,38 @@
 They are the exact-field routes the package used before its certificate,
 context checks and scaled resolvent moved to integer matrices: Gaussian
 elimination over QNum, the scaled resolvent N summed in QNum, its pairing
-x^T N y, and the reconstruction product B^T N B.  They are slow and
-simple on purpose; nothing in the package calls them.
+x^T N y, and the reconstruction product B^T N B; and the characteristic
+polynomial by interpolation through n + 1 determinants.  They are slow
+and simple on purpose; nothing in the package calls them.
 """
 
-from starcomp.algebra import qnum
+from fractions import Fraction
+
+from starcomp.algebra import IntPoly, qnum
 from starcomp.graphs import induced_subgraph
-from starcomp.linalg import char_polynomial, mat_mul, minimal_polynomial
+from starcomp.linalg import char_polynomial, det_bareiss, mat_mul, minimal_polynomial
+
+
+def interpolated_char_polynomial(A):
+    """det(xI - A) sampled at x = 0..n with integer determinants, then
+    interpolated by Newton's divided differences in Fraction."""
+    n = len(A)
+    coef = [Fraction(det_bareiss([[(x if i == j else 0) - A[i][j] for j in range(n)]
+                                  for i in range(n)]))
+            for x in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / j
+    # expand the Newton form back to the power basis
+    poly = [Fraction(0)] * (n + 1)
+    poly[0] = coef[n]
+    for k in range(n - 1, -1, -1):
+        # poly <- poly * (x - k) + coef[k]
+        for i in range(n, 0, -1):
+            poly[i] = poly[i - 1] - k * poly[i]
+        poly[0] = coef[k] - k * poly[0]
+    assert all(f.denominator == 1 for f in poly), poly
+    return IntPoly([f.numerator for f in poly])
 
 
 def field_rank(M):

@@ -162,6 +162,10 @@ def test_divmod_exact_and_divides():
 def test_exact_div_rejects_inexact():
     with pytest.raises(ValueError):
         IntPoly([1, 1, 1]).exact_div(IntPoly([1, 1]))
+    with pytest.raises(ValueError):     # x / 2x = 1/2, remainder 0
+        IntPoly([0, 1]).exact_div(IntPoly([0, 2]))
+    with pytest.raises(ZeroDivisionError):
+        IntPoly([1]).exact_div(IntPoly([]))
 
 
 def test_integer_roots_with_multiplicity():
@@ -184,6 +188,22 @@ def test_product_division_roundtrip(a, b):
     prod = p * q
     assert q.divides(prod)
     assert prod.exact_div(q).coeffs == p.coeffs
+
+
+@given(st.lists(small_ints, min_size=0, max_size=6),
+       st.lists(small_ints, min_size=1, max_size=4))
+def test_exact_div_matches_division_over_q(a, b):
+    # the integer long division succeeds exactly when the division over Q
+    # leaves no remainder and an integer quotient
+    p, q = _poly(a), _poly(b)
+    if q.degree < 0:
+        return
+    quo, rem = p.divmod_exact(q)
+    if not rem and all(f.denominator == 1 for f in quo):
+        assert p.exact_div(q).coeffs == IntPoly(quo).coeffs
+    else:
+        with pytest.raises(ValueError):
+            p.exact_div(q)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6),

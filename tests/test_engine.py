@@ -145,9 +145,7 @@ def test_candidates_k11_uses_generic_path():
 def test_candidates_brute_force_equivalence():
     # closed-form path vs untagged 2^q scan on the same complement
     for t, s, mu in ((3, 3, qnum(1)), (2, 3, qnum(-3)), (1, 5, qnum(1)),
-                     (2, 5, qnum(1)), (3, 18, None)):
-        if mu is None:
-            continue   # q = 21: a 2^21 scan is too slow here, skipped
+                     (2, 5, qnum(1)), (3, 12, qnum(-2)), (2, 13, qnum(1))):
         tagged = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
         untagged = make_context(make_kts(t, s), mu)
         for non_main in (True, False):

@@ -7,13 +7,15 @@ Type and rho oracles were computed by brute force over explicit vectors
 closed forms were written; several appear again in the acceptance suite.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from starcomp import engine
 from starcomp.algebra import QNum, qnum
-from starcomp.errors import DivisibilityViolation, HypothesisViolated
+from starcomp.errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
 from starcomp.graphs import SrgParams, srg_check
 from starcomp.kts import (GrParams, VertexType, build_Gr, family_type0b,
                           gr_params, kss_analysis, make_kts, non_main_holds,
@@ -183,6 +185,14 @@ def test_build_gr_certified(t, s, r, order, mult):
 def test_build_gr_deterministic():
     a, b = build_Gr(3, 3, 7), build_Gr(3, 3, 7)
     assert a.graph.adj == b.graph.adj
+
+
+def test_build_gr_raises_on_failed_certificate(monkeypatch):
+    real = engine.verify_star_pair
+    monkeypatch.setattr(engine, "verify_star_pair", lambda *a: dataclasses.replace(
+        real(*a), reconstruction_ok=False))
+    with pytest.raises(InternalInconsistency, match="failed certification"):
+        build_Gr(2, 3, 4)
 
 
 # --------------------------------------------------- family and gap reports

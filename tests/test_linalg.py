@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import field_rank, qnum_resolvent
-from starcomp.algebra import QNum, qnum
+from oracles import field_rank, interpolated_char_polynomial, qnum_resolvent
+from starcomp.algebra import IntPoly, QNum, qnum
 from starcomp.catalog import petersen
+from starcomp.engine import make_context, search_star_sets
 from starcomp.errors import MuIsEigenvalue
 from starcomp.graphs import cycle
 from starcomp.kts import make_kts
@@ -97,6 +98,43 @@ def test_char_polynomial_shape(M):
     assert p.coeffs[0] == (-1) ** n * det_bareiss(M)
     # x^(n-1) coefficient is minus the trace
     assert p.coeffs[n - 1] == -sum(M[i][i] for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([])
+def test_char_polynomial_matches_interpolation(M):
+    # non-symmetric on purpose: Berkowitz's recurrence reads the row R and
+    # the column S of each border separately
+    assert char_polynomial(M) == interpolated_char_polynomial(M)
+
+
+def test_char_polynomial_on_largest_sweep_graphs():
+    # the K_{2,5} mu=1 sweep certifies graphs of orders 21, 21, 24 and 27,
+    # the largest a benchmark sweep pass builds char_poly for
+    ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
+    big = [sol for sol in search_star_sets(ctx, require_regular="sweep")
+           if sol.order >= 21]
+    assert [sol.order for sol in big] == [21, 21, 24, 27]
+    for sol in big:
+        A = sol.graph.matrix()
+        p = char_polynomial(A)
+        assert p == interpolated_char_polynomial(A) == sol.cert.char_poly
+        # the integer roots times the residual factor give p back
+        roots = p.integer_roots()
+        assert roots[1] == sol.cert.multiplicity == len(sol.x_vertices)
+        residual = p
+        for root, mult in roots.items():
+            for _ in range(mult):
+                residual = residual.exact_div(IntPoly([-root, 1]))
+        assert residual.integer_roots() == {}
+        product = residual
+        for root, mult in roots.items():
+            for _ in range(mult):
+                product = product * IntPoly([-root, 1])
+        assert product == p
 
 
 def _sym(M):

@@ -12,9 +12,9 @@ Blocks, in order:
   * the G(r) family built directly from its parameters, certified.
 
 Every graph printed has passed the three-part certificate; a G(r) graph
-whose certificate fails is printed as FAILED and makes the exit status 1.  Use --quick to skip the degree-10 block (the slowest;
-about 0.15 s, and a full run under a second, with Python 3.11 on a
-shared 2-vCPU Xeon).
+whose certificate fails is printed as FAILED and makes the exit status 1.
+Use --quick to skip the degree-10 block (the slowest; about 0.15 s, and
+a full run under a second, with Python 3.11 on a shared 2-vCPU Xeon).
 """
 
 from __future__ import annotations

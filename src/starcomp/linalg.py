@@ -4,11 +4,11 @@ Matrices are plain lists of row lists, with integer entries wherever the
 package calls in.  Determinants and ranks share one fraction-free (Bareiss)
 elimination, the characteristic polynomial comes from Berkowitz's
 division-free algorithm, and the multiplicity of an eigenvalue, rational
-or quadratic, is an integer rank.  Scalars from Q(sqrt(d)) enter only as coefficients
-of integer matrices: a combination sum_j c_j M_j is summed over one
-common denominator, split into its rational and sqrt(d) parts, so testing
-it for zero is pure int.  No QNum matrix is built: the engine takes the
-scaled resolvent N as those integer parts.
+or quadratic, is an integer rank.  Scalars from Q(sqrt(d)) enter only as
+coefficients of integer matrices: a combination sum_j c_j M_j is summed
+over one common denominator, split into its rational and sqrt(d) parts,
+so testing it for zero is pure int.  No QNum matrix is built: the
+engine takes the scaled resolvent N as those integer parts.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exact linear algebra: determinants, characteristic and minimal
 polynomials, the resolvent coefficients, integer rank and eigenvalue
 multiplicity.  The oracles (elimination over QNum, the QNum scaled
-resolvent) live in oracles.py.
+resolvent, the interpolated characteristic polynomial) live in oracles.py.
 
 Characteristic polynomial oracles below are classical values (cycles,
 complete bipartite graphs, the Petersen graph) checked against closed-form

@@ -337,31 +337,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def divmod_exact(self, other: "IntPoly"):
-        """Quotient and remainder over Q, returned as Fraction lists."""
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        den = Fraction(other.coeffs[-1])
-        dq = len(rem) - len(other.coeffs)
-        quo = [Fraction(0)] * (dq + 1) if dq >= 0 else []
-        for i in range(dq, -1, -1):
-            f = rem[i + other.degree] / den
-            quo[i] = f
-            if f:
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] -= f * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return quo, rem
-
-    def divides(self, other: "IntPoly") -> bool:
-        """True when self divides other exactly over Q."""
-        if not self.coeffs:
-            return not other.coeffs
-        _, rem = other.divmod_exact(self)
-        return not rem
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """The quotient self / other by long division in integers; raises
         ValueError unless other divides self over Z."""

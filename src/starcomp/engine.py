@@ -21,10 +21,11 @@ of 0/1 vectors, so N exists only in integer form: make_context sums it
 over the integer powers of C into an IntKernel, N scaled to a common
 denominator (one int per entry, packed for quadratic mu), and no QNum
 matrix is built.  The untagged subset scan walks the 2^q subsets in
-Gray-code order on it, and the pair relation (_pair_label, used by
-classify_pair and the search) sums a candidate's integer column.  The
-tests check the kernel against the QNum resolvent and the closed form
-over K_{t,s}, both of which live in the tests as oracles.
+Gray-code order on it.  The pair relation (_build_label_tables, used by
+classify_pair and the search) forms B^T N B a row at a time, each row
+packed into one int and labelled by word-parallel compares.  The tests
+check both against the QNum resolvent and the closed form over K_{t,s},
+which live in the tests as oracles.
 
 One function, _search, runs a search for one degree r (or for maximal
 families when r is None): it filters the candidates, builds the
@@ -78,7 +79,8 @@ class IntKernel:
 
     Each scaled entry is A + B*sqrt(d) with A, B integers, held as the one
     int A + B * 2^K (just A when mu is rational), so a pairing of 0/1
-    vectors is a plain int sum and a test against a target is one int
+    vectors is a plain int sum (an entry of B^T N B, which the pair-label
+    tables pack a row per int) and a test against a target is one int
     comparison.  Every sum the engine forms has at most q^2 terms, so its A
     stays within q^2 * max|A| < 2^(K-1), and two packed sums are equal iff
     both their parts are.
@@ -89,11 +91,6 @@ class IntKernel:
     adjacent: int                    # -D * mval: adjacent pairs, b^T N j
     D: int
     K: int
-
-    def column(self, support: Sequence[int]) -> list[int]:
-        """D * N b for the 0/1 vector b with the given support."""
-        N = self.N
-        return [sum(N[i][j] for i in support) for j in range(len(N))]
 
 
 @dataclass(frozen=True)
@@ -248,18 +245,6 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     return out
 
 
-def _pair_label(kern: IntKernel, col_u: list[int], support_v: list[int]) -> Compat:
-    """The pair relation of u and v from the column D * N b_u: the packed
-    sum over the support of v against 0 and -D * mval.  The tests check it
-    against the closed form over K_{t,s} and the QNum pairing."""
-    val = sum(col_u[j] for j in support_v)
-    if val == 0:
-        return Compat.NON_ADJACENT
-    if val == kern.adjacent:
-        return Compat.ADJACENT
-    return Compat.INCOMPATIBLE
-
-
 def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> Compat:
     """Relation forced between two candidates if both join the star set.
 
@@ -269,8 +254,10 @@ def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> C
     """
     if u.bits == v.bits and not ctx.mu_special:
         raise DuplicateNeighbourhood("equal H-neighbourhoods require mu in {-1, 0}")
-    kern = ctx.kernel
-    return _pair_label(kern, kern.column(_support(u.bits)), _support(v.bits))
+    (adj, _), (compat, _) = _build_label_tables(ctx, [u, v])
+    if not compat >> 1 & 1:
+        return Compat.INCOMPATIBLE
+    return Compat.ADJACENT if adj >> 1 & 1 else Compat.NON_ADJACENT
 
 
 # --------------------------------------------------------------------------
@@ -569,25 +556,38 @@ def search_star_sets(ctx: StarContext,
 
 
 def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
-    """The pair labels as bitmask tables over candidate indices, returned
-    as (adj_mask, compat_mask)."""
-    k = len(cands)
-    kern = ctx.kernel
-    supports = [_support(c.bits) for c in cands]
-    cols = [kern.column(sup) for sup in supports]
-    compat_mask = [0] * k   # j usable alongside i (diagonal bit: i may repeat)
-    adj_mask = [0] * k      # j forced adjacent to i (diagonal bit: to a repeat of i)
-    for i in range(k):
-        col = cols[i]
-        for j in range(i, k):
-            lab = _pair_label(kern, col, supports[j])
-            if lab is Compat.INCOMPATIBLE:
-                continue
-            compat_mask[i] |= 1 << j
-            compat_mask[j] |= 1 << i
-            if lab is Compat.ADJACENT:
-                adj_mask[i] |= 1 << j
-                adj_mask[j] |= 1 << i
+    """The pair labels as bitmask tables: bit j of adj_mask[i] (compat_mask[i])
+    is set when j is forced adjacent to (may join X alongside) i; the
+    diagonal bit concerns a repeat of i.
+
+    Row i of D B^T N B is one int with a w-bit field per candidate (Knuth,
+    TAOCP 4A, 7.1.3): member[v] has a 1 in field j when v supports j, and
+    bias plus the packed rows (D N B)[u] over the support of i holds
+    2^(w-2) + pairing(i, j) in field j.  No field leaves (0, 2^(w-1)), so
+    none carries; XOR with a packed target zeroes the fields that hit it,
+    and ((x + M) & H) ^ H keeps just their guard bits (H: bit w-1 of each).
+    """
+    k, q, kern = len(cands), ctx.q, ctx.kernel
+    top = q * q * max((abs(x) for row in kern.N for x in row), default=0) + abs(kern.adjacent)
+    step = (top.bit_length() + 9) // 8     # bytes per field, w = 8 step: 2^(w-2) > top
+    unit = (bytes(step), b"\x01" + bytes(step - 1))
+    ones = int.from_bytes(unit[1] * k, "little")
+    H, bias = ones << (8 * step - 1), ones << (8 * step - 2)
+    M, hit = H - ones, bias + kern.adjacent * ones
+    member = [int.from_bytes(b"".join([unit[c.bits[v]] for c in cands]), "little")
+              for v in range(q)]
+    rows = [sum(n * m for n, m in zip(row, member)) for row in kern.N]
+    digits = bytes.maketrans(b"\x00\x80", b"01")
+
+    def zero_fields(x: int) -> int:
+        guards = (((x + M) & H) ^ H).to_bytes(step * k, "little")[step - 1::step]
+        return int(guards.translate(digits)[::-1], 2)
+
+    adj_mask, compat_mask = [], []
+    for c in cands:
+        P = bias + sum(rows[u] for u in _support(c.bits))
+        adj_mask.append(zero_fields(P ^ hit))
+        compat_mask.append(adj_mask[-1] | zero_fields(P ^ bias))
     return adj_mask, compat_mask
 
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over Z, Q and quadratic extensions.
 
 Matrices are plain lists of row lists, with integer entries wherever the
-package calls in.  Determinants and ranks share one fraction-free (Bareiss)
+package calls in.  Ranks come from one fraction-free (Bareiss)
 elimination, the characteristic polynomial comes from Berkowitz's
 division-free algorithm, and the multiplicity of an eigenvalue, rational
 or quadratic, is an integer rank.  Scalars from Q(sqrt(d)) enter only as
@@ -69,13 +69,6 @@ def _eliminate(a: Matrix, ncols: int) -> tuple[int, int, int]:
         prev = pk
         rank += 1
     return rank, sign, prev
-
-
-def det_bareiss(M: Matrix) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    n = len(M)
-    rank, sign, last = _eliminate([row[:] for row in M], n)
-    return sign * last if rank == n else 0
 
 
 def int_rank(M: Matrix) -> int:

@@ -3,16 +3,50 @@
 They are the exact-field routes the package used before its certificate,
 context checks and scaled resolvent moved to integer matrices: Gaussian
 elimination over QNum, the scaled resolvent N summed in QNum, its pairing
-x^T N y, and the reconstruction product B^T N B; and the characteristic
-polynomial by interpolation through n + 1 determinants.  They are slow
-and simple on purpose; nothing in the package calls them.
+x^T N y, and the reconstruction product B^T N B; the characteristic
+polynomial by interpolation through n + 1 determinants; the pair-label
+tables as one column-and-sum per pair; and polynomial division over Q.
+They are slow and simple on purpose; nothing in the package calls them.
 """
 
 from fractions import Fraction
 
 from starcomp.algebra import IntPoly, qnum
 from starcomp.graphs import induced_subgraph
-from starcomp.linalg import char_polynomial, det_bareiss, mat_mul, minimal_polynomial
+from starcomp.linalg import _eliminate, char_polynomial, mat_mul, minimal_polynomial
+
+
+def det_bareiss(M):
+    """Determinant of a square integer matrix, fraction-free."""
+    n = len(M)
+    rank, sign, last = _eliminate([row[:] for row in M], n)
+    return sign * last if rank == n else 0
+
+
+def divmod_exact(p, d):
+    """Quotient and remainder of IntPoly p by d over Q, as Fraction lists."""
+    if not d.coeffs:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in p.coeffs]
+    den = Fraction(d.coeffs[-1])
+    dq = len(rem) - len(d.coeffs)
+    quo = [Fraction(0)] * (dq + 1) if dq >= 0 else []
+    for i in range(dq, -1, -1):
+        f = rem[i + d.degree] / den
+        quo[i] = f
+        if f:
+            for j, c in enumerate(d.coeffs):
+                rem[i + j] -= f * c
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def divides(d, p):
+    """True when IntPoly d divides p exactly over Q."""
+    if not d.coeffs:
+        return not p.coeffs
+    return not divmod_exact(p, d)[1]
 
 
 def interpolated_char_polynomial(A):
@@ -116,3 +150,24 @@ def qnum_certificate(G, X, mu):
         recon = all(mval * (mu * (i == j) - A[x][y]) == BtNB[i][j]
                     for i, x in enumerate(X) for j, y in enumerate(X))
     return mu_ok, mult, recon
+
+
+def label_tables(ctx, cands):
+    """(adj_mask, compat_mask) as the engine built them before packing:
+    for each candidate i the column D N b_i, summed over the support of
+    every j >= i and compared with 0 and the adjacent target."""
+    N, adjacent = ctx.kernel.N, ctx.kernel.adjacent
+    supports = [[v for v, b in enumerate(c.bits) if b] for c in cands]
+    k = len(cands)
+    adj_mask, compat_mask = [0] * k, [0] * k
+    for i in range(k):
+        col = [sum(N[u][v] for u in supports[i]) for v in range(len(N))]
+        for j in range(i, k):
+            val = sum(col[v] for v in supports[j])
+            if val == 0 or val == adjacent:
+                compat_mask[i] |= 1 << j
+                compat_mask[j] |= 1 << i
+            if val == adjacent:
+                adj_mask[i] |= 1 << j
+                adj_mask[j] |= 1 << i
+    return adj_mask, compat_mask

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from oracles import pairing, qnum_certificate, qnum_resolvent
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic
@@ -353,12 +354,70 @@ def test_int_kernel_matches_qnum_pairing(H_tag, mu, xm, ym):
     y = [ym >> i & 1 for i in range(q)]
     sx = [i for i in range(q) if x[i]]
     sy = [i for i in range(q) if y[i]]
-    col = kern.column(sx)
     d = ctx.mu.d
-    assert unpack(kern, sum(col[i] for i in sx), d) == pairing(N, x, x)
-    assert unpack(kern, sum(col[j] for j in sy), d) == pairing(N, x, y)
+    assert unpack(kern, sum(kern.N[i][j] for i in sx for j in sx), d) == pairing(N, x, x)
+    assert unpack(kern, sum(kern.N[i][j] for i in sx for j in sy), d) == pairing(N, x, y)
     assert unpack(kern, sum(kern.ones[i] for i in sx), d) == ones_sum(N, x)
-    assert engine._pair_label(kern, col, sy) == label_of(ctx, pairing(N, x, y))
+    adj, compat = engine._build_label_tables(
+        ctx, [engine._candidate(ctx, tuple(x)), engine._candidate(ctx, tuple(y))])
+    assert table_label(adj, compat, 0, 1) == label_of(ctx, pairing(N, x, y))
+
+
+def table_label(adj, compat, i, j):
+    """The label that bit j of row i of the pair-label tables stands for."""
+    if not compat[i] >> j & 1:
+        return Compat.INCOMPATIBLE
+    return Compat.ADJACENT if adj[i] >> j & 1 else Compat.NON_ADJACENT
+
+
+P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+           st.integers(1, 5).flatmap(lambda t: st.integers(t, 5).map(
+               lambda s: (make_kts(t, s), (t, s)))),
+           graphs.map(lambda g: (graph_from_mask(*g), None))),
+       st.sampled_from(MUS), st.lists(st.integers(0, 2 ** 10 - 1), max_size=8))
+# all-ones vectors pair to the widest field values: k = 1 here, and a field
+# sized without the q^2 factor overflows on both of the first two
+@example((make_kts(2, 2), (2, 2)), qnum(4), [2 ** 10 - 1])
+@example((make_kts(2, 4), (2, 4)), GOLDEN, [2 ** 10 - 1, 0b000101, 0b111010, 0b001100])
+@example((complete(6), None), -GOLDEN, [2 ** 10 - 1, 0, 2 ** 10 - 1])
+# repeats: the diagonal bit for mu = -1 and mu = 0
+@example((make_kts(2, 2), (2, 2)), qnum(-1), [0b0101, 0b0101, 0b0011])
+@example((P4, None), qnum(0), [0b1001, 0b1001, 0b0110])
+@example((make_kts(3, 3), (3, 3)), qnum(1), [])
+def test_label_tables_match_pairing(H_tag, mu, masks):
+    # every bit of the packed tables, the diagonal included, labels the QNum
+    # pairing of arbitrary 0/1 vectors (repeats too), and the tables equal
+    # the column-and-sum reference
+    H, tag = H_tag
+    try:
+        ctx = make_context(H, mu, bipartite_tag=tag)
+    except MuIsEigenvalue:
+        assume(False)
+    N = oracle_N(ctx)
+    vectors = [engine._candidate(ctx, tuple(m >> i & 1 for i in range(ctx.q)))
+               for m in masks]
+    adj, compat = engine._build_label_tables(ctx, vectors)
+    assert (adj, compat) == oracles.label_tables(ctx, vectors)
+    assert len(adj) == len(compat) == len(vectors)
+    assert all(m >> len(vectors) == 0 for m in adj + compat)
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            assert table_label(adj, compat, i, j) == label_of(ctx, pairing(N, u.bits, v.bits))
+
+
+def test_label_tables_k66_pinned(k66_ctx):
+    # K_{6,6} mu=-2, the pool of both K_{6,6} benchmark searches
+    cands = enumerate_candidates(k66_ctx)
+    adj, compat = engine._build_label_tables(k66_ctx, cands)
+    assert len(cands) == 225
+    assert sum(m.bit_count() for m in compat) == 25200
+    assert sum(m.bit_count() for m in adj) == 17100
+    assert not any((m | a) >> i & 1 for i, (m, a) in enumerate(zip(compat, adj)))
+    assert (adj, compat) == oracles.label_tables(k66_ctx, cands)
 
 
 # ---------------------------------------------------------------- search

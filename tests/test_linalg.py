@@ -1,7 +1,8 @@
 """Exact linear algebra: determinants, characteristic and minimal
 polynomials, the resolvent coefficients, integer rank and eigenvalue
 multiplicity.  The oracles (elimination over QNum, the QNum scaled
-resolvent, the interpolated characteristic polynomial) live in oracles.py.
+resolvent, the interpolated characteristic polynomial, the Bareiss
+determinant and polynomial division over Q) live in oracles.py.
 
 Characteristic polynomial oracles below are classical values (cycles,
 complete bipartite graphs, the Petersen graph) checked against closed-form
@@ -13,17 +14,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import field_rank, interpolated_char_polynomial, qnum_resolvent
+from oracles import (det_bareiss, divides, field_rank, interpolated_char_polynomial,
+                     qnum_resolvent)
 from starcomp.algebra import IntPoly, QNum, qnum
 from starcomp.catalog import petersen
 from starcomp.engine import make_context, search_star_sets
 from starcomp.errors import MuIsEigenvalue
 from starcomp.graphs import cycle
 from starcomp.kts import make_kts
-from starcomp.linalg import (char_polynomial, combination_vanishes, det_bareiss,
-                             identity, int_rank, mat_mul, minimal_polynomial,
-                             multiplicity, resolvent_coefficients, scaled_parts,
-                             weighted_sum)
+from starcomp.linalg import (char_polynomial, combination_vanishes, identity,
+                             int_rank, mat_mul, minimal_polynomial, multiplicity,
+                             resolvent_coefficients, scaled_parts, weighted_sum)
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -147,7 +148,7 @@ def test_minimal_polynomial_divides_and_annihilates(M):
     M = _sym(M)
     m = minimal_polynomial(M)
     assert m.is_monic and 1 <= m.degree <= len(M)
-    assert m.divides(char_polynomial(M))
+    assert divides(m, char_polynomial(M))
     # evaluate m at the matrix: sum m_k M^k = 0
     n = len(M)
     acc = [[0] * n for _ in range(n)]

@@ -29,6 +29,7 @@ from .errors import StarCompError
 from .graphs import graph6_decode, graph6_encode
 from .kts import (make_kts, rho_bounds, rho_value, solve_types_fixed,
                   solve_types_parametric)
+from .linalg import char_polynomial
 
 SCHEMA_VERSION = 1
 
@@ -101,6 +102,8 @@ def _cmd_analyze(args, out) -> int:
     mu = parse_scalar(args.mu)
     t, s = args.t, args.s
     make_kts(t, s)  # validates 1 <= t <= s
+    # raises before any output when the closed form does not hold
+    types = solve_types_fixed(t, s, mu, non_main=True)
     out.write(f"complement K_{{{t},{s}}}  mu={mu}  mval={mu * (mu * mu - t * s)}\n")
 
     rows = solve_types_parametric(t, mu)
@@ -111,7 +114,6 @@ def _cmd_analyze(args, out) -> int:
         else:
             out.write(f"  a={row.a} b={row.b} s={row.s} infeasible ({row.reason})\n")
 
-    types = solve_types_fixed(t, s, mu, non_main=True)
     if not types:
         out.write("types: none\n")
         return EMPTY
@@ -147,7 +149,7 @@ def _char_poly_fields(poly: IntPoly) -> tuple[list, Optional[list]]:
 
 def _solution_record(sol: StarSolution) -> dict:
     cert = sol.cert
-    roots, residual = _char_poly_fields(cert.char_poly)
+    roots, residual = _char_poly_fields(char_polynomial(sol.graph.matrix()))
     types = None
     if all(c.type_ab is not None for c in sol.candidates):
         types = [[c.type_ab.a, c.type_ab.b] for c in sol.candidates]

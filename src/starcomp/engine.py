@@ -10,22 +10,19 @@ multiplicity |X| iff
     b^T N b  = mval * mu          for every b in X,
     b^T N b' in {-mval, 0}        for every pair (adjacent / non-adjacent),
 
-everything scaled by mval so the arithmetic stays exact.  Complete bipartite
-complements K_{t,s} with t + s >= 3 admit a closed-form candidate path
-through the vertex-type equations; K_{1,1} falls outside (its minimal
-polynomial is quadratic, not the cubic x^3 - ts x) and always takes the
-generic route.
+everything scaled by mval so the arithmetic stays exact.
 
 Every pairing the search needs is a sum of entries of N over the support
 of 0/1 vectors, so N exists only in integer form: make_context sums it
 over the integer powers of C into an IntKernel, N scaled to a common
 denominator (one int per entry, packed for quadratic mu), and no QNum
-matrix is built.  The untagged subset scan walks the 2^q subsets in
-Gray-code order on it.  The pair relation (_build_label_tables, used by
+matrix is built.  Both candidate routes read it: a tagged K_{t,s} tests
+each vertex type (a, b) once, anything else walks the 2^q subsets in
+Gray-code order.  The pair relation (_build_label_tables, used by
 classify_pair and the search) forms B^T N B a row at a time, each row
 packed into one int and labelled by word-parallel compares.  The tests
-check both against the QNum resolvent and the closed form over K_{t,s},
-which live in the tests as oracles.
+check them against the QNum resolvent, and the candidate types against
+the closed form kts.solve_types_fixed; both live in the tests as oracles.
 
 One function, _search, runs a search for one degree r (or for maximal
 families when r is None): it filters the candidates, builds the
@@ -46,18 +43,18 @@ from __future__ import annotations
 import contextlib
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence, Union
 
-from .algebra import IntPoly, QNum, qnum
+from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical
 from .errors import (BadTag, DuplicateNeighbourhood, InternalInconsistency,
                      TooLarge, Unbounded)
 from .graphs import Graph, graph6_encode, induced_subgraph, regular_degree
-from .kts import VertexType, make_kts, solve_types_fixed
-from .linalg import (char_polynomial, combination_vanishes, identity, mat_mul,
-                     matrix_powers, minimal_polynomial, multiplicity,
-                     resolvent_coefficients, scaled_parts, weighted_sum)
+from .kts import VertexType, make_kts
+from .linalg import (combination_vanishes, identity, mat_mul, matrix_powers,
+                     minimal_polynomial, multiplicity, resolvent_coefficients,
+                     scaled_parts, weighted_sum)
 
 # The untagged scan costs about 2.0-2.8 us per subset at q = 16..24
 # (Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 2.2 s,
@@ -171,7 +168,7 @@ class CandidateVector:
 
     @property
     def size(self) -> int:
-        return sum(self.bits)
+        return self.mask.bit_count()
 
 
 def _support(bits: Sequence[int]) -> list[int]:
@@ -191,57 +188,52 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     """All 0/1 vectors b over V(H) with b^T N b = mval * mu, plus
     b^T N j = -mval when non_main is set (j the all-ones vector).
 
-    Tagged K_{t,s} contexts with t + s >= 3 go type by type through the
-    vertex-type equations; everything else scans the 2^q subsets in
+    A tagged K_{t,s} goes type by type: N is a polynomial in C, so it
+    commutes with the part permutations, and each type (a, b), the empty
+    one included, is tested once on the first a vertices of the t-part and
+    the first b of the s-part.  Everything else scans the 2^q subsets in
     Gray-code order, capped at q = BRUTE_FORCE_CAP.  Candidates come back
     sorted by (type, indicator tuple).
     """
     kern = ctx.kernel
     N, ones = kern.N, kern.ones
     target_self, target_ones = kern.self_target, kern.adjacent
-    if ctx.tag is not None and sum(ctx.tag) >= 3:
-        out: list[CandidateVector] = []
-        t, s = ctx.tag
-        for tp in solve_types_fixed(t, s, ctx.mu, non_main=non_main):
-            a, b = tp
-            for vpart in combinations(range(t), a):
-                for wpart in combinations(range(t, t + s), b):
-                    support = vpart + wpart
-                    # the type equations and the resolvent must agree
-                    if sum(N[i][j] for i in support for j in support) != target_self or \
-                            (non_main and sum(ones[i] for i in support) != target_ones):
-                        raise InternalInconsistency(
-                            f"vertex type {tp} disagrees with the resolvent pairing")
-                    out.append(_candidate(ctx, tuple(1 if i in support else 0
-                                                     for i in range(ctx.q))))
-        out.sort(key=lambda c: (c.type_ab, c.bits))
-        return out
     q = ctx.q
-    if q > BRUTE_FORCE_CAP:
-        raise TooLarge(f"untagged candidate scan is capped at q = {BRUTE_FORCE_CAP}")
-    # Gray-code walk (Knuth, TAOCP 4A, 7.2.1.1): step k flips the lowest
-    # set bit i of k.  With w = N b (N is symmetric), flipping b_i changes
-    # b^T N b by N_ii +- 2 w_i and b^T N j by +- (Nj)_i.
-    w = [0] * q
-    mask = self_val = ones_val = 0
     hits = []
-    for step in range(1 << q):
-        if step:
-            i = (step & -step).bit_length() - 1
-            mask ^= 1 << i
-            row = N[i]
-            if mask >> i & 1:
-                self_val += row[i] + 2 * w[i]
-                ones_val += ones[i]
-                w = [x + y for x, y in zip(w, row)]
-            else:
-                self_val += row[i] - 2 * w[i]
-                ones_val -= ones[i]
-                w = [x - y for x, y in zip(w, row)]
-        if self_val == target_self and (not non_main or ones_val == target_ones):
-            hits.append(mask)
+    if ctx.tag is not None:
+        t, s = ctx.tag
+        for a, b in product(range(t + 1), range(s + 1)):
+            rep = [*range(a), *range(t, t + b)]
+            if sum(N[i][j] for i in rep for j in rep) == target_self and \
+                    (not non_main or sum(ones[i] for i in rep) == target_ones):
+                hits.extend(sum(1 << i for i in vpart + wpart)
+                            for vpart, wpart in product(combinations(range(t), a),
+                                                        combinations(range(t, t + s), b)))
+    elif q > BRUTE_FORCE_CAP:
+        raise TooLarge(f"untagged candidate scan is capped at q = {BRUTE_FORCE_CAP}")
+    else:
+        # Gray-code walk (Knuth, TAOCP 4A, 7.2.1.1): step k flips the lowest
+        # set bit i of k.  With w = N b (N is symmetric), flipping b_i changes
+        # b^T N b by N_ii +- 2 w_i and b^T N j by +- (Nj)_i.
+        w = [0] * q
+        mask = self_val = ones_val = 0
+        for step in range(1 << q):
+            if step:
+                i = (step & -step).bit_length() - 1
+                mask ^= 1 << i
+                row = N[i]
+                if mask >> i & 1:
+                    self_val += row[i] + 2 * w[i]
+                    ones_val += ones[i]
+                    w = [x + y for x, y in zip(w, row)]
+                else:
+                    self_val += row[i] - 2 * w[i]
+                    ones_val -= ones[i]
+                    w = [x - y for x, y in zip(w, row)]
+            if self_val == target_self and (not non_main or ones_val == target_ones):
+                hits.append(mask)
     out = [_candidate(ctx, tuple((m >> i) & 1 for i in range(q))) for m in hits]
-    out.sort(key=lambda c: c.bits)
+    out.sort(key=lambda c: (c.type_ab, c.bits))
     return out
 
 
@@ -270,7 +262,6 @@ class Certificate:
     x_size: int
     multiplicity: int
     regular_degree: Optional[int]
-    char_poly: IntPoly
     mu_not_in_complement: bool
     multiplicity_matches: bool
     reconstruction_ok: bool
@@ -335,7 +326,6 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
 
     return Certificate(mu=mu, x_size=len(X), multiplicity=mult,
                        regular_degree=regular_degree(G),
-                       char_poly=char_polynomial(A),
                        mu_not_in_complement=mu_ok,
                        multiplicity_matches=(mult == len(X)),
                        reconstruction_ok=recon)

@@ -19,7 +19,8 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .algebra import QNum, qnum
-from .errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
+from .errors import (DivisibilityViolation, HypothesisViolated, InternalInconsistency,
+                     MuIsEigenvalue)
 from .graphs import Graph, SrgParams
 
 class VertexType(NamedTuple):
@@ -48,13 +49,17 @@ def non_main_holds(t: int, s: int, mu, a: int, b: int) -> bool:
 
 def solve_types_fixed(t: int, s: int, mu, non_main: bool = True) -> list[VertexType]:
     """All integer types (a,b) satisfying the self-pairing relation and, when
-    non_main is set, the non-main relation too.  Assumes mu is not an
-    eigenvalue of K_{t,s}."""
+    non_main is set, the non-main relation too.  The relations rest on the
+    minimal polynomial x^3 - ts x: raises HypothesisViolated for t + s < 3
+    and MuIsEigenvalue when mu (mu^2 - ts) = 0, so (0,0) never passes."""
+    mu = qnum(mu)
+    if t + s < 3:
+        raise HypothesisViolated(f"the type equations need t + s >= 3, got ({t},{s})")
+    if not mu * (mu * mu - t * s):
+        raise MuIsEigenvalue(f"mu={mu} is an eigenvalue of K_{{{t},{s}}}")
     out = []
     for a in range(t + 1):
         for b in range(s + 1):
-            if (a, b) == (0, 0):
-                continue
             if not self_pairing_holds(t, s, mu, a, b):
                 continue
             if non_main and not non_main_holds(t, s, mu, a, b):

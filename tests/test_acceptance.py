@@ -27,13 +27,14 @@ from starcomp.errors import DivisibilityViolation
 from starcomp.graphs import (SrgParams, graph6_decode, induced_subgraph,
                              srg_check)
 from starcomp.kts import build_Gr, gr_params, make_kts, rho_value, srg_gap
+from starcomp.linalg import char_polynomial
 
 GOLDEN = parse_scalar("root(-1,1):pos")
 
 
 def integer_spectrum(sol):
     """{root: multiplicity}, asserting the spectrum is fully integral."""
-    roots = sol.cert.char_poly.integer_roots()
+    roots = char_polynomial(sol.graph.matrix()).integer_roots()
     assert sum(roots.values()) == sol.order
     return roots
 

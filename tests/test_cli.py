@@ -51,10 +51,20 @@ def test_analyze_quadratic_mu(capsys):
     assert "types: (0,1)" in out
 
 
-def test_analyze_mu_eigenvalue_has_no_types(capsys):
-    # mval = 0 makes both defining relations homogeneous; no type survives
-    code, out, err = run(capsys, "analyze", "3", "3", "3")
-    assert code == 2 and "types: none" in out
+@pytest.mark.parametrize("t,s,mu", [("3", "3", "3"), ("3", "3", "0"), ("2", "2", "2")])
+def test_analyze_mu_eigenvalue_is_error(capsys, t, s, mu):
+    # mval = mu (mu^2 - ts) = 0 makes both defining relations homogeneous,
+    # so their solutions mean nothing; search refuses the same input
+    code, out, err = run(capsys, "analyze", t, s, mu)
+    assert code == 1 and "is an eigenvalue of K_" in err and out == ""
+
+
+@pytest.mark.parametrize("mu", ["0", "2"])
+def test_analyze_k11_is_error(capsys, mu):
+    # the type equations rest on the cubic x^3 - ts x, which is not the
+    # minimal polynomial of K_{1,1}
+    code, out, err = run(capsys, "analyze", "1", "1", mu)
+    assert code == 1 and "t + s >= 3" in err and out == ""
 
 
 def test_analyze_bad_parts(capsys):

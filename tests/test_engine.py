@@ -14,7 +14,9 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -34,7 +36,7 @@ from starcomp.errors import (BadTag, DuplicateNeighbourhood, MuIsEigenvalue,
 import starcomp
 from starcomp.graphs import (Graph, complete, cycle, graph6_encode,
                              induced_subgraph)
-from starcomp.kts import make_kts
+from starcomp.kts import make_kts, solve_types_fixed
 
 # (sqrt(5) - 1)/2 = 1/phi; with -1/phi and phi = 1 + 1/phi it covers the
 # golden-ratio field Q(sqrt(5))
@@ -133,18 +135,52 @@ def test_candidates_sorted_and_deterministic():
     assert a == sorted(a, key=lambda c: (c.type_ab, c.bits))
 
 
-def test_candidates_k11_uses_generic_path():
-    # tagged (1,1) falls outside the closed-form regime entirely
-    ctx = make_context(make_kts(1, 1), qnum(2), bipartite_tag=(1, 1))
-    cands = enumerate_candidates(ctx, non_main=False)
-    assert [c.bits for c in cands] == [(1, 1)]
-    assert cands[0].type_ab == (1, 1)
+@pytest.mark.parametrize("mu,non_main,expected", [
+    (2, False, [(1, 1)]),
     # with the non-main condition nothing survives (mu=2 is the main case)
-    assert enumerate_candidates(ctx, non_main=True) == []
+    (2, True, []),
+    # mu = 0 passes the empty type: b^T N b = mval * mu = 0 at b = 0
+    (0, False, [(0, 0), (0, 1), (1, 0)]),
+    (0, True, [(0, 1), (1, 0)]),
+])
+def test_candidates_k11_by_type(mu, non_main, expected):
+    # the type equations do not hold on K_{1,1}, but the kernel's type test does
+    ctx = make_context(make_kts(1, 1), qnum(mu), bipartite_tag=(1, 1))
+    cands = enumerate_candidates(ctx, non_main=non_main)
+    assert [c.bits for c in cands] == expected
+    assert [c.type_ab for c in cands] == expected
+
+
+def test_candidate_types_match_closed_form():
+    # the closed form of kts is the oracle for the kernel's type test
+    for t in range(1, 7):
+        for s in range(max(t, 3 - t), 7):
+            for mu in MUS:
+                if not mu * (mu * mu - t * s):
+                    continue
+                ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
+                for non_main in (True, False):
+                    counts = Counter(c.type_ab for c in enumerate_candidates(ctx, non_main))
+                    assert counts == {tp: comb(t, tp.a) * comb(s, tp.b)
+                                      for tp in solve_types_fixed(t, s, mu, non_main)}
+
+
+def test_tagged_candidates_build_no_qnum(monkeypatch):
+    ctx = make_context(make_kts(6, 6), qnum(-2), bipartite_tag=(6, 6))
+    built = []
+    init = QNum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QNum, "__init__", counting_init)
+    assert len(enumerate_candidates(ctx)) == 225
+    assert built == []
 
 
 def test_candidates_brute_force_equivalence():
-    # closed-form path vs untagged 2^q scan on the same complement
+    # type-by-type route vs untagged 2^q scan on the same complement
     for t, s, mu in ((3, 3, qnum(1)), (2, 3, qnum(-3)), (1, 5, qnum(1)),
                      (2, 5, qnum(1)), (3, 12, qnum(-2)), (2, 13, qnum(1))):
         tagged = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))

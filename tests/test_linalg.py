@@ -114,7 +114,7 @@ def test_char_polynomial_matches_interpolation(M):
 
 def test_char_polynomial_on_largest_sweep_graphs():
     # the K_{2,5} mu=1 sweep certifies graphs of orders 21, 21, 24 and 27,
-    # the largest a benchmark sweep pass builds char_poly for
+    # the largest the CLI factors in a benchmark sweep pass
     ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
     big = [sol for sol in search_star_sets(ctx, require_regular="sweep")
            if sol.order >= 21]
@@ -122,7 +122,7 @@ def test_char_polynomial_on_largest_sweep_graphs():
     for sol in big:
         A = sol.graph.matrix()
         p = char_polynomial(A)
-        assert p == interpolated_char_polynomial(A) == sol.cert.char_poly
+        assert p == interpolated_char_polynomial(A)
         # the integer roots times the residual factor give p back
         roots = p.integer_roots()
         assert roots[1] == sol.cert.multiplicity == len(sol.x_vertices)

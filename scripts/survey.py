@@ -15,6 +15,7 @@ Every graph printed has passed the three-part certificate; a G(r) graph
 whose certificate fails is printed as FAILED and makes the exit status 1.
 Use --quick to skip the degree-10 block (the slowest; about 0.15 s, and
 a full run under a second, with Python 3.11 on a shared 2-vCPU Xeon).
+Each block's wall time goes to stderr, so stdout is the same on every run.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def timed(label):
 
 
 def done(t0) -> None:
-    print(f"   ({time.perf_counter() - t0:.2f}s)")
+    print(f"   ({time.perf_counter() - t0:.2f}s)", file=sys.stderr)
 
 
 def block_k33() -> None:

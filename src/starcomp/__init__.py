@@ -18,21 +18,21 @@ from .canon import CanonicalForm, are_isomorphic, canonical, canonical_graph
 from .catalog import (catalog_entry, expected_spectrum, named_graph,
                       spectrum_matches)
 from .engine import (CandidateVector, Certificate, Compat, StarContext,
-                     StarSolution, classify_pair, enumerate_candidates,
-                     make_context, multiplicity_cap, search_star_sets,
-                     solution_from_assembled, verify_star_pair)
+                     StarSolution, VertexType, classify_pair,
+                     enumerate_candidates, make_context, multiplicity_cap,
+                     search_star_sets, solution_from_assembled,
+                     verify_star_pair)
 from .errors import (BadTag, DivisibilityViolation, DuplicateNeighbourhood,
                      HypothesisViolated, InternalInconsistency, MalformedGraph6,
                      MuIsEigenvalue, StarCompError, TooLarge, Unbounded,
                      UnknownName)
 from .graphs import (Graph, SrgParams, complete, cycle, disjoint_union,
                      graph6_decode, graph6_encode, induced_subgraph,
-                     is_connected, regular_degree, srg_check)
-from .kts import (FamilyReport, GrParams, KssReport, ParamRow, VertexType,
-                  build_Gr, family_type0b, gr_params, kss_analysis, make_kts,
-                  non_main_holds, rho_bounds, rho_of_pair, rho_value,
-                  self_pairing_holds, solve_types_fixed,
-                  solve_types_parametric, srg_gap)
+                     is_connected, make_kts, regular_degree, srg_check)
+from .kts import (FamilyReport, GrParams, KssReport, ParamRow, build_Gr,
+                  family_type0b, gr_params, kss_analysis, non_main_holds,
+                  rho_bounds, rho_of_pair, rho_value, self_pairing_holds,
+                  solve_types_fixed, solve_types_parametric, srg_gap)
 from .linalg import char_polynomial, minimal_polynomial
 
 __version__ = "0.1.0"

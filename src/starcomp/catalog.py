@@ -20,8 +20,9 @@ from typing import Optional
 
 from .algebra import QNum, parse_scalar, qnum
 from .errors import UnknownName
-from .graphs import Graph, cycle, graph6_decode
-from .kts import build_Gr, make_kts
+from .graphs import (Graph, cycle, graph6_decode, graph6_encode, make_kts,
+                     regular_degree, srg_check)
+from .kts import build_Gr
 from .linalg import char_polynomial
 
 FIXTURE_NAMES = ("C3", "C5", "Clebsch", "G1", "G2", "G3", "G4", "G5", "Petersen")
@@ -168,8 +169,6 @@ def spectrum_matches(g: Graph, spectrum: list[tuple[QNum, int]]) -> bool:
 
 def catalog_entry(name: str) -> dict:
     """JSON-ready record for a named graph (used by the command line)."""
-    from .graphs import graph6_encode, regular_degree, srg_check
-
     g = named_graph(name)
     record: dict = {
         "name": name,

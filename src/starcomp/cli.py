@@ -26,9 +26,8 @@ from .catalog import catalog_entry
 from .engine import (StarSolution, make_context, multiplicity_cap,
                      search_star_sets, verify_star_pair)
 from .errors import StarCompError
-from .graphs import graph6_decode, graph6_encode
-from .kts import (make_kts, rho_bounds, rho_value, solve_types_fixed,
-                  solve_types_parametric)
+from .graphs import graph6_decode, graph6_encode, make_kts
+from .kts import rho_bounds, rho_value, solve_types_fixed, solve_types_parametric
 from .linalg import char_polynomial
 
 SCHEMA_VERSION = 1
@@ -74,9 +73,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-solutions", type=int, default=None,
                     help="stop after this many raw finds (graphs before isomorphism "
                          "reduction), counted over the whole search, sweeps included")
-    sp.add_argument("--no-symmetry", action="store_true",
-                    help="disable orderly pruning under the part permutations of "
-                         "K_{t,s} (same output, slower)")
     sp.add_argument("--output", default=None, help="write JSON lines here instead of stdout")
 
     sp = sub.add_parser("verify", help="certify a star set inside a given graph")
@@ -195,8 +191,7 @@ def _cmd_search(args, out) -> int:
     # materialize before emitting anything, so failures leave no partial output
     solutions = search_star_sets(ctx, require_regular=require,
                                  max_x=args.max_x,
-                                 max_solutions=args.max_solutions,
-                                 symmetry=not args.no_symmetry)
+                                 max_solutions=args.max_solutions)
     stream = open(args.output, "w") if args.output else out
     try:
         _jsonline({"schemaVersion": SCHEMA_VERSION, "command": "search",

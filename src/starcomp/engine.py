@@ -44,14 +44,13 @@ import contextlib
 import enum
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical
 from .errors import (BadTag, DuplicateNeighbourhood, InternalInconsistency,
                      TooLarge, Unbounded)
-from .graphs import Graph, graph6_encode, induced_subgraph, regular_degree
-from .kts import VertexType, make_kts
+from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
 from .linalg import (combination_vanishes, identity, mat_mul, matrix_powers,
                      minimal_polynomial, multiplicity, resolvent_coefficients,
                      scaled_parts, weighted_sum)
@@ -115,13 +114,9 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
     N = sum_j a_j C^j comes from the minimal polynomial of C, and the
     resolvent identity N (mu I - C) = mval I is checked entry by entry on
     the integer powers C^j, with the scalars over one common denominator.
-    With a (t, s) tag N is also derived from the cubic relation C^3 = ts C
-    as N = C^2 + mu C + (mu^2 - ts) I, and the two routes are checked
-    against each other entry by entry, the same way.  The cubic is the
-    minimal polynomial only for t + s >= 3, so a (1, 1) tag skips the
-    closed form.  The kernel is summed the same way over the powers of C.
-    Raises MuIsEigenvalue when mu is an eigenvalue of H and BadTag when H
-    is not the declared complete bipartite graph.
+    The kernel is summed the same way over the powers of C.  Raises
+    MuIsEigenvalue when mu is an eigenvalue of H and BadTag when H is not
+    the declared complete bipartite graph.
     """
     mu = qnum(mu)
     C = H.matrix()
@@ -132,14 +127,6 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
         t, s = bipartite_tag
         if not (1 <= t <= s) or H != make_kts(t, s):
             raise BadTag(f"graph is not K_{{{t},{s}}} with parts in order")
-        if t + s >= 3:
-            # N - (C^2 + mu C + shift I) = 0, entrywise
-            shift = mu * mu - t * s
-            fast_ok = mval == mu * shift and combination_vanishes(
-                a + [-shift, -mu, qnum(-1)], powers[:d] + [powers[0], C, mat_mul(C, C)])
-            if not fast_ok:
-                raise InternalInconsistency(
-                    "cubic-relation resolvent disagrees with the minimal-polynomial route")
     # resolvent identity N (mu I - C) = mval I, entrywise, with N = sum_j a_j C^j:
     # sum_j a_j (mu C^j - C^(j+1)) - mval I = 0
     if not combination_vanishes([mu * x for x in a] + [-x for x in a] + [-mval],
@@ -159,9 +146,18 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
     return StarContext(H=H, mu=mu, mval=mval, kernel=kernel, tag=bipartite_tag)
 
 
+class VertexType(NamedTuple):
+    """a neighbours in the t-part of K_{t,s}, b in the s-part."""
+    a: int
+    b: int
+
+
 @dataclass(frozen=True)
 class CandidateVector:
-    """A 0/1 H-neighbourhood vector passing the self (and non-main) tests."""
+    """A 0/1 H-neighbourhood vector passing the self (and non-main) tests.
+
+    mask (bit v set iff v is a neighbour) is the form the engine reads;
+    bits, the same vector as a tuple, only orders the candidates."""
     bits: tuple[int, ...]
     mask: int
     type_ab: Optional[VertexType]
@@ -171,17 +167,22 @@ class CandidateVector:
         return self.mask.bit_count()
 
 
-def _support(bits: Sequence[int]) -> list[int]:
-    return [i for i, b in enumerate(bits) if b]
-
-
-def _candidate(ctx: StarContext, bits: tuple[int, ...]) -> CandidateVector:
+def _candidate(ctx: StarContext, mask: int) -> CandidateVector:
+    """The candidate with H-neighbourhood mask, a subset of the q vertices."""
     type_ab = None
     if ctx.tag is not None:
-        t = ctx.tag[0]
-        type_ab = VertexType(sum(bits[:t]), sum(bits[t:]))
-    return CandidateVector(bits=bits, mask=sum(1 << i for i in _support(bits)),
+        low = (1 << ctx.tag[0]) - 1
+        type_ab = VertexType((mask & low).bit_count(), (mask & ~low).bit_count())
+    return CandidateVector(bits=tuple(mask >> v & 1 for v in range(ctx.q)), mask=mask,
                            type_ab=type_ab)
+
+
+def _ones(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[CandidateVector]:
@@ -232,7 +233,7 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
                     w = [x - y for x, y in zip(w, row)]
             if self_val == target_self and (not non_main or ones_val == target_ones):
                 hits.append(mask)
-    out = [_candidate(ctx, tuple((m >> i) & 1 for i in range(q))) for m in hits]
+    out = [_candidate(ctx, m) for m in hits]
     out.sort(key=lambda c: (c.type_ab, c.bits))
     return out
 
@@ -244,7 +245,7 @@ def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> C
     same arithmetic labels the pair); for any other mu they are rejected
     with DuplicateNeighbourhood.  The label is the one the search uses.
     """
-    if u.bits == v.bits and not ctx.mu_special:
+    if u.mask == v.mask and not ctx.mu_special:
         raise DuplicateNeighbourhood("equal H-neighbourhoods require mu in {-1, 0}")
     (adj, _), (compat, _) = _build_label_tables(ctx, [u, v])
     if not compat >> 1 & 1:
@@ -336,12 +337,10 @@ def _assemble(ctx: StarContext, chosen: list[CandidateVector],
     """Graph with H on vertices 0..q-1 and the star set after, in choice order."""
     q, k = ctx.q, len(chosen)
     rows = list(ctx.H.adj)
-    xrows = [0] * k
+    xrows = [cand.mask for cand in chosen]
     for j, cand in enumerate(chosen):
-        for v in range(q):
-            if cand.bits[v]:
-                rows[v] |= 1 << (q + j)
-                xrows[j] |= 1 << v
+        for v in _ones(cand.mask):
+            rows[v] |= 1 << (q + j)
     for i in range(k):
         for j in range(k):
             if i != j and adjacency[i][j]:
@@ -354,10 +353,7 @@ def solution_from_assembled(ctx: StarContext, G: Graph,
     """Wrap an already-built graph (H on vertices 0..q-1) as a certified
     solution; raises InternalInconsistency when its certificate fails."""
     xs = tuple(x_vertices)
-    chosen = []
-    for x in xs:
-        bits = tuple(1 if G.adjacent(x, v) else 0 for v in range(ctx.q))
-        chosen.append(_candidate(ctx, bits))
+    chosen = [_candidate(ctx, G.adj[x] & ((1 << ctx.q) - 1)) for x in xs]
     ax = induced_subgraph(G, xs)
     cert = verify_star_pair(G, xs, ctx.mu)
     if not cert.passed:
@@ -564,7 +560,7 @@ def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
     ones = int.from_bytes(unit[1] * k, "little")
     H, bias = ones << (8 * step - 1), ones << (8 * step - 2)
     M, hit = H - ones, bias + kern.adjacent * ones
-    member = [int.from_bytes(b"".join([unit[c.bits[v]] for c in cands]), "little")
+    member = [int.from_bytes(b"".join([unit[c.mask >> v & 1] for c in cands]), "little")
               for v in range(q)]
     rows = [sum(n * m for n, m in zip(row, member)) for row in kern.N]
     digits = bytes.maketrans(b"\x00\x80", b"01")
@@ -575,7 +571,7 @@ def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
 
     adj_mask, compat_mask = [], []
     for c in cands:
-        P = bias + sum(rows[u] for u in _support(c.bits))
+        P = bias + sum(rows[u] for u in _ones(c.mask))
         adj_mask.append(zero_fields(P ^ hit))
         compat_mask.append(adj_mask[-1] | zero_fields(P ^ bias))
     return adj_mask, compat_mask
@@ -599,8 +595,8 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
         need = [r - ctx.H.degree(v) for v in range(q)]
         if any(x < 0 for x in need) or not any(need):
             return
-        cands = [c for c in pool
-                 if 0 < c.size <= r and all(need[v] for v in range(q) if c.bits[v])]
+        needy = sum(1 << v for v in range(q) if need[v])
+        cands = [c for c in pool if 0 < c.size <= r and not c.mask & ~needy]
     if not cands:
         return
     cap = _effective_cap(ctx, max_x, len(cands))
@@ -653,14 +649,13 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
 
     cover_mask = [0] * q
     for i, c in enumerate(cands):
-        for v in range(q):
-            if c.bits[v]:
-                cover_mask[v] |= 1 << i
+        for v in _ones(c.mask):
+            cover_mask[v] |= 1 << i
     special = ctx.mu_special
 
     def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
                 allowed: int, state):
-        if all(cov[v] == need[v] for v in range(q)):
+        if cov == need:
             # H-side degrees are saturated; X-side must match exactly
             if all(adeg[p] == r - cands[i].size
                    for p, i in enumerate(chosen_idx)):
@@ -682,38 +677,26 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             i = low.bit_length() - 1
             m ^= low
             c = cands[i]
-            new_cov = cov[:]
-            over = False
-            for v in range(q):
-                if c.bits[v]:
-                    new_cov[v] += 1
-                    if new_cov[v] > need[v]:
-                        over = True
-                        break
-            if over:
+            # no pick overfills a vertex v of H or pushes a chosen p past
+            # degree r: the pick that filled v (p) took cover_mask[v]
+            # (adj_mask[p]) out of allowed, below, and allowed only shrinks.
+            # No mask bounds the new candidate's own X-degree.
+            hit = [adj_mask[p] >> i & 1 for p in chosen_idx]
+            acount = sum(hit)
+            if acount > r - c.size:
                 continue
-            new_adeg = adeg + [0]
-            acount = 0
-            ok = True
-            for p, pi in enumerate(chosen_idx):
-                if adj_mask[pi] >> i & 1:
-                    new_adeg[p] += 1
-                    acount += 1
-                    if new_adeg[p] > r - cands[pi].size:
-                        ok = False
-                        break
-            if not ok or acount > r - c.size:
-                continue
-            new_adeg[-1] = acount
             nxt = chosen_idx + [i]
             nxt_state = extend(state, nxt)
             if nxt_state is None:
                 continue
+            new_adeg = [d + h for d, h in zip(adeg, hit)] + [acount]
             # ge_mask keeps choices ascending; the diagonal bit of
             # compat_mask decides whether i itself may repeat
             pruned = allowed & compat_mask[i] & ge_mask[i]
-            for v in range(q):
-                if c.bits[v] and new_cov[v] == need[v]:
+            new_cov = cov[:]
+            for v in _ones(c.mask):
+                new_cov[v] += 1
+                if new_cov[v] == need[v]:
                     pruned &= ~cover_mask[v]
             for p, pi in enumerate(nxt):
                 if new_adeg[p] == r - cands[pi].size:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import MalformedGraph6, TooLarge
+from .errors import HypothesisViolated, MalformedGraph6, TooLarge
 
 
 class Graph:
@@ -233,6 +233,13 @@ def cycle(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def make_kts(t: int, s: int) -> Graph:
+    """K_{t,s} with the t-part on vertices 0..t-1 and the s-part following."""
+    if not (1 <= t <= s):
+        raise HypothesisViolated(f"need s >= t >= 1, got ({t},{s})")
+    return Graph.from_edges(t + s, [(i, t + j) for i in range(t) for j in range(s)])
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -16,23 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import QNum, qnum
+from .engine import VertexType, make_context, solution_from_assembled
 from .errors import (DivisibilityViolation, HypothesisViolated, InternalInconsistency,
                      MuIsEigenvalue)
-from .graphs import Graph, SrgParams
-
-class VertexType(NamedTuple):
-    a: int
-    b: int
-
-
-def make_kts(t: int, s: int) -> Graph:
-    """K_{t,s} with the t-part on vertices 0..t-1 and the s-part following."""
-    if not (1 <= t <= s):
-        raise HypothesisViolated(f"need s >= t >= 1, got ({t},{s})")
-    return Graph.from_edges(t + s, [(i, t + j) for i in range(t) for j in range(s)])
+from .graphs import Graph, SrgParams, make_kts
 
 
 def self_pairing_holds(t: int, s: int, mu, a: int, b: int) -> bool:
@@ -197,7 +187,6 @@ def build_Gr(t: int, s: int, r: int):
     # degree equations are definitive: r = s + |V_1| + s|W_1| = t + t|V_1| + |W_1|
     if not (s + p.vi_size + s * p.wi_size == r and t + t * p.vi_size + p.wi_size == r):
         raise InternalInconsistency(f"G({t},{s},{r}) fails its degree equations")
-    from .engine import make_context, solution_from_assembled
     ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
     return solution_from_assembled(ctx, g, list(range(t + s, n)))
 

@@ -138,13 +138,6 @@ def test_search_output_file_reruns_identically(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_search_no_symmetry_same_result(capsys):
-    code, base, _ = run(capsys, "search", "3", "3", "1", "--r", "4")
-    code, plain, _ = run(capsys, "search", "3", "3", "1", "--r", "4",
-                         "--no-symmetry")
-    assert jsonl(base)[1]["graph6"] == jsonl(plain)[1]["graph6"]
-
-
 # ----------------------------------------------------------------- verify
 
 def test_verify_passing(capsys):

@@ -63,6 +63,13 @@ def ones_sum(N, bits):
     return pairing(N, bits, [1] * len(N))
 
 
+def pack(kern, x):
+    """The kernel's int for the QNum x: D x = A + B sqrt(d) as A + B * 2^K."""
+    a, b = x.a * kern.D, x.b * kern.D
+    assert a.denominator == b.denominator == 1
+    return a.numerator + (b.numerator << kern.K)
+
+
 # ----------------------------------------------------------------- context
 
 def test_make_context_tagged():
@@ -82,6 +89,30 @@ def test_make_context_untagged_any_graph():
         for j in range(n):
             acc = sum(N[i][k] * (2 * (k == j) - C[k][j]) for k in range(n))
             assert acc == (ctx.mval * D if i == j else 0)
+
+
+def test_tagged_kernel_is_the_cubic_closed_form():
+    # for t + s >= 3 the minimal polynomial of K_{t,s} is x^3 - ts x, so
+    # N = C^2 + mu C + (mu^2 - ts) I and mval = mu (mu^2 - ts)
+    checked = 0
+    for t in range(1, 5):
+        for s in range(max(t, 3 - t), 7):
+            C = make_kts(t, s).matrix()
+            C2 = [[sum(x * y for x, y in zip(row, col)) for col in zip(*C)] for row in C]
+            for mu in MUS:
+                try:
+                    ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
+                except MuIsEigenvalue:
+                    continue
+                shift = mu * mu - t * s
+                assert ctx.mval == mu * shift, (t, s, mu)
+                closed = [[qnum(C2[i][j]) + mu * C[i][j] + (shift if i == j else 0)
+                           for j in range(t + s)] for i in range(t + s)]
+                kern = ctx.kernel
+                assert kern.N == tuple(tuple(pack(kern, x) for x in row)
+                                       for row in closed), (t, s, mu)
+                checked += 1
+    assert checked > 150
 
 
 def test_make_context_rejects_eigenvalues():
@@ -325,8 +356,7 @@ def test_closed_form_pair_relation_matches_resolvent(ts, mu, xm, ym):
     except MuIsEigenvalue:
         assume(False)
     N = oracle_N(ctx)
-    vectors = [engine._candidate(ctx, tuple(m >> i & 1 for i in range(t + s)))
-               for m in (xm, ym)]
+    vectors = [engine._candidate(ctx, m & ((1 << (t + s)) - 1)) for m in (xm, ym)]
     for non_main in (True, False):
         vectors += enumerate_candidates(ctx, non_main=non_main)
     for u in vectors:
@@ -375,17 +405,11 @@ def test_int_kernel_matches_qnum_pairing(H_tag, mu, xm, ym):
         assume(False)
     N, mval = qnum_resolvent(H.matrix(), ctx.mu)
     kern = ctx.kernel
-
-    def pack(x):
-        a, b = x.a * kern.D, x.b * kern.D
-        assert a.denominator == b.denominator == 1
-        return a.numerator + (b.numerator << kern.K)
-
     q = ctx.q
-    assert kern.N == tuple(tuple(pack(x) for x in row) for row in N)
-    assert kern.ones == tuple(pack(sum(row, qnum(0))) for row in N)
-    assert kern.self_target == pack(mval * ctx.mu)
-    assert kern.adjacent == pack(-mval)
+    assert kern.N == tuple(tuple(pack(kern, x) for x in row) for row in N)
+    assert kern.ones == tuple(pack(kern, sum(row, qnum(0))) for row in N)
+    assert kern.self_target == pack(kern, mval * ctx.mu)
+    assert kern.adjacent == pack(kern, -mval)
     x = [xm >> i & 1 for i in range(q)]
     y = [ym >> i & 1 for i in range(q)]
     sx = [i for i in range(q) if x[i]]
@@ -394,8 +418,9 @@ def test_int_kernel_matches_qnum_pairing(H_tag, mu, xm, ym):
     assert unpack(kern, sum(kern.N[i][j] for i in sx for j in sx), d) == pairing(N, x, x)
     assert unpack(kern, sum(kern.N[i][j] for i in sx for j in sy), d) == pairing(N, x, y)
     assert unpack(kern, sum(kern.ones[i] for i in sx), d) == ones_sum(N, x)
+    full = (1 << q) - 1
     adj, compat = engine._build_label_tables(
-        ctx, [engine._candidate(ctx, tuple(x)), engine._candidate(ctx, tuple(y))])
+        ctx, [engine._candidate(ctx, xm & full), engine._candidate(ctx, ym & full)])
     assert table_label(adj, compat, 0, 1) == label_of(ctx, pairing(N, x, y))
 
 
@@ -434,8 +459,7 @@ def test_label_tables_match_pairing(H_tag, mu, masks):
     except MuIsEigenvalue:
         assume(False)
     N = oracle_N(ctx)
-    vectors = [engine._candidate(ctx, tuple(m >> i & 1 for i in range(ctx.q)))
-               for m in masks]
+    vectors = [engine._candidate(ctx, m & ((1 << ctx.q) - 1)) for m in masks]
     adj, compat = engine._build_label_tables(ctx, vectors)
     assert (adj, compat) == oracles.label_tables(ctx, vectors)
     assert len(adj) == len(compat) == len(vectors)
@@ -501,6 +525,30 @@ def test_search_symmetry_reduction_is_lossless():
                                                 max_x=max_x, symmetry=sym))
                 for sym in (True, False)]
         assert runs[0] and runs[0] == runs[1], (t, s, mu, require, max_x)
+
+
+# the regular contexts of test_search_modes_pinned and
+# test_search_symmetry_reduction_is_lossless
+@pytest.mark.parametrize("t,s,mu,tag,max_x", [
+    (3, 3, 1, True, None),
+    (3, 3, 1, False, None),
+    (2, 5, 1, True, None),
+    (2, 2, -1, True, 4),
+])
+def test_regular_searches_return_regular_graphs(t, s, mu, tag, max_x):
+    # the certificate does not check regularity, and the DFS trusts its
+    # pruning masks to keep every degree within r
+    ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s) if tag else None)
+    sweep = search_star_sets(ctx, require_regular="sweep", max_x=max_x)
+    assert sweep and all(sol.cert.regular_degree is not None for sol in sweep)
+    cap = max_x if max_x is not None else multiplicity_cap(ctx.q)
+    found = 0
+    for r in range(max(ctx.H.degrees()), ctx.q + cap + 1):
+        sols = search_star_sets(ctx, require_regular=r, max_x=max_x)
+        assert all(sol.cert.regular_degree == r for sol in sols), r
+        found += len(sols)
+    # graphs of different degrees are never isomorphic
+    assert found == len(sweep)
 
 
 def test_search_max_solutions_budget(k33_ctx):

@@ -403,9 +403,14 @@ def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool
     Otherwise only the first source that maps onto P[depth] is followed,
     which keeps the test sound and one branch deep; it may miss a smaller
     image down another tie, and _dedupe catches that.  A state keeps, per
-    start coset, the cells at each matched depth and the sources left
-    unused, so extending a prefix by one index replays the new source
-    through the stored cells instead of starting over.
+    start coset, a level (cells, memo) for each matched depth and the
+    sources left unused, so extending a prefix by one index replays the
+    new source through the stored cells instead of starting over.  The
+    cells of a level never change, and memo maps a source's candidate index
+    to the index of its least image under them, filled on first use.
+    extend copies the list of levels, not the levels, so a level and its
+    memo are shared by every state built on it: each least image is
+    computed once per level.
     """
     if not symmetry or ctx.tag is None:
         return [], lambda state, prefix, k=1: state
@@ -431,17 +436,24 @@ def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool
         for levels, unused in state:
             depth = len(levels) - 1
             for d in range(depth):
-                if any(least(masks[p], levels[d]) < prefix[d] for p in added):
-                    return None
+                cells, memo = levels[d]
+                for p in added:
+                    i = memo.get(p)
+                    if i is None:
+                        i = memo[p] = least(masks[p], cells)
+                    if i < prefix[d]:
+                        return None
             levels, unused = levels[:], unused + added
-            cells = levels[-1]
+            cells, memo = levels[-1]
             for target in prefix[depth:]:
                 T = masks[target]
                 fit = None
                 for pos, p in enumerate(unused):
                     if pos and unused[pos - 1] == p:
                         continue   # a repeat (mu in {-1, 0}) has the same images
-                    i = least(masks[p], cells)
+                    i = memo.get(p)
+                    if i is None:
+                        i = memo[p] = least(masks[p], cells)
                     if i < target:
                         return None
                     if i == target and fit is None:
@@ -451,11 +463,12 @@ def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool
                 S = masks[unused.pop(fit)]
                 cells = [cell for a, b in cells
                          for cell in ((a & S, b & T), (a & ~S, b & ~T)) if cell[0]]
-                levels.append(cells)
+                memo = {}
+                levels.append((cells, memo))
             out.append((levels, unused))
         return out
 
-    return [([cells], []) for cells in starts], extend
+    return [([(cells, {})], []) for cells in starts], extend
 
 
 def _dedupe(found: list[tuple[Graph, tuple[int, ...]]]
@@ -497,7 +510,8 @@ def search_star_sets(ctx: StarContext,
     max_solutions is a work limit on raw finds: graphs the search assembles
     after orderly pruning and before isomorphism reduction, counted across
     the whole call (all the degrees of a sweep together).  The search stops
-    at that many, so fewer isomorphism classes may come back.
+    at that many, so fewer isomorphism classes may come back.  A negative
+    max_x or max_solutions is a ValueError.
 
     symmetry (tagged contexts only) prunes a partial choice of candidates
     once a part permutation of K_{t,s} (S_t x S_s, and the part swap when
@@ -510,6 +524,9 @@ def search_star_sets(ctx: StarContext,
     solution passes verify_star_pair) and sorted by order then canonical
     bytes, so repeated runs produce identical output.
     """
+    for name, limit in (("max_x", max_x), ("max_solutions", max_solutions)):
+        if limit is not None and limit < 0:
+            raise ValueError(f"{name} must be non-negative, got {limit}")
     if ctx.mu_special and max_x is None:
         raise Unbounded("mu in {-1, 0}: co-duplicates make families infinite, set max_x")
     if require_regular == "sweep":
@@ -635,12 +652,13 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             nxt_all = allowed_all & compat_mask[i]
             nxt_pick = nxt_all & ge_mask[i]
             nxt_state = None
-            # a test costs about one least image per chosen index and may cut
+            # a test costs at most one least image per chosen index and may cut
             # up to 2^|nxt_pick| nodes, so the walk tests only while more
             # candidates are pickable than chosen.  On K_{2,5} mu=1 (20
             # mutually compatible candidates; median of five in-process
-            # runs, Python 3.11, shared 2-vCPU Xeon) testing every node took
-            # 4.3 s, first choices and emissions only 0.4 s, this rule 0.14 s.
+            # runs, Python 3.11, shared 2-vCPU Xeon, memoised least images)
+            # testing every node took 1.5 s, first choices and emissions only
+            # 0.33 s, this rule 0.13 s.
             if state is not None and nxt_pick.bit_count() > len(nxt):
                 nxt_state = extend(state, nxt)
                 if nxt_state is None:
@@ -655,10 +673,13 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
 
     def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
                 allowed: int, state):
+        # state is that of chosen_idx[:-1]: the orderly test of chosen_idx
+        # runs last, once the cheaper degree checks (which most nodes fail)
+        # have passed
         if cov == need:
             # H-side degrees are saturated; X-side must match exactly
-            if all(adeg[p] == r - cands[i].size
-                   for p, i in enumerate(chosen_idx)):
+            if (all(adeg[p] == r - cands[i].size for p, i in enumerate(chosen_idx))
+                    and extend(state, chosen_idx) is not None):
                 emit(chosen_idx)
             return
         if len(chosen_idx) >= cap:
@@ -671,6 +692,10 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                     return
                 if not special and avail.bit_count() < deficit:
                     return
+        if chosen_idx:
+            state = extend(state, chosen_idx)
+            if state is None:
+                return
         m = allowed
         while m:
             low = m & -m
@@ -686,9 +711,6 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             if acount > r - c.size:
                 continue
             nxt = chosen_idx + [i]
-            nxt_state = extend(state, nxt)
-            if nxt_state is None:
-                continue
             new_adeg = [d + h for d, h in zip(adeg, hit)] + [acount]
             # ge_mask keeps choices ascending; the diagonal bit of
             # compat_mask decides whether i itself may repeat
@@ -701,7 +723,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             for p, pi in enumerate(nxt):
                 if new_adeg[p] == r - cands[pi].size:
                     pruned &= ~adj_mask[pi]
-            regular(nxt, new_cov, new_adeg, pruned, nxt_state)
+            regular(nxt, new_cov, new_adeg, pruned, state)
 
     with contextlib.suppress(_BudgetSpent):
         if r is None:

@@ -129,6 +129,12 @@ def test_search_special_mu_needs_max_x(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--max-x", "--max-solutions"])
+def test_search_negative_limit_is_an_error(capsys, flag):
+    code, out, err = run(capsys, "search", "3", "3", "1", "--sweep", flag, "-1")
+    assert code == 1 and out == "" and "error:" in err
+
+
 def test_search_output_file_reruns_identically(tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for path in (a, b):

@@ -556,6 +556,14 @@ def test_search_max_solutions_budget(k33_ctx):
     assert len(some) == 1
 
 
+@pytest.mark.parametrize("limit", ["max_x", "max_solutions"])
+def test_search_rejects_negative_limits(k33_ctx, limit):
+    with pytest.raises(ValueError, match=limit):
+        search_star_sets(k33_ctx, require_regular="sweep", **{limit: -1})
+    # zero is a limit, not an error
+    assert search_star_sets(k33_ctx, require_regular="sweep", **{limit: 0}) == []
+
+
 def _count_raw_finds(monkeypatch) -> list[int]:
     """Count the graphs the search assembles, i.e. raw finds before dedupe."""
     calls = [0]
@@ -690,14 +698,56 @@ def test_orderly_test_matches_brute_force(monkeypatch, t, s, mu, require, max_x)
 
         prefixes = {F[:n] for F in finds for n in range(1, len(F) + 1)}
         prefixes.update(P for n in (1, 2, 3) for P in tuples(range(len(cands)), n))
+        # as in the DFS, each child of a passing prefix extends that prefix's
+        # one state, so siblings and descendants share its levels and memos;
+        # each verdict must be that of a fresh test from the root
+        states = {(): root}
         for P in sorted(prefixes):
             if not passes(P):
                 rejected += 1
                 assert least_image(P) < P, P
+            if P[:-1] in states:
+                state = extend(states[P[:-1]], list(P))
+                fresh_root, fresh = engine._orderly_test(ctx, cands, True)
+                assert (state is not None) == \
+                    (fresh(fresh_root, list(P), len(P)) is not None), P
+                if state is not None:
+                    states[P] = state
         for L in {least_image(F) for F in finds}:
             assert L in finds
             assert all(passes(L[:n]) for n in range(1, len(L) + 1)), L
     assert rejected
+
+
+def _count_orderly_tests(monkeypatch) -> list[int]:
+    """Count the calls of the orderly test's extend."""
+    calls = [0]
+    real_test = engine._orderly_test
+
+    def test(ctx, cands, symmetry):
+        root, extend = real_test(ctx, cands, symmetry)
+
+        def counted(*args):
+            calls[0] += 1
+            return extend(*args)
+        return root, counted
+    monkeypatch.setattr(engine, "_orderly_test", test)
+    return calls
+
+
+# The regular DFS runs the orderly test only on nodes that pass its degree
+# checks, so a test placed earlier, or run twice, moves these counts.  The
+# raw finds of test_search_modes_pinned show that the placement prunes
+# nothing the degree checks would keep.
+@pytest.mark.parametrize("t,s,mu,require,tests", [
+    (2, 5, 1, "sweep", 1184),
+    (6, 6, -2, 10, 322),
+])
+def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
+    calls = _count_orderly_tests(monkeypatch)
+    ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+    assert search_star_sets(ctx, require_regular=require)
+    assert calls[0] == tests
 
 
 def test_search_max_x_restricts(k33_ctx):

@@ -38,7 +38,7 @@ from starcomp.linalg import char_polynomial
 
 
 def describe(sol) -> str:
-    roots = char_polynomial(sol.graph.matrix()).integer_roots()
+    roots, _ = char_polynomial(sol.graph.matrix()).integer_roots()
     spec = " ".join(f"{ev}^{m}" if m > 1 else str(ev)
                     for ev, m in sorted(roots.items()))
     srg = srg_check(sol.graph)

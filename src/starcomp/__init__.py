@@ -10,29 +10,12 @@ K_{t,s} get closed-form candidate equations, pair-relation tables, the
 G(r) constructions and the associated feasibility analysis.
 
 No floating point anywhere: scalars live in Q or a real quadratic field
-Q(sqrt(d)), linear algebra is fraction-free or over Fraction.
+Q(sqrt(d)), and linear algebra is fraction-free over the integers.
+
+The package root exports only `catalog_entry` and `__version__`; the rest
+is imported from the submodules (`starcomp.engine`, `starcomp.kts`, ...).
 """
 
-from .algebra import IntPoly, QNum, parse_scalar, qnum
-from .canon import CanonicalForm, are_isomorphic, canonical, canonical_graph
-from .catalog import (catalog_entry, expected_spectrum, named_graph,
-                      spectrum_matches)
-from .engine import (CandidateVector, Certificate, Compat, StarContext,
-                     StarSolution, VertexType, classify_pair,
-                     enumerate_candidates, make_context, multiplicity_cap,
-                     search_star_sets, solution_from_assembled,
-                     verify_star_pair)
-from .errors import (BadTag, DivisibilityViolation, DuplicateNeighbourhood,
-                     HypothesisViolated, InternalInconsistency, MalformedGraph6,
-                     MuIsEigenvalue, StarCompError, TooLarge, Unbounded,
-                     UnknownName)
-from .graphs import (Graph, SrgParams, complete, cycle, disjoint_union,
-                     graph6_decode, graph6_encode, induced_subgraph,
-                     is_connected, make_kts, regular_degree, srg_check)
-from .kts import (FamilyReport, GrParams, KssReport, ParamRow, build_Gr,
-                  family_type0b, gr_params, kss_analysis, non_main_holds,
-                  rho_bounds, rho_of_pair, rho_value, self_pairing_holds,
-                  solve_types_fixed, solve_types_parametric, srg_gap)
-from .linalg import char_polynomial, minimal_polynomial
+from .catalog import catalog_entry
 
 __version__ = "0.1.0"

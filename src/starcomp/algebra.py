@@ -310,57 +310,12 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
-
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """The quotient self / other by long division in integers; raises
-        ValueError unless other divides self over Z."""
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead, dv = other.coeffs[-1], other.degree
-        quo = [0] * max(len(rem) - dv, 0)
-        for i in range(len(quo) - 1, -1, -1):
-            f, inexact = divmod(rem[i + dv], lead)
-            if inexact:
-                break  # rem[i + dv] stays non-zero
-            quo[i] = f
-            if f:
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] -= f * c
-        if any(rem):
-            raise ValueError(f"{other} does not divide {self} over Z")
-        return IntPoly(quo)
-
-    def integer_roots(self) -> dict[int, int]:
-        """Integer roots with multiplicities (leading coefficient arbitrary)."""
+    def integer_roots(self) -> tuple[dict[int, int], "IntPoly"]:
+        """Integer roots with multiplicities (leading coefficient arbitrary),
+        and the cofactor left once synthetic division has taken out each
+        (x - r)^m; for a non-zero polynomial it has no integer root."""
         if not self.coeffs:
-            return {}
+            return {}, self
         cs = list(self.coeffs)
         roots: dict[int, int] = {}
         # strip the power of x first
@@ -394,7 +349,7 @@ class IntPoly:
                         out.append(carry)
                     cs = list(reversed(out[:-1]))
                     roots[r] = roots.get(r, 0) + 1
-        return roots
+        return roots, IntPoly(cs)
 
     def __str__(self):
         if not self.coeffs:

@@ -132,12 +132,7 @@ def _cmd_analyze(args, out) -> int:
 # ----------------------------------------------------------------- search
 
 def _char_poly_fields(poly: IntPoly) -> tuple[list, Optional[list]]:
-    roots = poly.integer_roots()
-    residual = poly
-    for root, mult in roots.items():
-        lin = IntPoly([-root, 1])
-        for _ in range(mult):
-            residual = residual.exact_div(lin)
+    roots, residual = poly.integer_roots()
     root_list = [[r, roots[r]] for r in sorted(roots)]
     residual_list = list(residual.coeffs) if residual.degree >= 1 else None
     return root_list, residual_list
@@ -247,6 +242,8 @@ def _cmd_bound(args, out) -> int:
     if (args.s is None) != (args.r is None):
         raise StarCompError("--s and --r must be given together")
     if args.s is not None:
+        if not 1 <= args.s <= args.r:
+            raise StarCompError(f"--s and --r need 1 <= s <= r, got s={args.s}, r={args.r}")
         record["s"] = args.s
         record["r"] = args.r
         record["sizeBound"] = args.s * (args.r - args.s)
@@ -261,10 +258,7 @@ def main(argv=None) -> int:
                "bound": _cmd_bound}[args.command]
     try:
         return handler(args, sys.stdout)
-    except StarCompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except ValueError as exc:
+    except (StarCompError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

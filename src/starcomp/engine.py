@@ -48,8 +48,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical
-from .errors import (BadTag, DuplicateNeighbourhood, InternalInconsistency,
-                     TooLarge, Unbounded)
+from .errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
+                     InternalInconsistency, TooLarge, Unbounded)
 from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
 from .linalg import (combination_vanishes, identity, mat_mul, matrix_powers,
                      minimal_polynomial, multiplicity, resolvent_coefficients,
@@ -277,7 +277,6 @@ class Certificate:
 class StarSolution:
     """A graph together with a certified star set inside it."""
     candidates: tuple[CandidateVector, ...]
-    ax: Graph
     graph: Graph
     x_vertices: tuple[int, ...]
     cert: Certificate
@@ -354,11 +353,10 @@ def solution_from_assembled(ctx: StarContext, G: Graph,
     solution; raises InternalInconsistency when its certificate fails."""
     xs = tuple(x_vertices)
     chosen = [_candidate(ctx, G.adj[x] & ((1 << ctx.q) - 1)) for x in xs]
-    ax = induced_subgraph(G, xs)
     cert = verify_star_pair(G, xs, ctx.mu)
     if not cert.passed:
         raise InternalInconsistency("assembled solution failed certification")
-    return StarSolution(candidates=tuple(chosen), ax=ax, graph=G,
+    return StarSolution(candidates=tuple(chosen), graph=G,
                         x_vertices=xs, cert=cert)
 
 
@@ -368,6 +366,8 @@ def solution_from_assembled(ctx: StarContext, G: Graph,
 def multiplicity_cap(q: int) -> int:
     """(q+1)(q-2)/2: the multiplicity bound from a complement of order
     q >= 3 when mu is outside {-1, 0}."""
+    if q < HALF_CAP_MIN_Q:
+        raise HypothesisViolated(f"the multiplicity cap needs q >= {HALF_CAP_MIN_Q}, got {q}")
     return (q + 1) * (q - 2) // 2
 
 

@@ -1,19 +1,20 @@
 """Exact linear algebra over Z, Q and quadratic extensions.
 
 Matrices are plain lists of row lists, with integer entries wherever the
-package calls in.  Ranks come from one fraction-free (Bareiss)
-elimination, the characteristic polynomial comes from Berkowitz's
-division-free algorithm, and the multiplicity of an eigenvalue, rational
-or quadratic, is an integer rank.  Scalars from Q(sqrt(d)) enter only as
-coefficients of integer matrices: a combination sum_j c_j M_j is summed
-over one common denominator, split into its rational and sqrt(d) parts,
-so testing it for zero is pure int.  No QNum matrix is built: the
-engine takes the scaled resolvent N as those integer parts.
+package calls in.  Ranks and the minimal polynomial come from one
+fraction-free (Bareiss) elimination, the characteristic polynomial comes
+from Berkowitz's division-free algorithm, and the multiplicity of an
+eigenvalue, rational or quadratic, is an integer rank.  Scalars from
+Q(sqrt(d)) enter only as coefficients of integer matrices: a combination
+sum_j c_j M_j is summed over one common denominator, split into its
+rational and sqrt(d) parts, so testing it for zero is pure int.  No QNum
+matrix is built: the engine takes the scaled resolvent N as those integer
+parts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import count
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -24,8 +25,8 @@ from .errors import InternalInconsistency, MuIsEigenvalue
 Matrix = list[list]
 
 
-def identity(n: int, one=1) -> Matrix:
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+def identity(n: int) -> Matrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -39,7 +40,9 @@ def _eliminate(a: Matrix, ncols: int) -> tuple[int, int, int]:
     A column with no pivot left is skipped, so the rows end in echelon
     form.  After the k-th pivot every entry below it is a (k+1) x (k+1)
     minor of the input, so each division by the previous pivot is exact
-    (Bareiss, Math. Comp. 22, 1968).  Returns the rank, the sign of the
+    (Bareiss, Math. Comp. 22, 1968).  Columns past ncols are never pivots
+    but are carried along by the same row operations, so they too hold
+    exact minors of the input.  Returns the rank, the sign of the
     row permutation and the last pivot, which for a square matrix of full
     rank is its determinant up to that sign.
     """
@@ -131,40 +134,27 @@ def char_polynomial(A: Matrix) -> IntPoly:
 
 
 def minimal_polynomial(A: Matrix) -> IntPoly:
-    """Monic minimal polynomial of an integer matrix.
+    """Monic minimal polynomial of a square integer matrix.
 
-    Finds the least k with A^k dependent on lower powers, by Gaussian
-    elimination over Q on the flattened powers I, A, A^2, ...
+    Row k stacks the flattened power A^k with the unit tag e_k, and
+    _eliminate reduces rows 0..k over their n*n matrix columns.  At the
+    least k where those k + 1 rows have rank k, A^k is the first power
+    that depends on the lower ones: the zero row's tag then holds integer
+    coefficients c_0..c_k with sum c_j A^j = 0, an integer multiple of m.
     """
     n = len(A)
-    if n == 0:
-        return IntPoly([1])
-    dim = n * n
-    basis: list[tuple[list[Fraction], list[Fraction]]] = []  # (reduced vec, combo)
+    flat: list[list[int]] = []
     power = identity(n)
-    k = 0
-    while True:
-        vec = [Fraction(x) for row in power for x in row]
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        for red, rcombo in basis:
-            piv = next(i for i, x in enumerate(red) if x)
-            if vec[piv]:
-                f = vec[piv] / red[piv]
-                for i in range(dim):
-                    vec[i] -= f * red[i]
-                for i, c in enumerate(rcombo):
-                    combo[i] -= f * c
-        if all(x == 0 for x in vec):
-            lead = combo[k]
-            cs = [c / lead for c in combo]
-            if any(c.denominator != 1 for c in cs):
+    for k in count():
+        flat.append([x for row in power for x in row])
+        rows = [vec + [int(i == j) for j in range(k + 1)] for i, vec in enumerate(flat)]
+        if _eliminate(rows, n * n)[0] == k:
+            tag = rows[k][n * n:]
+            if any(c % tag[-1] for c in tag):
                 raise InternalInconsistency("minimal polynomial of an integer matrix "
                                             "has a non-integer coefficient")
-            return IntPoly([c.numerator for c in cs])
-        basis.append((vec, combo))
+            return IntPoly(c // tag[-1] for c in tag)
         power = mat_mul(power, A)
-        k += 1
 
 
 def resolvent_coefficients(m: IntPoly, mu: QNum) -> tuple[list[QNum], QNum]:

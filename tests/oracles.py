@@ -4,12 +4,16 @@ They are the exact-field routes the package used before its certificate,
 context checks and scaled resolvent moved to integer matrices: Gaussian
 elimination over QNum, the scaled resolvent N summed in QNum, its pairing
 x^T N y, and the reconstruction product B^T N B; the characteristic
-polynomial by interpolation through n + 1 determinants; the pair-label
-tables as one column-and-sum per pair; and polynomial division over Q.
-They are slow and simple on purpose; nothing in the package calls them.
+polynomial by interpolation through n + 1 determinants; the minimal
+polynomial by elimination over Q on the powers of the matrix; the pair-label
+tables as one column-and-sum per pair; and polynomial division over Q,
+with a pointwise check of a factorisation into integer roots and their
+cofactor.  They are slow and simple on purpose; nothing in the package
+calls them.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from starcomp.algebra import IntPoly, qnum
 from starcomp.graphs import induced_subgraph
@@ -47,6 +51,23 @@ def divides(d, p):
     if not d.coeffs:
         return not p.coeffs
     return not divmod_exact(p, d)[1]
+
+
+def assert_deflation(p, roots, cofactor):
+    """The cofactor of a non-zero p has no integer root (each would divide
+    its constant term), and cofactor(x) prod (x - r)^m equals p(x) at
+    deg p + 1 integer points, so as polynomials."""
+    c0 = abs(cofactor.coeffs[0])
+    assert c0, "x divides the cofactor"
+    for d in range(1, isqrt(c0) + 1):
+        if c0 % d == 0:
+            for r in (d, -d, c0 // d, -(c0 // d)):
+                assert cofactor(r) != 0, r
+    for x in range(p.degree + 1):
+        prod = cofactor(x)
+        for r, m in roots.items():
+            prod *= (x - r) ** m
+        assert prod == p(x), x
 
 
 def interpolated_char_polynomial(A):
@@ -95,6 +116,39 @@ def field_rank(M):
         rank += 1
         col += 1
     return rank
+
+
+def minimal_polynomial_over_q(A):
+    """Monic minimal polynomial of an integer matrix: the least k with A^k
+    dependent on the lower powers, by Gaussian elimination over Q on the
+    flattened powers I, A, A^2, ..."""
+    n = len(A)
+    if n == 0:
+        return IntPoly([1])
+    dim = n * n
+    basis = []  # (reduced vec, combo)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    k = 0
+    while True:
+        vec = [Fraction(x) for row in power for x in row]
+        combo = [Fraction(0)] * (k + 1)
+        combo[k] = Fraction(1)
+        for red, rcombo in basis:
+            piv = next(i for i, x in enumerate(red) if x)
+            if vec[piv]:
+                f = vec[piv] / red[piv]
+                for i in range(dim):
+                    vec[i] -= f * red[i]
+                for i, c in enumerate(rcombo):
+                    combo[i] -= f * c
+        if all(x == 0 for x in vec):
+            lead = combo[k]
+            cs = [c / lead for c in combo]
+            assert all(c.denominator == 1 for c in cs), cs
+            return IntPoly([c.numerator for c in cs])
+        basis.append((vec, combo))
+        power = mat_mul(power, A)
+        k += 1
 
 
 def qnum_resolvent(C, mu):

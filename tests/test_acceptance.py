@@ -34,7 +34,7 @@ GOLDEN = parse_scalar("root(-1,1):pos")
 
 def integer_spectrum(sol):
     """{root: multiplicity}, asserting the spectrum is fully integral."""
-    roots = char_polynomial(sol.graph.matrix()).integer_roots()
+    roots, _ = char_polynomial(sol.graph.matrix()).integer_roots()
     assert sum(roots.values()) == sol.order
     return roots
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import divides, divmod_exact
+from oracles import assert_deflation, divides, divmod_exact
 from starcomp.algebra import IntPoly, QNum, parse_scalar, qnum
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -157,54 +157,24 @@ def test_divmod_exact_and_divides():
     assert rem == [] and quo == [Fraction(-1), Fraction(1)]
     assert divides(q, p)
     assert not divides(IntPoly([5, 1]), p)
-    assert p.exact_div(q).coeffs == (-1, 1)
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ValueError):
-        IntPoly([1, 1, 1]).exact_div(IntPoly([1, 1]))
-    with pytest.raises(ValueError):     # x / 2x = 1/2, remainder 0
-        IntPoly([0, 1]).exact_div(IntPoly([0, 2]))
-    with pytest.raises(ZeroDivisionError):
-        IntPoly([1]).exact_div(IntPoly([]))
 
 
 def test_integer_roots_with_multiplicity():
     # (x-1)^2 (x+3) = x^3 + x^2 - 5x + 3
-    assert IntPoly([3, -5, 1, 1]).integer_roots() == {1: 2, -3: 1}
+    p = IntPoly([3, -5, 1, 1])
+    assert p.integer_roots() == ({1: 2, -3: 1}, IntPoly([1]))
     # x^2 + x - 1 has no integer roots
-    assert IntPoly([-1, 1, 1]).integer_roots() == {}
+    assert IntPoly([-1, 1, 1]).integer_roots() == ({}, IntPoly([-1, 1, 1]))
+    # x^2 (x - 2)(2x^2 + 1) = 2x^5 - 4x^4 + x^3 - 2x^2
+    p = IntPoly([0, 0, -2, 1, -4, 2])
+    roots, cofactor = p.integer_roots()
+    assert roots == {0: 2, 2: 1} and cofactor == IntPoly([1, 0, 2])
+    assert_deflation(p, roots, cofactor)
+    assert IntPoly([]).integer_roots() == ({}, IntPoly([]))
 
 
 def _poly(coeffs):
     return IntPoly(coeffs)
-
-
-@given(st.lists(small_ints, min_size=1, max_size=5),
-       st.lists(small_ints, min_size=1, max_size=4))
-def test_product_division_roundtrip(a, b):
-    p, q = _poly(a), _poly(b)
-    if q.degree < 0:
-        return
-    prod = p * q
-    assert divides(q, prod)
-    assert prod.exact_div(q).coeffs == p.coeffs
-
-
-@given(st.lists(small_ints, min_size=0, max_size=6),
-       st.lists(small_ints, min_size=1, max_size=4))
-def test_exact_div_matches_division_over_q(a, b):
-    # the integer long division succeeds exactly when the division over Q
-    # leaves no remainder and an integer quotient
-    p, q = _poly(a), _poly(b)
-    if q.degree < 0:
-        return
-    quo, rem = divmod_exact(p, q)
-    if not rem and all(f.denominator == 1 for f in quo):
-        assert p.exact_div(q).coeffs == IntPoly(quo).coeffs
-    else:
-        with pytest.raises(ValueError):
-            p.exact_div(q)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6),
@@ -225,8 +195,9 @@ def test_integer_roots_are_roots(coeffs, probe):
     p = _poly(coeffs)
     if p.degree < 0:
         return
-    roots = p.integer_roots()
+    roots, cofactor = p.integer_roots()
     for r, m in roots.items():
         assert m >= 1 and p(r) == 0
     if p(probe) != 0:
         assert probe not in roots
+    assert_deflation(p, roots, cofactor)

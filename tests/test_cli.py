@@ -144,6 +144,14 @@ def test_search_output_file_reruns_identically(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_search_output_into_missing_directory_is_an_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(capsys, "search", "3", "3", "1", "--sweep",
+                         "--output", str(path))
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert not path.exists()
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_passing(capsys):
@@ -237,6 +245,18 @@ def test_bound_with_degree(capsys):
 def test_bound_s_without_r(capsys):
     code, out, err = run(capsys, "bound", "--q", "6", "--s", "3")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("q", ["2", "1", "0", "-3"])
+def test_bound_rejects_q_below_3(capsys, q):
+    code, out, err = run(capsys, "bound", "--q", q)
+    assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("s,r", [("3", "1"), ("0", "4"), ("-1", "2")])
+def test_bound_rejects_s_outside_1_to_r(capsys, s, r):
+    code, out, err = run(capsys, "bound", "--q", "5", "--s", s, "--r", r)
+    assert code == 1 and out == "" and "error:" in err
 
 
 # ------------------------------------------------------------- bad usage

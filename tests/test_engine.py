@@ -31,8 +31,8 @@ from starcomp.engine import (Compat, make_context, classify_pair,
                              enumerate_candidates, multiplicity_cap,
                              search_star_sets, solution_from_assembled,
                              verify_star_pair)
-from starcomp.errors import (BadTag, DuplicateNeighbourhood, MuIsEigenvalue,
-                             TooLarge, Unbounded)
+from starcomp.errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
+                             MuIsEigenvalue, TooLarge, Unbounded)
 import starcomp
 from starcomp.graphs import (Graph, complete, cycle, graph6_encode,
                              induced_subgraph)
@@ -488,15 +488,17 @@ def test_search_regular_fixed_degree(k33_ctx):
     assert all(d == 4 for d in sols[0].graph.degrees())
 
 
-def test_search_results_certified_and_labeled(k33_sweep):
+def test_search_results_certified_and_labeled(k33_ctx, k33_sweep):
     for sol in k33_sweep:
         assert sol.cert.passed
         assert sol.cert.multiplicity == len(sol.x_vertices)
         # pair labels match assembled adjacency
-        g, xs = sol.graph, sol.x_vertices
+        g, xs, cands = sol.graph, sol.x_vertices, sol.candidates
         for i, u in enumerate(xs):
-            for v in xs[i + 1:]:
-                assert g.adjacent(u, v) == sol.ax.adjacent(xs.index(u), xs.index(v))
+            for j in range(i + 1, len(xs)):
+                label = classify_pair(k33_ctx, cands[i], cands[j])
+                assert label is not Compat.INCOMPATIBLE
+                assert g.adjacent(u, xs[j]) == (label is Compat.ADJACENT)
 
 
 def test_search_deterministic(k33_ctx, k33_sweep):
@@ -971,6 +973,8 @@ def test_multiplicity_cap_values():
     assert multiplicity_cap(12) == 65
     assert multiplicity_cap(6) == 14
     assert multiplicity_cap(3) == 2
+    with pytest.raises(HypothesisViolated):
+        multiplicity_cap(2)
 
 
 def test_sweep_respects_multiplicity_cap(k33_sweep):

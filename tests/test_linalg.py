@@ -1,8 +1,9 @@
 """Exact linear algebra: determinants, characteristic and minimal
 polynomials, the resolvent coefficients, integer rank and eigenvalue
 multiplicity.  The oracles (elimination over QNum, the QNum scaled
-resolvent, the interpolated characteristic polynomial, the Bareiss
-determinant and polynomial division over Q) live in oracles.py.
+resolvent, the interpolated characteristic polynomial, the minimal
+polynomial over Q, the Bareiss determinant and polynomial division over
+Q) live in oracles.py.
 
 Characteristic polynomial oracles below are classical values (cycles,
 complete bipartite graphs, the Petersen graph) checked against closed-form
@@ -14,7 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (det_bareiss, divides, field_rank, interpolated_char_polynomial,
+from oracles import (assert_deflation, det_bareiss, divides, field_rank,
+                     interpolated_char_polynomial, minimal_polynomial_over_q,
                      qnum_resolvent)
 from starcomp.algebra import IntPoly, QNum, qnum
 from starcomp.catalog import petersen
@@ -87,7 +89,7 @@ def test_char_polynomial_petersen():
     # (x-3)(x-1)^5 (x+2)^4
     p = char_polynomial(petersen().matrix())
     assert p.degree == 10 and p.is_monic
-    assert p.integer_roots() == {3: 1, 1: 5, -2: 4}
+    assert p.integer_roots() == ({3: 1, 1: 5, -2: 4}, IntPoly([1]))
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(int_matrix))
@@ -124,18 +126,9 @@ def test_char_polynomial_on_largest_sweep_graphs():
         p = char_polynomial(A)
         assert p == interpolated_char_polynomial(A)
         # the integer roots times the residual factor give p back
-        roots = p.integer_roots()
+        roots, residual = p.integer_roots()
         assert roots[1] == sol.cert.multiplicity == len(sol.x_vertices)
-        residual = p
-        for root, mult in roots.items():
-            for _ in range(mult):
-                residual = residual.exact_div(IntPoly([-root, 1]))
-        assert residual.integer_roots() == {}
-        product = residual
-        for root, mult in roots.items():
-            for _ in range(mult):
-                product = product * IntPoly([-root, 1])
-        assert product == p
+        assert_deflation(p, roots, residual)
 
 
 def _sym(M):
@@ -157,6 +150,21 @@ def test_minimal_polynomial_divides_and_annihilates(M):
         acc = [[acc[i][j] + c * power[i][j] for j in range(n)] for i in range(n)]
         power = mat_mul(power, M)
     assert all(acc[i][j] == 0 for i in range(n) for j in range(n))
+    # minimal: I, M, ..., M^(d-1) are independent
+    powers = [identity(n)]
+    for _ in range(m.degree - 1):
+        powers.append(mat_mul(powers[-1], M))
+    assert int_rank([[x for row in P for x in row] for P in powers]) == m.degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(int_matrix), st.booleans())
+@example([], False)
+@example(make_kts(6, 6).matrix(), False)
+def test_minimal_polynomial_matches_elimination_over_q(M, symmetric):
+    if symmetric:
+        M = _sym(M)
+    assert minimal_polynomial(M) == minimal_polynomial_over_q(M)
 
 
 def test_minimal_polynomial_known():

@@ -1,11 +1,13 @@
-"""Canonical forms for small graphs.
+"""Canonical forms for small graphs, and isomorphism tests of any order.
 
 Colour refinement seeded with (degree, triangle count), then backtracking over
 individualization choices; the canonical form is the lexicographically least
 graph6 encoding over all leaves, and its perm is that of the first leaf, in
 depth-first order, to reach it.  Sound and complete for the enforced n <= 20
-cap; larger graphs, such as the order 21-27 finds of a sweep, are
-deduplicated with are_isomorphic instead.
+cap.  are_isomorphic has no cap: it maps the vertices of one graph onto those
+of the same stable colour (stable_colouring) in the other.  The engine
+deduplicates finds of every order by buckets of that colouring and
+are_isomorphic; canonical forms only key the output order.
 
 The search tree is pruned with automorphisms, after McKay and Piperno,
 "Practical graph isomorphism, II" (J. Symbolic Comput. 60, 2014).  Twins
@@ -25,6 +27,7 @@ full one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import TooLarge
 from .graphs import Graph, graph6_encode
@@ -189,41 +192,82 @@ def canonical_graph(g: Graph) -> Graph:
     return g.relabel(canonical(g).perm)
 
 
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test; no size cap (backtracking on refined colours)."""
-    if a.n != b.n or sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    na = [a.neighbours(v) for v in range(a.n)]
-    nb = [b.neighbours(v) for v in range(b.n)]
-    ca = _refine(na, _initial_colors(a, na), list(range(a.n)))[0]
-    cb = _refine(nb, _initial_colors(b, nb), list(range(b.n)))[0]
-    if sorted(ca) != sorted(cb):
-        return False
-    # order a's vertices most-constrained first
-    order = sorted(range(a.n), key=lambda v: (ca.count(ca[v]), ca[v]))
-    image = [-1] * a.n
-    used = [False] * b.n
+def stable_colouring(g: Graph) -> tuple[list[int], tuple]:
+    """The stable colouring canonical() starts from, and its signature.
 
-    def extend(i: int) -> bool:
-        if i == a.n:
+    The signature lists each cell's size and the sorted colours of its
+    vertices' neighbours (the refinement key, equal across the cell).  Both
+    are isomorphism invariants: an isomorphism carries one graph's colouring
+    onto the other's, so isomorphic graphs have equal signatures.
+    """
+    nbrs = [g.neighbours(v) for v in range(g.n)]
+    colors, cells = _refine(nbrs, _initial_colors(g, nbrs), list(range(g.n)))
+    return colors, tuple((len(cell), tuple(sorted([colors[u] for u in nbrs[cell[0]]])))
+                         for cell in cells)
+
+
+def are_isomorphic(a: Graph, b: Graph,
+                   colourings: Optional[tuple[tuple, tuple]] = None) -> bool:
+    """Exact isomorphism test; no size cap.
+
+    colourings holds stable_colouring(a) and stable_colouring(b) when the
+    caller has them already.  An isomorphism maps each vertex of a to one
+    of the same stable colour in b, so the test backtracks over those,
+    placing a's vertices breadth first (each after a neighbour, where one
+    exists, which pins its image to a neighbour's).  Rows are bitmasks: w
+    may take v when b's row of w on the placed vertices is the image of a's
+    row of v on them.  Nothing individualises and refines, so a refutation
+    between non-isomorphic graphs with equal colourings can walk many
+    nodes on a symmetric pair.
+    """
+    if a.n != b.n:
+        return False
+    (ca, sig_a), (cb, sig_b) = colourings or (stable_colouring(a), stable_colouring(b))
+    if sig_a != sig_b:
+        return False
+    n, adj_a, adj_b = a.n, a.adj, b.adj
+    cell_b = [0] * len(sig_b)
+    for w, c in enumerate(cb):
+        cell_b[c] |= 1 << w
+    # Breadth first, each component from a vertex of its smallest cell and
+    # each vertex's new neighbours queued smallest cell first.  Refuting two
+    # of the K_{6,6} mu=-2 r=10 finds (cells of 12 and 6) then takes 31
+    # nodes, against about 19,500 in plain breadth-first order; ordering by
+    # cell alone, not breadth first, ran past 20 s on one pair of
+    # relabelled cycles of order 21 to 27.
+    rank = sorted(range(n), key=lambda v: (sig_a[ca[v]][0], ca[v]))
+    order: list[int] = []
+    seen = 0
+    for root in rank:
+        if not seen >> root & 1:
+            seen |= 1 << root
+            queue = [root]
+            for v in queue:
+                fresh = adj_a[v] & ~seen
+                seen |= fresh
+                queue.extend(u for u in rank if fresh >> u & 1)
+            order += queue
+    # back[i]: the neighbours of order[i] placed before it
+    back = [[u for u in order[:i] if adj_a[v] >> u & 1] for i, v in enumerate(order)]
+    image = [0] * n    # image[v]: the bit of v's image in b
+    row = [0] * n      # row[v]: b's row of that image
+
+    def extend(i: int, done: int) -> bool:
+        if i == n:
             return True
-        v = order[i]
-        for w in range(b.n):
-            if used[w] or cb[w] != ca[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if a.adjacent(v, u) != b.adjacent(w, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(i + 1):
+        v, prior = order[i], back[i]
+        target = sum([image[u] for u in prior])
+        m = cell_b[ca[v]] & ~done
+        if prior:
+            m &= row[prior[0]]
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            if adj_b[w] & done == target:
+                image[v], row[v] = low, adj_b[w]
+                if extend(i + 1, done | low):
                     return True
-                used[w] = False
-                image[v] = -1
         return False
 
-    return extend(0)
+    return extend(0, 0)

@@ -47,7 +47,7 @@ from itertools import combinations, product
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import QNum, qnum
-from .canon import CANONICAL_CAP, are_isomorphic, canonical
+from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
 from .errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
                      InternalInconsistency, TooLarge, Unbounded)
 from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
@@ -473,21 +473,25 @@ def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool
 
 def _dedupe(found: list[tuple[Graph, tuple[int, ...]]]
             ) -> list[tuple[Graph, tuple[int, ...], tuple]]:
-    """One representative per isomorphism class, keyed for deterministic order."""
+    """One representative per isomorphism class, the first find of each,
+    keyed for deterministic order.
+
+    Each find is refined once and bucketed by its order and the signature
+    of its stable colouring, both isomorphism invariants; it is tested only
+    against the representatives in its bucket, with the colourings already
+    at hand.  The key of a new class is (n, canonical bytes), or (n, graph6
+    of the representative) above CANONICAL_CAP.
+    """
     reps: list[tuple[Graph, tuple[int, ...], tuple]] = []
-    seen_keys = set()
+    buckets: dict[tuple, list[tuple[Graph, tuple]]] = {}
     for g, xs in found:
-        if g.n <= CANONICAL_CAP:
-            key = (g.n, canonical(g).bytes)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-        else:
-            if any(h.n == g.n and h.n > CANONICAL_CAP and are_isomorphic(h, g)
-                   for h, _, _ in reps):
-                continue
-            key = (g.n, graph6_encode(g).encode())
-        reps.append((g, xs, key))
+        colouring = stable_colouring(g)
+        bucket = buckets.setdefault((g.n, colouring[1]), [])
+        if any(are_isomorphic(h, g, (ch, colouring)) for h, ch in bucket):
+            continue
+        bucket.append((g, colouring))
+        form = canonical(g).bytes if g.n <= CANONICAL_CAP else graph6_encode(g).encode()
+        reps.append((g, xs, (g.n, form)))
     reps.sort(key=lambda item: item[2])
     return reps
 
@@ -522,7 +526,8 @@ def search_star_sets(ctx: StarContext,
 
     Results are deduplicated up to isomorphism, certified (every returned
     solution passes verify_star_pair) and sorted by order then canonical
-    bytes, so repeated runs produce identical output.
+    bytes (graph6 above CANONICAL_CAP), so repeated runs produce identical
+    output.
     """
     for name, limit in (("max_x", max_x), ("max_solutions", max_solutions)):
         if limit is not None and limit < 0:
@@ -670,6 +675,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
         for v in _ones(c.mask):
             cover_mask[v] |= 1 << i
     special = ctx.mu_special
+    room = [] if r is None else [r - c.size for c in cands]  # the X-degree each pick must reach
 
     def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
                 allowed: int, state):
@@ -678,7 +684,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
         # have passed
         if cov == need:
             # H-side degrees are saturated; X-side must match exactly
-            if (all(adeg[p] == r - cands[i].size for p, i in enumerate(chosen_idx))
+            if (all(adeg[p] == room[i] for p, i in enumerate(chosen_idx))
                     and extend(state, chosen_idx) is not None):
                 emit(chosen_idx)
             return
@@ -708,7 +714,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             # No mask bounds the new candidate's own X-degree.
             hit = [adj_mask[p] >> i & 1 for p in chosen_idx]
             acount = sum(hit)
-            if acount > r - c.size:
+            if acount > room[i]:
                 continue
             nxt = chosen_idx + [i]
             new_adeg = [d + h for d, h in zip(adeg, hit)] + [acount]
@@ -721,7 +727,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                 if new_cov[v] == need[v]:
                     pruned &= ~cover_mask[v]
             for p, pi in enumerate(nxt):
-                if new_adeg[p] == r - cands[pi].size:
+                if new_adeg[p] == room[pi]:
                     pruned &= ~adj_mask[pi]
             regular(nxt, new_cov, new_adeg, pruned, state)
 

@@ -6,9 +6,10 @@ elimination over QNum, the scaled resolvent N summed in QNum, its pairing
 x^T N y, and the reconstruction product B^T N B; the characteristic
 polynomial by interpolation through n + 1 determinants; the minimal
 polynomial by elimination over Q on the powers of the matrix; the pair-label
-tables as one column-and-sum per pair; and polynomial division over Q,
+tables as one column-and-sum per pair; polynomial division over Q,
 with a pointwise check of a factorisation into integer roots and their
-cofactor.  They are slow and simple on purpose; nothing in the package
+cofactor; and isomorphism dedupe by canonical bytes up to the canonical
+cap, pairwise tests against every representative above it.  They are slow and simple on purpose; nothing in the package
 calls them.
 """
 
@@ -16,7 +17,8 @@ from fractions import Fraction
 from math import isqrt
 
 from starcomp.algebra import IntPoly, qnum
-from starcomp.graphs import induced_subgraph
+from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
+from starcomp.graphs import graph6_encode, induced_subgraph
 from starcomp.linalg import _eliminate, char_polynomial, mat_mul, minimal_polynomial
 
 
@@ -225,3 +227,24 @@ def label_tables(ctx, cands):
                 adj_mask[i] |= 1 << j
                 adj_mask[j] |= 1 << i
     return adj_mask, compat_mask
+
+
+def dedupe(found):
+    """engine._dedupe as it was before colour-refinement buckets: the first
+    find of each class, keyed by (n, canonical bytes) up to CANONICAL_CAP;
+    above it, tested against every earlier representative and keyed by
+    (n, its graph6)."""
+    reps, seen_keys = [], set()
+    for g, xs in found:
+        if g.n <= CANONICAL_CAP:
+            key = (g.n, canonical(g).bytes)
+            if key in seen_keys:
+                continue
+            seen_keys.add(key)
+        else:
+            if any(h.n == g.n and are_isomorphic(h, g) for h, _, _ in reps):
+                continue
+            key = (g.n, graph6_encode(g).encode())
+        reps.append((g, xs, key))
+    reps.sort(key=lambda item: item[2])
+    return reps

@@ -214,14 +214,16 @@ def _switched(g, rng):
     return g
 
 
+def _to_nx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def _agrees_with_networkx(nx, a, b):
-    def to_nx(g):
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges())
-        return h
     same_form = canonical(a).bytes == canonical(b).bytes
-    return same_form == nx.is_isomorphic(to_nx(a), to_nx(b))
+    return same_form == nx.is_isomorphic(_to_nx(nx, a), _to_nx(nx, b))
 
 
 def test_canonical_matches_networkx_random():
@@ -251,3 +253,41 @@ def test_canonical_matches_networkx_symmetric(k66_r10):
         assert _agrees_with_networkx(nx, g, _relabelled(_switched(g, rng), rng))
     for a, b in itertools.combinations([sol.graph for sol in k66_r10], 2):
         assert _agrees_with_networkx(nx, _relabelled(a, rng), _relabelled(b, rng))
+
+
+def _from_nx(h):
+    return Graph.from_edges(h.number_of_nodes(), h.edges())
+
+
+def test_are_isomorphic_matches_networkx():
+    # above CANONICAL_CAP too: random graphs and relabelled or switched
+    # copies, random regular pairs, and triangle-free cubic pairs, whose
+    # stable colourings are one cell each, so only the backtracking decides
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1984)
+    outcomes = set()
+    pairs = []
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        p = rng.choice([0.1, 0.2, 0.5, 0.8])
+        a = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < p])
+        pairs.append((a, _relabelled(rng.choice([a, _switched(a, rng)]), rng)))
+    for _ in range(60):
+        n = rng.randrange(6, 25, 2)
+        d = rng.choice([3, 4, n // 2])
+        a = _from_nx(nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30)))
+        b = _from_nx(nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30)))
+        pairs += [(a, b), (a, _relabelled(a, rng))]
+    cubic = []
+    while len(cubic) < 30:
+        h = nx.random_regular_graph(3, rng.randrange(10, 25, 2), seed=rng.randrange(1 << 30))
+        if not any(nx.triangles(h).values()):
+            cubic.append(_from_nx(h))
+    pairs += [(a, b) for a, b in itertools.combinations(cubic, 2) if a.n == b.n]
+    for a, b in pairs:
+        same = are_isomorphic(a, b)
+        assert same == nx.is_isomorphic(_to_nx(nx, a), _to_nx(nx, b)), (a, b)
+        assert are_isomorphic(b, a) == same
+        outcomes.add(same)
+    assert outcomes == {True, False}

@@ -11,6 +11,7 @@ import ast
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -24,7 +25,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from oracles import pairing, qnum_certificate, qnum_resolvent
 from starcomp.algebra import QNum, qnum
-from starcomp.canon import are_isomorphic
+from starcomp.canon import are_isomorphic, stable_colouring
 from starcomp.catalog import named_graph, petersen
 from starcomp import engine
 from starcomp.engine import (Compat, make_context, classify_pair,
@@ -34,7 +35,7 @@ from starcomp.engine import (Compat, make_context, classify_pair,
 from starcomp.errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
                              MuIsEigenvalue, TooLarge, Unbounded)
 import starcomp
-from starcomp.graphs import (Graph, complete, cycle, graph6_encode,
+from starcomp.graphs import (Graph, complete, cycle, disjoint_union, graph6_encode,
                              induced_subgraph)
 from starcomp.kts import make_kts, solve_types_fixed
 
@@ -600,7 +601,7 @@ def test_sweep_max_solutions_is_one_budget(monkeypatch, t, s, budget):
 # finds of the tagged searches fell with orderly pruning (20, 85, 56, 455
 # and 7 before it).  Maximal mode has no benchmark workload, so these pins
 # are what guard it.
-@pytest.mark.parametrize("H,mu,tag,require,max_x,raw,classes,digest", [
+SEARCH_MODES = [
     ((3, 3), 1, True, None, None, 1, 1,
      "98a87b6f2a7279f0a40fa3fcc9b01a43c9f27cbdfbdf6b15297187a4850eef9e"),
     ((2, 2), -1, True, None, 4, 10, 8,
@@ -618,15 +619,68 @@ def test_sweep_max_solutions_is_one_budget(monkeypatch, t, s, budget):
     # tagged: orderly pruning leaves 3 of the 13 finds, one per class
     ((3, 3), 1, True, "sweep", None, 3, 3,
      "72cde243ccde9b474da53e0ef57c7101831dc3943247fa9d5a10879395f3b86c"),
-])
+]
+
+
+def _mode_context(H, mu, tag):
+    g = petersen() if H == "petersen" else make_kts(*H)
+    return make_context(g, qnum(mu), bipartite_tag=H if tag else None)
+
+
+@pytest.mark.parametrize("H,mu,tag,require,max_x,raw,classes,digest", SEARCH_MODES)
 def test_search_modes_pinned(monkeypatch, H, mu, tag, require, max_x, raw, classes,
                              digest):
     calls = _count_raw_finds(monkeypatch)
-    g = petersen() if H == "petersen" else make_kts(*H)
-    ctx = make_context(g, qnum(mu), bipartite_tag=H if tag else None)
-    sols = search_star_sets(ctx, require_regular=require, max_x=max_x)
+    sols = search_star_sets(_mode_context(H, mu, tag), require_regular=require,
+                            max_x=max_x)
     assert (calls[0], len(sols)) == (raw, classes)
     assert hashlib.sha256(solution_lines(sols).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("H,mu,tag,require,max_x,raw,classes,digest", SEARCH_MODES)
+def test_dedupe_matches_oracle(monkeypatch, H, mu, tag, require, max_x, raw, classes,
+                               digest):
+    # the raw finds of each pinned search, deduplicated by the colouring
+    # buckets and by the route they replaced (canonical bytes up to the
+    # cap, a pairwise scan above it)
+    runs = []
+    real = engine._dedupe
+    monkeypatch.setattr(engine, "_dedupe", lambda found: runs.append(found) or real(found))
+    search_star_sets(_mode_context(H, mu, tag), require_regular=require, max_x=max_x)
+    (found,) = runs
+    assert len(found) == raw
+    assert real(found) == oracles.dedupe(found)
+
+
+def rook_4x4():
+    return Graph.from_edges(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
+                                 if u // 4 == v // 4 or u % 4 == v % 4])
+
+
+def shrikhande():
+    # Cayley graph of Z_4 x Z_4 on +-(1, 0), +-(0, 1), +-(1, 1)
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return Graph.from_edges(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
+                                 if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps])
+
+
+@pytest.mark.parametrize("a,b", [
+    (rook_4x4(), shrikhande()),                               # srg(16, 6, 2, 2)
+    (cycle(21), disjoint_union(cycle(10), cycle(11))),       # above CANONICAL_CAP
+])
+def test_dedupe_bucket_collisions(a, b):
+    # non-isomorphic graphs with one stable colouring share a bucket, so
+    # only the isomorphism test tells them apart
+    assert stable_colouring(a)[1] == stable_colouring(b)[1]
+    assert not are_isomorphic(a, b)
+    rng = random.Random(a.n)
+    perm = list(range(a.n))
+    rng.shuffle(perm)
+    found = [(b, (0,)), (a, (1,)), (b.relabel(perm), (2,)), (a.relabel(perm), (3,))]
+    reps = engine._dedupe(found)
+    assert reps == oracles.dedupe(found)
+    # one class each, represented by its first find
+    assert sorted(xs for _, xs, _ in reps) == [(0,), (1,)]
 
 
 def part_symmetries(t, s):
@@ -750,6 +804,22 @@ def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
     ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
     assert search_star_sets(ctx, require_regular=require)
     assert calls[0] == tests
+
+
+# _dedupe refines each find once and calls canonical() once per class of
+# order <= CANONICAL_CAP (8 of the 12 here; 68 calls before the colouring
+# buckets), and are_isomorphic once per repeat find (107 of 119), each
+# against the one representative in its bucket.
+def test_dedupe_calls_pinned(monkeypatch):
+    calls = Counter()
+    for name in ("canonical", "are_isomorphic"):
+        def counted(*args, _real=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(engine, name, counted)
+    ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
+    assert len(search_star_sets(ctx, require_regular="sweep")) == 12
+    assert calls == {"canonical": 8, "are_isomorphic": 107}
 
 
 def test_search_max_x_restricts(k33_ctx):

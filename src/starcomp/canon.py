@@ -1,13 +1,13 @@
 """Canonical forms for small graphs, and isomorphism tests of any order.
 
-Colour refinement seeded with (degree, triangle count), then backtracking over
-individualization choices; the canonical form is the lexicographically least
-graph6 encoding over all leaves, and its perm is that of the first leaf, in
-depth-first order, to reach it.  Sound and complete for the enforced n <= 20
-cap.  are_isomorphic has no cap: it maps the vertices of one graph onto those
-of the same stable colour (stable_colouring) in the other.  The engine
-deduplicates finds of every order by buckets of that colouring and
-are_isomorphic; canonical forms only key the output order.
+Colour refinement seeded with (degree, triangle count) gives each graph one
+stable colouring (stable_colouring).  canonical() backtracks below it over
+individualization choices; the form is the lexicographically least graph6
+encoding over all leaves, its perm that of the first leaf, in depth-first
+order, to reach it.  Sound and complete for the enforced n <= 20 cap.
+are_isomorphic has no cap: it maps the vertices of one graph onto those of
+the same stable colour in the other.  The engine refines each find once and
+hands that colouring to both; canonical forms only key the output order.
 
 The search tree is pruned with automorphisms, after McKay and Piperno,
 "Practical graph isomorphism, II" (J. Symbolic Comput. 60, 2014).  Twins
@@ -119,7 +119,9 @@ def _orbit(seeds: list[int], gens: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def canonical(g: Graph) -> CanonicalForm:
+def canonical(g: Graph, colouring: Optional[tuple] = None) -> CanonicalForm:
+    """colouring holds stable_colouring(g), the root of the search, when
+    the caller has it already; it changes nothing else."""
     if g.n > CANONICAL_CAP:
         raise TooLarge(f"canonical form capped at {CANONICAL_CAP} vertices, got {g.n}")
     adj = g.adj
@@ -182,7 +184,7 @@ def canonical(g: Graph) -> CanonicalForm:
                 return resume
         return depth
 
-    walk(_initial_colors(g, nbrs), list(range(g.n)), [])
+    walk((colouring or stable_colouring(g))[0], [], [])
     perm = best[1]
     return CanonicalForm(bytes=graph6_encode(g.relabel(perm)).encode("ascii"),
                          perm=tuple(perm))

@@ -173,15 +173,7 @@ def _cmd_search(args, out) -> int:
     mu = parse_scalar(args.mu)
     t, s = args.t, args.s
     ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
-    if args.sweep:
-        require = "sweep"
-        r_field = "sweep"
-    elif args.r is not None:
-        require = args.r
-        r_field = args.r
-    else:
-        require = None
-        r_field = None
+    require = "sweep" if args.sweep else args.r
 
     # materialize before emitting anything, so failures leave no partial output
     solutions = search_star_sets(ctx, require_regular=require,
@@ -190,7 +182,7 @@ def _cmd_search(args, out) -> int:
     stream = open(args.output, "w") if args.output else out
     try:
         _jsonline({"schemaVersion": SCHEMA_VERSION, "command": "search",
-                   "t": t, "s": s, "mu": args.mu, "r": r_field,
+                   "t": t, "s": s, "mu": args.mu, "r": require,
                    "maxX": args.max_x, "maxSolutions": args.max_solutions},
                   stream)
         for sol in solutions:

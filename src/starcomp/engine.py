@@ -18,7 +18,9 @@ over the integer powers of C into an IntKernel, N scaled to a common
 denominator (one int per entry, packed for quadratic mu), and no QNum
 matrix is built.  Both candidate routes read it: a tagged K_{t,s} tests
 each vertex type (a, b) once, anything else walks the 2^q subsets in
-Gray-code order.  The pair relation (_build_label_tables, used by
+Gray-code order.  Either one runs once per search, and _non_main, the
+non-main test b^T N j = -mval of a regular graph (j the all-ones vector),
+filters its pool for every degree other than r = mu.  The pair relation (_build_label_tables, used by
 classify_pair and the search) forms B^T N B a row at a time, each row
 packed into one int and labelled by word-parallel compares.  The tests
 check them against the QNum resolvent, and the candidate types against
@@ -31,7 +33,8 @@ on the mode: a DFS that prunes by the degree equations, or a walk over
 maximal cliques of the compatibility relation.  On a tagged context both
 drop the choices that a part permutation of K_{t,s} maps to a
 lexicographically smaller one (orderly generation, _orderly_test), so
-each orbit of finds is assembled about once; _dedupe removes the rest.
+each orbit of finds is assembled about once; _dedupe removes the rest,
+refining each find once and handing that colouring to canonical().
 
 make_context and verify_star_pair check their identities on integer
 matrices; the certificate builds everything from G - X, never from a
@@ -185,6 +188,11 @@ def _ones(mask: int):
         mask ^= low
 
 
+def _non_main(ctx: StarContext, mask: int) -> bool:
+    """b^T N j = -mval for the 0/1 vector b with support mask (j all ones)."""
+    return sum(ctx.kernel.ones[i] for i in _ones(mask)) == ctx.kernel.adjacent
+
+
 def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[CandidateVector]:
     """All 0/1 vectors b over V(H) with b^T N b = mval * mu, plus
     b^T N j = -mval when non_main is set (j the all-ones vector).
@@ -193,20 +201,18 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     commutes with the part permutations, and each type (a, b), the empty
     one included, is tested once on the first a vertices of the t-part and
     the first b of the s-part.  Everything else scans the 2^q subsets in
-    Gray-code order, capped at q = BRUTE_FORCE_CAP.  Candidates come back
-    sorted by (type, indicator tuple).
+    Gray-code order, capped at q = BRUTE_FORCE_CAP.  Both routes run the
+    non-main test (_non_main) only on vectors that pass the self test.
+    Candidates come back sorted by (type, indicator tuple).
     """
-    kern = ctx.kernel
-    N, ones = kern.N, kern.ones
-    target_self, target_ones = kern.self_target, kern.adjacent
-    q = ctx.q
+    N, target, q = ctx.kernel.N, ctx.kernel.self_target, ctx.q
     hits = []
     if ctx.tag is not None:
         t, s = ctx.tag
         for a, b in product(range(t + 1), range(s + 1)):
-            rep = [*range(a), *range(t, t + b)]
-            if sum(N[i][j] for i in rep for j in rep) == target_self and \
-                    (not non_main or sum(ones[i] for i in rep) == target_ones):
+            rep = (1 << a) - 1 | ((1 << b) - 1) << t
+            if sum(N[i][j] for i in _ones(rep) for j in _ones(rep)) == target and \
+                    (not non_main or _non_main(ctx, rep)):
                 hits.extend(sum(1 << i for i in vpart + wpart)
                             for vpart, wpart in product(combinations(range(t), a),
                                                         combinations(range(t, t + s), b)))
@@ -215,9 +221,9 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     else:
         # Gray-code walk (Knuth, TAOCP 4A, 7.2.1.1): step k flips the lowest
         # set bit i of k.  With w = N b (N is symmetric), flipping b_i changes
-        # b^T N b by N_ii +- 2 w_i and b^T N j by +- (Nj)_i.
+        # b^T N b by N_ii +- 2 w_i.
         w = [0] * q
-        mask = self_val = ones_val = 0
+        mask = self_val = 0
         for step in range(1 << q):
             if step:
                 i = (step & -step).bit_length() - 1
@@ -225,13 +231,11 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
                 row = N[i]
                 if mask >> i & 1:
                     self_val += row[i] + 2 * w[i]
-                    ones_val += ones[i]
                     w = [x + y for x, y in zip(w, row)]
                 else:
                     self_val += row[i] - 2 * w[i]
-                    ones_val -= ones[i]
                     w = [x - y for x, y in zip(w, row)]
-            if self_val == target_self and (not non_main or ones_val == target_ones):
+            if self_val == target and (not non_main or _non_main(ctx, mask)):
                 hits.append(mask)
     out = [_candidate(ctx, m) for m in hits]
     out.sort(key=lambda c: (c.type_ab, c.bits))
@@ -347,11 +351,11 @@ def _assemble(ctx: StarContext, chosen: list[CandidateVector],
     return Graph(q + k, tuple(rows + xrows))
 
 
-def solution_from_assembled(ctx: StarContext, G: Graph,
-                            x_vertices: Sequence[int]) -> StarSolution:
-    """Wrap an already-built graph (H on vertices 0..q-1) as a certified
-    solution; raises InternalInconsistency when its certificate fails."""
-    xs = tuple(x_vertices)
+def solution_from_assembled(ctx: StarContext, G: Graph) -> StarSolution:
+    """Wrap an already-built graph (H on vertices 0..q-1, the star set
+    q..n-1) as a certified solution; raises InternalInconsistency when its
+    certificate fails."""
+    xs = tuple(range(ctx.q, G.n))
     chosen = [_candidate(ctx, G.adj[x] & ((1 << ctx.q) - 1)) for x in xs]
     cert = verify_star_pair(G, xs, ctx.mu)
     if not cert.passed:
@@ -374,7 +378,7 @@ def multiplicity_cap(q: int) -> int:
 def _effective_cap(ctx: StarContext, max_x: Optional[int], n_cands: int) -> int:
     if ctx.mu_special:
         # repeats allowed, only the explicit cap bounds |X|
-        return max_x if max_x is not None else 0
+        return max_x
     cap = n_cands if max_x is None else min(max_x, n_cands)
     if ctx.q >= HALF_CAP_MIN_Q:
         cap = min(cap, multiplicity_cap(ctx.q))
@@ -471,28 +475,28 @@ def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool
     return [([(cells, {})], []) for cells in starts], extend
 
 
-def _dedupe(found: list[tuple[Graph, tuple[int, ...]]]
-            ) -> list[tuple[Graph, tuple[int, ...], tuple]]:
+def _dedupe(found: list[Graph]) -> list[tuple[Graph, tuple]]:
     """One representative per isomorphism class, the first find of each,
     keyed for deterministic order.
 
     Each find is refined once and bucketed by its order and the signature
     of its stable colouring, both isomorphism invariants; it is tested only
     against the representatives in its bucket, with the colourings already
-    at hand.  The key of a new class is (n, canonical bytes), or (n, graph6
-    of the representative) above CANONICAL_CAP.
+    at hand.  The key of a new class is (n, canonical bytes), its form
+    searched from that colouring, or (n, graph6) above CANONICAL_CAP.
     """
-    reps: list[tuple[Graph, tuple[int, ...], tuple]] = []
+    reps: list[tuple[Graph, tuple]] = []
     buckets: dict[tuple, list[tuple[Graph, tuple]]] = {}
-    for g, xs in found:
+    for g in found:
         colouring = stable_colouring(g)
         bucket = buckets.setdefault((g.n, colouring[1]), [])
         if any(are_isomorphic(h, g, (ch, colouring)) for h, ch in bucket):
             continue
         bucket.append((g, colouring))
-        form = canonical(g).bytes if g.n <= CANONICAL_CAP else graph6_encode(g).encode()
-        reps.append((g, xs, (g.n, form)))
-    reps.sort(key=lambda item: item[2])
+        form = (canonical(g, colouring).bytes if g.n <= CANONICAL_CAP
+                else graph6_encode(g).encode())
+        reps.append((g, (g.n, form)))
+    reps.sort(key=lambda item: item[1])
     return reps
 
 
@@ -505,8 +509,11 @@ def search_star_sets(ctx: StarContext,
 
     require_regular: an integer r keeps only r-regular extensions (the
     degree equations prune during backtracking); the string "sweep" tries
-    every r from the maximum H-degree up to q + cap; None returns maximal
-    compatible families instead (maximal, or cut off at max_x).
+    every r from the maximum H-degree up to q + cap, cap the bound on |X|
+    below; None returns maximal compatible families instead (maximal, or
+    cut off at max_x).  The candidates are enumerated once per call: a
+    degree r = mu, where mu is the main eigenvalue, takes them all, every
+    other degree only those that pass the non-main test.
 
     max_x bounds |X|; it is mandatory for mu in {-1, 0}, where co-duplicate
     vertices make the families infinite (Unbounded otherwise).  For other
@@ -535,32 +542,28 @@ def search_star_sets(ctx: StarContext,
     if ctx.mu_special and max_x is None:
         raise Unbounded("mu in {-1, 0}: co-duplicates make families infinite, set max_x")
     if require_regular == "sweep":
-        if max_x is not None:
-            cap_guess = max_x
-        elif ctx.q >= HALF_CAP_MIN_Q:
-            cap_guess = multiplicity_cap(ctx.q)
-        else:
-            cap_guess = 1 << ctx.q
+        # an X-vertex has degree at most q + |X| - 1, and no pool holds more
+        # than 2^q distinct vectors
         lo = max(ctx.H.degrees(), default=0)
-        degrees = range(lo, ctx.q + cap_guess + 1)
+        degrees = range(lo, ctx.q + _effective_cap(ctx, max_x, 1 << ctx.q) + 1)
     elif require_regular is None or isinstance(require_regular, int):
         degrees = [require_regular]
     else:
         raise ValueError("require_regular must be None, an integer, or 'sweep'")
 
-    pools: dict[bool, list[CandidateVector]] = {}
-    found: list[tuple[Graph, tuple[int, ...]]] = []
-    for r in degrees:
+    # mu = r is the one main eigenvalue of an r-regular graph: for that
+    # degree only, the non-main filter comes off the one scan of the context
+    main = [r is not None and ctx.mu == r for r in degrees]
+    pool = enumerate_candidates(ctx, non_main=not any(main))
+    non_main_pool = [c for c in pool if _non_main(ctx, c.mask)] if any(main) else pool
+    found: list[Graph] = []
+    for r, is_main in zip(degrees, main):
         if len(found) == max_solutions:
             break
-        # mu = r is the one main eigenvalue of an r-regular graph: for that
-        # sweep step only, the non-main filter must come off
-        non_main = r is None or ctx.mu != r
-        if non_main not in pools:
-            pools[non_main] = enumerate_candidates(ctx, non_main=non_main)
-        _search(ctx, pools[non_main], r, max_x, max_solutions, symmetry, found)
+        _search(ctx, pool if is_main else non_main_pool, r, max_x, max_solutions,
+                symmetry, found)
 
-    return [solution_from_assembled(ctx, g, xs) for g, xs, _key in _dedupe(found)]
+    return [solution_from_assembled(ctx, g) for g, _key in _dedupe(found)]
 
 
 def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
@@ -605,7 +608,7 @@ class _BudgetSpent(Exception):
 
 def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             max_x: Optional[int], max_solutions: Optional[int], symmetry: bool,
-            found: list[tuple[Graph, tuple[int, ...]]]) -> None:
+            found: list[Graph]) -> None:
     """Append to found the star sets built from pool: r-regular extensions,
     or maximal compatible families when r is None.  Stops once found holds
     max_solutions raw finds."""
@@ -635,8 +638,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
     def emit(chosen_idx: list[int]):
         chosen = [cands[i] for i in chosen_idx]
         adjacency = [[adj_mask[a] >> b & 1 for b in chosen_idx] for a in chosen_idx]
-        found.append((_assemble(ctx, chosen, adjacency),
-                      tuple(range(q, q + len(chosen)))))
+        found.append(_assemble(ctx, chosen, adjacency))
         if len(found) == max_solutions:
             raise _BudgetSpent
 

@@ -188,7 +188,7 @@ def build_Gr(t: int, s: int, r: int):
     if not (s + p.vi_size + s * p.wi_size == r and t + t * p.vi_size + p.wi_size == r):
         raise InternalInconsistency(f"G({t},{s},{r}) fails its degree equations")
     ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
-    return solution_from_assembled(ctx, g, list(range(t + s, n)))
+    return solution_from_assembled(ctx, g)
 
 
 # -- type-(0,b) family, gap and K_{s,s} reports ------------------------------

@@ -235,16 +235,16 @@ def dedupe(found):
     above it, tested against every earlier representative and keyed by
     (n, its graph6)."""
     reps, seen_keys = [], set()
-    for g, xs in found:
+    for g in found:
         if g.n <= CANONICAL_CAP:
             key = (g.n, canonical(g).bytes)
             if key in seen_keys:
                 continue
             seen_keys.add(key)
         else:
-            if any(h.n == g.n and are_isomorphic(h, g) for h, _, _ in reps):
+            if any(h.n == g.n and are_isomorphic(h, g) for h, _ in reps):
                 continue
             key = (g.n, graph6_encode(g).encode())
-        reps.append((g, xs, key))
-    reps.sort(key=lambda item: item[2])
+        reps.append((g, key))
+    reps.sort(key=lambda item: item[1])
     return reps

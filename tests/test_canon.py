@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starcomp.canon import (CANONICAL_CAP, CanonicalForm, are_isomorphic,
-                            canonical, canonical_graph)
+                            canonical, canonical_graph, stable_colouring)
 from starcomp.errors import TooLarge
 from starcomp.graphs import Graph, complete, cycle, disjoint_union, graph6_encode
 from starcomp.catalog import named_graph, petersen
@@ -104,6 +104,8 @@ def test_k66_canonical_forms_pinned(request, fixture, forms):
     graphs = [sol.graph for sol in request.getfixturevalue(fixture)]
     assert [canonical(g).bytes.decode() for g in graphs] == forms
     for g in graphs:
+        # a colouring handed in is the one canonical() would compute
+        assert canonical(g, stable_colouring(g)) == canonical(g)
         fixed = canonical_graph(g)
         assert canonical(fixed).bytes == canonical(g).bytes
         assert canonical_graph(fixed) == fixed
@@ -237,6 +239,8 @@ def test_canonical_matches_networkx_random():
                                  if rng.random() < p])
         b = _relabelled(rng.choice([a, _switched(a, rng)]), rng)
         assert _agrees_with_networkx(nx, a, b), (a, b)
+        for g in (a, b):
+            assert canonical(g, stable_colouring(g)) == canonical(g), g
         outcomes.add(canonical(a).bytes == canonical(b).bytes)
     assert outcomes == {True, False}
 

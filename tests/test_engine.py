@@ -27,7 +27,7 @@ from oracles import pairing, qnum_certificate, qnum_resolvent
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, stable_colouring
 from starcomp.catalog import named_graph, petersen
-from starcomp import engine
+from starcomp import canon, engine
 from starcomp.engine import (Compat, make_context, classify_pair,
                              enumerate_candidates, multiplicity_cap,
                              search_star_sets, solution_from_assembled,
@@ -676,11 +676,11 @@ def test_dedupe_bucket_collisions(a, b):
     rng = random.Random(a.n)
     perm = list(range(a.n))
     rng.shuffle(perm)
-    found = [(b, (0,)), (a, (1,)), (b.relabel(perm), (2,)), (a.relabel(perm), (3,))]
+    found = [b, a, b.relabel(perm), a.relabel(perm)]
     reps = engine._dedupe(found)
     assert reps == oracles.dedupe(found)
     # one class each, represented by its first find
-    assert sorted(xs for _, xs, _ in reps) == [(0,), (1,)]
+    assert sorted(next(i for i, f in enumerate(found) if f is g) for g, _ in reps) == [0, 1]
 
 
 def part_symmetries(t, s):
@@ -806,20 +806,48 @@ def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
     assert calls[0] == tests
 
 
-# _dedupe refines each find once and calls canonical() once per class of
-# order <= CANONICAL_CAP (8 of the 12 here; 68 calls before the colouring
-# buckets), and are_isomorphic once per repeat find (107 of 119), each
-# against the one representative in its bucket.
+# _dedupe refines each find once (119 seed colourings; 127 when each
+# canonical() call refined its class again) and calls canonical() once per
+# class of order <= CANONICAL_CAP (8 of the 12 here; 68 calls before the
+# colouring buckets), and are_isomorphic once per repeat find (107 of 119),
+# each against the one representative in its bucket.
 def test_dedupe_calls_pinned(monkeypatch):
     calls = Counter()
-    for name in ("canonical", "are_isomorphic"):
-        def counted(*args, _real=getattr(engine, name), _name=name):
+    for module, name in ((engine, "canonical"), (engine, "are_isomorphic"),
+                         (canon, "_initial_colors")):
+        def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(module, name, counted)
     ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
     assert len(search_star_sets(ctx, require_regular="sweep")) == 12
-    assert calls == {"canonical": 8, "are_isomorphic": 107}
+    assert calls == {"canonical": 8, "are_isomorphic": 107, "_initial_colors": 119}
+
+
+# One candidate scan per search: a sweep through mu = r, where the
+# non-main filter comes off, filters the same pool instead of scanning the
+# context again (2 scans each for the first three before).  The K_{1,1}
+# and K_{1,2} mu=2 sweeps find their one graph in that unfiltered pool.
+@pytest.mark.parametrize("H,mu,tag,require,classes", [
+    (cycle(12), 3, None, "sweep", 0),
+    (make_kts(1, 1), 2, (1, 1), "sweep", 1),
+    (make_kts(1, 2), 2, (1, 2), "sweep", 1),
+    (make_kts(6, 6), -2, (6, 6), 10, 3),
+])
+def test_one_candidate_scan_per_search(monkeypatch, H, mu, tag, require, classes):
+    calls = [0]
+    real = engine.enumerate_candidates
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(engine, "enumerate_candidates", counted)
+    ctx = make_context(H, qnum(mu), bipartite_tag=tag)
+    sols = search_star_sets(ctx, require_regular=require)
+    assert calls[0] == 1
+    assert len(sols) == classes
+    if require == "sweep" and classes:
+        assert sols[0].cert.regular_degree == mu
 
 
 def test_search_max_x_restricts(k33_ctx):
@@ -885,7 +913,8 @@ def test_assembled_vertex_order(k33_sweep):
 def test_solution_from_assembled_fixture():
     g5 = named_graph("G5")
     ctx = make_context(make_kts(6, 6), qnum(-2), bipartite_tag=(6, 6))
-    sol = solution_from_assembled(ctx, g5, range(12, 18))
+    sol = solution_from_assembled(ctx, g5)
+    assert sol.x_vertices == tuple(range(12, 18))
     assert sol.cert.passed and sol.cert.multiplicity == 6
     assert {c.type_ab for c in sol.candidates} == {(4, 4)}
 

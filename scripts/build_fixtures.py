@@ -117,7 +117,7 @@ def main() -> int:
         assert cert.multiplicity == len(star["x"])
 
         srg = srg_check(g)
-        srg_list = [srg.n, srg.r, srg.e, srg.f] if srg else None
+        srg_list = list(srg) if srg else None
         assert srg_list == pin.get("srg"), f"{name}: srg pin {pin.get('srg')} vs {srg_list}"
 
         entry = {

@@ -42,7 +42,7 @@ def describe(sol) -> str:
     spec = " ".join(f"{ev}^{m}" if m > 1 else str(ev)
                     for ev, m in sorted(roots.items()))
     srg = srg_check(sol.graph)
-    tail = f"  srg{(srg.n, srg.r, srg.e, srg.f)}" if srg else ""
+    tail = f"  srg{tuple(srg)}" if srg else ""
     return (f"order {sol.order:2d}  degree {sol.graph.degree(sol.x_vertices[0])}"
             f"  |X|={len(sol.x_vertices)}  integer roots: {spec}{tail}")
 

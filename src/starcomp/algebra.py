@@ -9,6 +9,7 @@ equality and ordering are all exact; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
@@ -29,6 +30,7 @@ def _squarefree_part(n: int) -> tuple[int, int]:
     return k, m * n
 
 
+@total_ordering
 class QNum:
     """a + b*sqrt(d) with a, b rational and d squarefree (d = 0 iff b = 0)."""
 
@@ -201,24 +203,6 @@ class QNum:
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

@@ -26,8 +26,7 @@ full one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import TooLarge
 from .graphs import Graph, graph6_encode
@@ -35,8 +34,7 @@ from .graphs import Graph, graph6_encode
 CANONICAL_CAP = 20
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     bytes: bytes
     perm: tuple[int, ...]  # perm[old vertex] = canonical position
 

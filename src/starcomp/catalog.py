@@ -187,6 +187,6 @@ def catalog_entry(name: str) -> dict:
         except UnknownName:
             record["spectrum"] = None
         srg = srg_check(g)
-        record["srg"] = [srg.n, srg.r, srg.e, srg.f] if srg else None
+        record["srg"] = list(srg) if srg else None
         record["starData"] = None
     return record

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import contextlib
 import enum
-from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import QNum, qnum
@@ -62,6 +62,11 @@ from .linalg import (combination_vanishes, identity, mat_mul, matrix_powers,
 # (Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 2.2 s,
 # q = 24 takes 38 s, so q = 25 would take about 75 s and q = 30 about 40 min.
 BRUTE_FORCE_CAP = 24
+# A pool of k candidates costs k^2 pair labels: the label tables of 4,096
+# K_{3,18} mu=2 candidates take 0.5-0.7 s (0.19 s at 2,048), and its full
+# pool of 99,450 would take minutes before the search starts.  The largest
+# pool a search in the tests builds is 225 (K_{6,6} mu=-2).
+CANDIDATE_CAP = 4096
 HALF_CAP_MIN_Q = 3
 
 
@@ -72,8 +77,7 @@ class Compat(enum.Enum):
     INCOMPATIBLE = "incompatible"
 
 
-@dataclass(frozen=True)
-class IntKernel:
+class IntKernel(NamedTuple):
     """N, Nj and the targets scaled by one common denominator D.
 
     Each scaled entry is A + B*sqrt(d) with A, B integers, held as the one
@@ -92,8 +96,7 @@ class IntKernel:
     K: int
 
 
-@dataclass(frozen=True)
-class StarContext:
+class StarContext(NamedTuple):
     """Everything fixed by the choice of complement H and eigenvalue mu."""
     H: Graph
     mu: QNum
@@ -155,8 +158,7 @@ class VertexType(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class CandidateVector:
+class CandidateVector(NamedTuple):
     """A 0/1 H-neighbourhood vector passing the self (and non-main) tests.
 
     mask (bit v set iff v is a neighbour) is the form the engine reads;
@@ -202,17 +204,22 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     one included, is tested once on the first a vertices of the t-part and
     the first b of the s-part.  Everything else scans the 2^q subsets in
     Gray-code order, capped at q = BRUTE_FORCE_CAP.  Both routes run the
-    non-main test (_non_main) only on vectors that pass the self test.
+    non-main test (_non_main) only on vectors that pass the self test, and
+    raise TooLarge before building a pool of more than CANDIDATE_CAP.
     Candidates come back sorted by (type, indicator tuple).
     """
     N, target, q = ctx.kernel.N, ctx.kernel.self_target, ctx.q
     hits = []
     if ctx.tag is not None:
         t, s = ctx.tag
+        total = 0
         for a, b in product(range(t + 1), range(s + 1)):
             rep = (1 << a) - 1 | ((1 << b) - 1) << t
             if sum(N[i][j] for i in _ones(rep) for j in _ones(rep)) == target and \
                     (not non_main or _non_main(ctx, rep)):
+                total += comb(t, a) * comb(s, b)
+                if total > CANDIDATE_CAP:
+                    raise TooLarge(f"the candidate pool is capped at {CANDIDATE_CAP}")
                 hits.extend(sum(1 << i for i in vpart + wpart)
                             for vpart, wpart in product(combinations(range(t), a),
                                                         combinations(range(t, t + s), b)))
@@ -237,6 +244,8 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
                     w = [x - y for x, y in zip(w, row)]
             if self_val == target and (not non_main or _non_main(ctx, mask)):
                 hits.append(mask)
+                if len(hits) > CANDIDATE_CAP:
+                    raise TooLarge(f"the candidate pool is capped at {CANDIDATE_CAP}")
     out = [_candidate(ctx, m) for m in hits]
     out.sort(key=lambda c: (c.type_ab, c.bits))
     return out
@@ -260,8 +269,7 @@ def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> C
 # --------------------------------------------------------------------------
 # certificates and assembled solutions
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of the three independent star-set checks on a finished graph."""
     mu: QNum
     x_size: int
@@ -277,8 +285,7 @@ class Certificate:
                 and self.reconstruction_ok)
 
 
-@dataclass(frozen=True)
-class StarSolution:
+class StarSolution(NamedTuple):
     """A graph together with a certified star set inside it."""
     candidates: tuple[CandidateVector, ...]
     graph: Graph
@@ -579,13 +586,14 @@ def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
     and ((x + M) & H) ^ H keeps just their guard bits (H: bit w-1 of each).
     """
     k, q, kern = len(cands), ctx.q, ctx.kernel
+    masks = [c.mask for c in cands]
     top = q * q * max((abs(x) for row in kern.N for x in row), default=0) + abs(kern.adjacent)
     step = (top.bit_length() + 9) // 8     # bytes per field, w = 8 step: 2^(w-2) > top
     unit = (bytes(step), b"\x01" + bytes(step - 1))
     ones = int.from_bytes(unit[1] * k, "little")
     H, bias = ones << (8 * step - 1), ones << (8 * step - 2)
     M, hit = H - ones, bias + kern.adjacent * ones
-    member = [int.from_bytes(b"".join([unit[c.mask >> v & 1] for c in cands]), "little")
+    member = [int.from_bytes(b"".join([unit[m >> v & 1] for m in masks]), "little")
               for v in range(q)]
     rows = [sum(n * m for n, m in zip(row, member)) for row in kern.N]
     digits = bytes.maketrans(b"\x00\x80", b"01")
@@ -595,8 +603,8 @@ def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
         return int(guards.translate(digits)[::-1], 2)
 
     adj_mask, compat_mask = [], []
-    for c in cands:
-        P = bias + sum(rows[u] for u in _ones(c.mask))
+    for mask in masks:
+        P = bias + sum(rows[u] for u in _ones(mask))
         adj_mask.append(zero_fields(P ^ hit))
         compat_mask.append(adj_mask[-1] | zero_fields(P ^ bias))
     return adj_mask, compat_mask
@@ -672,9 +680,10 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                     continue
             maximal(nxt, nxt_all, nxt_pick, nxt_state)
 
+    masks = [c.mask for c in cands]
     cover_mask = [0] * q
-    for i, c in enumerate(cands):
-        for v in _ones(c.mask):
+    for i, mask in enumerate(masks):
+        for v in _ones(mask):
             cover_mask[v] |= 1 << i
     special = ctx.mu_special
     room = [] if r is None else [r - c.size for c in cands]  # the X-degree each pick must reach
@@ -709,7 +718,6 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             low = m & -m
             i = low.bit_length() - 1
             m ^= low
-            c = cands[i]
             # no pick overfills a vertex v of H or pushes a chosen p past
             # degree r: the pick that filled v (p) took cover_mask[v]
             # (adj_mask[p]) out of allowed, below, and allowed only shrinks.
@@ -724,7 +732,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             # compat_mask decides whether i itself may repeat
             pruned = allowed & compat_mask[i] & ge_mask[i]
             new_cov = cov[:]
-            for v in _ones(c.mask):
+            for v in _ones(masks[i]):
                 new_cov[v] += 1
                 if new_cov[v] == need[v]:
                     pruned &= ~cover_mask[v]

@@ -6,8 +6,7 @@ gives degrees and common-neighbour counts without any per-pair loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import HypothesisViolated, MalformedGraph6, TooLarge
 
@@ -192,8 +191,7 @@ def graph6_decode(line: str) -> Graph:
 
 # -- strong regularity ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     n: int
     r: int
     e: int

@@ -13,10 +13,9 @@ and the pair relation for types (a,b), (c,d) with rho common H-neighbours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import QNum, qnum
 from .engine import VertexType, make_context, solution_from_assembled
@@ -58,8 +57,7 @@ def solve_types_fixed(t: int, s: int, mu, non_main: bool = True) -> list[VertexT
     return out
 
 
-@dataclass(frozen=True)
-class ParamRow:
+class ParamRow(NamedTuple):
     a: int
     b: QNum
     s: QNum
@@ -131,8 +129,7 @@ def rho_of_pair(t: int, s: int, mu, u, v, adjacent: bool) -> Optional[int]:
 
 # -- the mu = -1 construction ----------------------------------------------
 
-@dataclass(frozen=True)
-class GrParams:
+class GrParams(NamedTuple):
     t: int
     s: int
     r: int
@@ -193,8 +190,7 @@ def build_Gr(t: int, s: int, r: int):
 
 # -- type-(0,b) family, gap and K_{s,s} reports ------------------------------
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     t: int
     mu: QNum
     b: QNum
@@ -243,8 +239,7 @@ def srg_gap(k: int, t: int, s: int, r: int, mu) -> QNum:
     return qnum((k + t + s) * r - r * r) - k * mu * mu - km * km / (s + t - 1)
 
 
-@dataclass(frozen=True)
-class KssReport:
+class KssReport(NamedTuple):
     s: int
     mu: QNum
     discriminant: QNum

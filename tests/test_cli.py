@@ -97,6 +97,13 @@ def test_search_mu_eigenvalue_is_error(capsys):
     assert code == 1 and "error:" in err and out == ""
 
 
+def test_search_past_the_candidate_cap_is_error(capsys):
+    # K_{3,18} at mu=2 has 99,450 candidates; the cap stops it before any
+    # label table is built
+    code, out, err = run(capsys, "search", "3", "18", "2", "--r", "18")
+    assert code == 1 and "error:" in err and "capped" in err and out == ""
+
+
 def test_search_empty_exit_code(capsys):
     code, out, err = run(capsys, "search", "3", "4", "-3", "--sweep")
     assert code == 2

@@ -211,8 +211,11 @@ def test_tagged_candidates_build_no_qnum(monkeypatch):
     assert built == []
 
 
-def test_candidates_brute_force_equivalence():
-    # type-by-type route vs untagged 2^q scan on the same complement
+def test_candidates_brute_force_equivalence(monkeypatch):
+    # type-by-type route vs untagged 2^q scan on the same complement; the
+    # pool cap is lifted, since K_{3,12} at mu=-2 has 4,323 candidates
+    # without the non-main test
+    monkeypatch.setattr(engine, "CANDIDATE_CAP", 1 << 15)
     for t, s, mu in ((3, 3, qnum(1)), (2, 3, qnum(-3)), (1, 5, qnum(1)),
                      (2, 5, qnum(1)), (3, 12, qnum(-2)), (2, 13, qnum(1))):
         tagged = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
@@ -235,6 +238,21 @@ def test_candidates_one_past_cap_raise_before_scanning():
     ctx = make_context(Graph(q, (0,) * q), qnum(1))
     with pytest.raises(TooLarge):
         enumerate_candidates(ctx, non_main=False)
+
+
+@pytest.mark.parametrize("tag", [(6, 6), None], ids=["tagged", "gray-code"])
+def test_candidate_cap_is_exact_and_raises_before_building(monkeypatch, tag):
+    # K_{6,6} at mu=-2 has 225 candidates by either route
+    ctx = make_context(make_kts(6, 6), qnum(-2), bipartite_tag=tag)
+    monkeypatch.setattr(engine, "CANDIDATE_CAP", 225)
+    assert len(enumerate_candidates(ctx)) == 225
+    monkeypatch.setattr(engine, "CANDIDATE_CAP", 224)
+
+    def built(*args):
+        raise AssertionError("a candidate was built before the cap check")
+    monkeypatch.setattr(engine, "_candidate", built)
+    with pytest.raises(TooLarge, match="capped at 224"):
+        enumerate_candidates(ctx)
 
 
 def naive_candidates(ctx):
@@ -1002,30 +1020,34 @@ def test_certificate_quadratic_and_petersen(G, X, mu, passed):
     assert check_certificate(G, X, mu).passed is passed
 
 
+def run_fresh(script, *flags):
+    """Run script in a fresh interpreter that imports this starcomp."""
+    src = os.path.dirname(os.path.dirname(starcomp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_certificate_gate_survives_optimize_flag():
     # python -O strips asserts; the gate on every returned solution must not
     # depend on them.  A certificate forced to fail has to stop the search.
     script = textwrap.dedent("""
-        import dataclasses
         from starcomp import engine
         from starcomp.algebra import qnum
         from starcomp.errors import InternalInconsistency
         from starcomp.kts import make_kts
         assert False, "asserts are live: not running under -O"
         real = engine.verify_star_pair
-        engine.verify_star_pair = lambda *a: dataclasses.replace(
-            real(*a), reconstruction_ok=False)
+        engine.verify_star_pair = lambda *a: real(*a)._replace(
+            reconstruction_ok=False)
         ctx = engine.make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3))
         try:
             engine.search_star_sets(ctx, require_regular=4)
         except InternalInconsistency as exc:
             print("raised:", exc)
     """)
-    src = os.path.dirname(os.path.dirname(starcomp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = run_fresh(script, "-O")
     assert out.returncode == 0, out.stderr
     assert out.stdout == "raised: assembled solution failed certification\n"
 
@@ -1043,13 +1065,17 @@ def test_runtime_imports_neither_sympy_nor_networkx():
         sols = search_star_sets(ctx, require_regular=4)
         print(len(sols), verify_star_pair(sols[0].graph, sols[0].x_vertices, 1).passed)
     """)
-    src = os.path.dirname(os.path.dirname(starcomp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = run_fresh(script)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "1 True\n"
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every fresh interpreter pays for its imports: records are NamedTuples,
+    # so importing the package does not load dataclasses (and inspect)
+    out = run_fresh("import sys, starcomp.cli; print('dataclasses' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_no_assert_statements_in_package():

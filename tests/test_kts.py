@@ -7,7 +7,6 @@ Type and rho oracles were computed by brute force over explicit vectors
 closed forms were written; several appear again in the acceptance suite.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -189,8 +188,8 @@ def test_build_gr_deterministic():
 
 def test_build_gr_raises_on_failed_certificate(monkeypatch):
     real = engine.verify_star_pair
-    monkeypatch.setattr(engine, "verify_star_pair", lambda *a: dataclasses.replace(
-        real(*a), reconstruction_ok=False))
+    monkeypatch.setattr(engine, "verify_star_pair", lambda *a: real(*a)._replace(
+        reconstruction_ok=False))
     with pytest.raises(InternalInconsistency, match="failed certification"):
         build_Gr(2, 3, 4)
 

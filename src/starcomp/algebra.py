@@ -1,4 +1,4 @@
-"""Exact scalars: rationals and real quadratic irrationals, plus integer polynomials.
+"""Exact scalars: rationals and real quadratic irrationals.
 
 Every number in this package is either a rational (carried by
 ``fractions.Fraction``) or an element a + b*sqrt(d) of a real quadratic field,
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
 
@@ -258,99 +258,3 @@ def parse_scalar(text: str) -> QNum:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
-
-class IntPoly:
-    """Polynomial with integer coefficients, stored ascending by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x):
-        """Evaluate by Horner; works for int, Fraction, and QNum arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def integer_roots(self) -> tuple[dict[int, int], "IntPoly"]:
-        """Integer roots with multiplicities (leading coefficient arbitrary),
-        and the cofactor left once synthetic division has taken out each
-        (x - r)^m; for a non-zero polynomial it has no integer root."""
-        if not self.coeffs:
-            return {}, self
-        cs = list(self.coeffs)
-        roots: dict[int, int] = {}
-        # strip the power of x first
-        k = 0
-        while cs[k] == 0:
-            k += 1
-        if k:
-            roots[0] = k
-            cs = cs[k:]
-        const = abs(cs[0])
-        cands: set[int] = set()
-        d = 1
-        while d * d <= const:
-            if const % d == 0:
-                cands.add(d)
-                cands.add(const // d)
-            d += 1
-        for c in sorted(cands):
-            for r in (c, -c):
-                while True:
-                    acc = 0
-                    for coef in reversed(cs):
-                        acc = acc * r + coef
-                    if acc != 0 or len(cs) == 1:
-                        break
-                    # synthetic division by (x - r)
-                    out = []
-                    carry = 0
-                    for coef in reversed(cs):
-                        carry = coef + carry * r
-                        out.append(carry)
-                    cs = list(reversed(out[:-1]))
-                    roots[r] = roots.get(r, 0) + 1
-        return roots, IntPoly(cs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c:+d}")
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(("+" if c > 0 else "-") + mag + xs)
-        s = "".join(terms)
-        return s[1:] if s.startswith("+") else s
-
-    def __repr__(self):
-        return f"IntPoly({self})"

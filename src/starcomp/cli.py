@@ -21,14 +21,14 @@ import json
 import sys
 from typing import Optional
 
-from .algebra import IntPoly, parse_scalar, qnum
+from .algebra import parse_scalar, qnum
 from .catalog import catalog_entry
 from .engine import (StarSolution, make_context, multiplicity_cap,
                      search_star_sets, verify_star_pair)
 from .errors import StarCompError
 from .graphs import graph6_decode, graph6_encode, make_kts
 from .kts import rho_bounds, rho_value, solve_types_fixed, solve_types_parametric
-from .linalg import char_polynomial
+from .linalg import char_polynomial, integer_roots
 
 SCHEMA_VERSION = 1
 
@@ -131,10 +131,10 @@ def _cmd_analyze(args, out) -> int:
 
 # ----------------------------------------------------------------- search
 
-def _char_poly_fields(poly: IntPoly) -> tuple[list, Optional[list]]:
-    roots, residual = poly.integer_roots()
+def _char_poly_fields(poly: tuple[int, ...]) -> tuple[list, Optional[list]]:
+    roots, residual = integer_roots(poly)
     root_list = [[r, roots[r]] for r in sorted(roots)]
-    residual_list = list(residual.coeffs) if residual.degree >= 1 else None
+    residual_list = list(residual) if len(residual) > 1 else None
     return root_list, residual_list
 
 

@@ -4,7 +4,8 @@ Matrices are plain lists of row lists, with integer entries wherever the
 package calls in.  Ranks and the minimal polynomial come from one
 fraction-free (Bareiss) elimination, the characteristic polynomial comes
 from Berkowitz's division-free algorithm, and the multiplicity of an
-eigenvalue, rational or quadratic, is an integer rank.  Scalars from
+eigenvalue, rational or quadratic, is an integer rank.  Polynomials are
+tuples of integer coefficients, lowest degree first.  Scalars from
 Q(sqrt(d)) enter only as coefficients of integer matrices: a combination
 sum_j c_j M_j is summed over one common denominator, split into its
 rational and sqrt(d) parts, so testing it for zero is pure int.  No QNum
@@ -19,7 +20,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .algebra import IntPoly, QNum, qnum
+from .algebra import QNum, qnum
 from .errors import InternalInconsistency, MuIsEigenvalue
 
 Matrix = list[list]
@@ -109,7 +110,7 @@ def multiplicity(A: Matrix, mu) -> int:
     return null // 2
 
 
-def char_polynomial(A: Matrix) -> IntPoly:
+def char_polynomial(A: Matrix) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - A) of a square integer matrix.
 
     Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
@@ -130,10 +131,53 @@ def char_polynomial(A: Matrix) -> IntPoly:
                 v = [sum(map(mul, b, v)) for b in block]
             col.append(-sum(map(mul, R, v)))
         poly = [sum(map(mul, col[i::-1], poly)) for i in range(r + 2)]
-    return IntPoly(reversed(poly))
+    return tuple(reversed(poly))
 
 
-def minimal_polynomial(A: Matrix) -> IntPoly:
+def integer_roots(coeffs: Sequence[int]) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Integer roots with multiplicities of the polynomial with coefficients
+    coeffs (no trailing zero, leading coefficient arbitrary), and the
+    cofactor left once synthetic division has taken out each (x - r)^m;
+    for a non-zero polynomial it has no integer root."""
+    cs = list(coeffs)
+    roots: dict[int, int] = {}
+    if not cs:
+        return roots, ()
+    # strip the power of x first
+    k = 0
+    while cs[k] == 0:
+        k += 1
+    if k:
+        roots[0] = k
+        cs = cs[k:]
+    const = abs(cs[0])
+    cands: set[int] = set()
+    d = 1
+    while d * d <= const:
+        if const % d == 0:
+            cands.add(d)
+            cands.add(const // d)
+        d += 1
+    for c in sorted(cands):
+        for r in (c, -c):
+            while True:
+                acc = 0
+                for coef in reversed(cs):
+                    acc = acc * r + coef
+                if acc != 0 or len(cs) == 1:
+                    break
+                # synthetic division by (x - r)
+                out = []
+                carry = 0
+                for coef in reversed(cs):
+                    carry = coef + carry * r
+                    out.append(carry)
+                cs = list(reversed(out[:-1]))
+                roots[r] = roots.get(r, 0) + 1
+    return roots, tuple(cs)
+
+
+def minimal_polynomial(A: Matrix) -> tuple[int, ...]:
     """Monic minimal polynomial of a square integer matrix.
 
     Row k stacks the flattened power A^k with the unit tag e_k, and
@@ -153,23 +197,23 @@ def minimal_polynomial(A: Matrix) -> IntPoly:
             if any(c % tag[-1] for c in tag):
                 raise InternalInconsistency("minimal polynomial of an integer matrix "
                                             "has a non-integer coefficient")
-            return IntPoly(c // tag[-1] for c in tag)
+            return tuple(c // tag[-1] for c in tag)
         power = mat_mul(power, A)
 
 
-def resolvent_coefficients(m: IntPoly, mu: QNum) -> tuple[list[QNum], QNum]:
+def resolvent_coefficients(m: Sequence[int], mu: QNum) -> tuple[list[QNum], QNum]:
     """The coefficients a_0..a_{d-1} of q, where m(x) - m(mu) = (x - mu) q(x),
     and mval = m(mu), by Horner's rule.
 
     For m the minimal polynomial of C, N = q(C) = sum_j a_j C^j satisfies
     N (mu I - C) = mval I.  Raises MuIsEigenvalue when m(mu) = 0.
     """
-    d = m.degree
+    d = len(m) - 1
     a = [qnum(0)] * d
     acc = qnum(1)
     for j in range(d - 1, -1, -1):
         a[j] = acc
-        acc = mu * acc + m.coeffs[j]
+        acc = mu * acc + m[j]
     if not acc:
         raise MuIsEigenvalue(f"mu = {mu} is an eigenvalue of the complement")
     return a, acc

@@ -6,17 +6,18 @@ elimination over QNum, the scaled resolvent N summed in QNum, its pairing
 x^T N y, and the reconstruction product B^T N B; the characteristic
 polynomial by interpolation through n + 1 determinants; the minimal
 polynomial by elimination over Q on the powers of the matrix; the pair-label
-tables as one column-and-sum per pair; polynomial division over Q,
-with a pointwise check of a factorisation into integer roots and their
-cofactor; and isomorphism dedupe by canonical bytes up to the canonical
-cap, pairwise tests against every representative above it.  They are slow and simple on purpose; nothing in the package
-calls them.
+tables as one column-and-sum per pair; polynomial evaluation by Horner's
+rule and division over Q, with a pointwise check of a factorisation into
+integer roots and their cofactor; and isomorphism dedupe by canonical bytes
+up to the canonical cap, pairwise tests against every representative above
+it.  Polynomials are tuples of integer coefficients, lowest degree first.
+They are slow and simple on purpose; nothing in the package calls them.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from starcomp.algebra import IntPoly, qnum
+from starcomp.algebra import qnum
 from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
 from starcomp.graphs import graph6_encode, induced_subgraph
 from starcomp.linalg import _eliminate, char_polynomial, mat_mul, minimal_polynomial
@@ -29,19 +30,28 @@ def det_bareiss(M):
     return sign * last if rank == n else 0
 
 
+def horner(p, x):
+    """p(x) for ascending coefficients p; x may be an int, Fraction or QNum."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def divmod_exact(p, d):
-    """Quotient and remainder of IntPoly p by d over Q, as Fraction lists."""
-    if not d.coeffs:
+    """Quotient and remainder of p by d over Q, as Fraction lists; both are
+    ascending coefficient sequences, and d has no trailing zero."""
+    if not d:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p.coeffs]
-    den = Fraction(d.coeffs[-1])
-    dq = len(rem) - len(d.coeffs)
+    rem = [Fraction(c) for c in p]
+    den = Fraction(d[-1])
+    dq = len(rem) - len(d)
     quo = [Fraction(0)] * (dq + 1) if dq >= 0 else []
     for i in range(dq, -1, -1):
-        f = rem[i + d.degree] / den
+        f = rem[i + len(d) - 1] / den
         quo[i] = f
         if f:
-            for j, c in enumerate(d.coeffs):
+            for j, c in enumerate(d):
                 rem[i + j] -= f * c
     while rem and rem[-1] == 0:
         rem.pop()
@@ -49,9 +59,10 @@ def divmod_exact(p, d):
 
 
 def divides(d, p):
-    """True when IntPoly d divides p exactly over Q."""
-    if not d.coeffs:
-        return not p.coeffs
+    """True when d divides p exactly over Q (ascending coefficients, no
+    trailing zeros)."""
+    if not d:
+        return not p
     return not divmod_exact(p, d)[1]
 
 
@@ -59,17 +70,17 @@ def assert_deflation(p, roots, cofactor):
     """The cofactor of a non-zero p has no integer root (each would divide
     its constant term), and cofactor(x) prod (x - r)^m equals p(x) at
     deg p + 1 integer points, so as polynomials."""
-    c0 = abs(cofactor.coeffs[0])
+    c0 = abs(cofactor[0])
     assert c0, "x divides the cofactor"
     for d in range(1, isqrt(c0) + 1):
         if c0 % d == 0:
             for r in (d, -d, c0 // d, -(c0 // d)):
-                assert cofactor(r) != 0, r
-    for x in range(p.degree + 1):
-        prod = cofactor(x)
+                assert horner(cofactor, r) != 0, r
+    for x in range(len(p)):
+        prod = horner(cofactor, x)
         for r, m in roots.items():
             prod *= (x - r) ** m
-        assert prod == p(x), x
+        assert prod == horner(p, x), x
 
 
 def interpolated_char_polynomial(A):
@@ -91,7 +102,7 @@ def interpolated_char_polynomial(A):
             poly[i] = poly[i - 1] - k * poly[i]
         poly[0] = coef[k] - k * poly[0]
     assert all(f.denominator == 1 for f in poly), poly
-    return IntPoly([f.numerator for f in poly])
+    return tuple(f.numerator for f in poly)
 
 
 def field_rank(M):
@@ -126,7 +137,7 @@ def minimal_polynomial_over_q(A):
     flattened powers I, A, A^2, ..."""
     n = len(A)
     if n == 0:
-        return IntPoly([1])
+        return (1,)
     dim = n * n
     basis = []  # (reduced vec, combo)
     power = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -147,7 +158,7 @@ def minimal_polynomial_over_q(A):
             lead = combo[k]
             cs = [c / lead for c in combo]
             assert all(c.denominator == 1 for c in cs), cs
-            return IntPoly([c.numerator for c in cs])
+            return tuple(c.numerator for c in cs)
         basis.append((vec, combo))
         power = mat_mul(power, A)
         k += 1
@@ -156,12 +167,12 @@ def minimal_polynomial_over_q(A):
 def qnum_resolvent(C, mu):
     """N = sum_j a_j C^j and mval = m(mu), accumulated entry by entry in QNum."""
     m = minimal_polynomial(C)
-    d = m.degree
+    d = len(m) - 1
     a = [qnum(0)] * d
     acc = qnum(1)
     for j in range(d - 1, -1, -1):
         a[j] = acc
-        acc = mu * acc + m.coeffs[j]
+        acc = mu * acc + m[j]
     n = len(C)
     N = [[qnum(0)] * n for _ in range(n)]
     power = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -193,7 +204,7 @@ def qnum_certificate(G, X, mu):
     X = list(X)
     rest = [v for v in range(G.n) if v not in set(X)]
     C = induced_subgraph(G, rest).matrix()
-    mu_ok = char_polynomial(C)(mu) != 0
+    mu_ok = horner(char_polynomial(C), mu) != 0
     A = G.matrix()
     mult = G.n - field_rank([[mu * (i == j) - A[i][j] for j in range(G.n)]
                              for i in range(G.n)])

@@ -27,14 +27,14 @@ from starcomp.errors import DivisibilityViolation
 from starcomp.graphs import (SrgParams, graph6_decode, induced_subgraph,
                              srg_check)
 from starcomp.kts import build_Gr, gr_params, make_kts, rho_value, srg_gap
-from starcomp.linalg import char_polynomial
+from starcomp.linalg import char_polynomial, integer_roots
 
 GOLDEN = parse_scalar("root(-1,1):pos")
 
 
 def integer_spectrum(sol):
     """{root: multiplicity}, asserting the spectrum is fully integral."""
-    roots, _ = char_polynomial(sol.graph.matrix()).integer_roots()
+    roots, _ = integer_roots(char_polynomial(sol.graph.matrix()))
     assert sum(roots.values()) == sol.order
     return roots
 

@@ -1,7 +1,7 @@
 """Named graphs, pinned spectra, and the fixture file.
 
 Every named entry is re-verified from scratch: spectrum against the exact
-characteristic polynomial, star data through the full certificate, and
+eigenvalue multiplicities, star data through the full certificate, and
 constructor output against the frozen graph6 material.
 """
 
@@ -94,6 +94,10 @@ def test_spectrum_matches_rejects_wrong():
     wrong_mult = [(ev, m) for ev, m in good]
     wrong_mult[0] = (wrong_mult[0][0], wrong_mult[0][1] + 1)
     assert not spectrum_matches(g, wrong_mult)
+    # a repeated eigenvalue counts with its multiplicities added up
+    split = [(qnum(3), 1), (qnum(1), 3), (qnum(-2), 4), (qnum(1), 2)]
+    assert spectrum_matches(petersen(), split)
+    assert not spectrum_matches(petersen(), split[:3])
 
 
 def test_catalog_entry_records():

@@ -22,10 +22,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from starcomp.algebra import qnum
-from starcomp.engine import enumerate_candidates, make_context
+from starcomp.engine import make_context, vertex_types
 from starcomp.errors import MuIsEigenvalue
-from starcomp.kts import (make_kts, rho_bounds, rho_value, solve_types_fixed,
+from starcomp.kts import (make_kts, rho_bounds, rho_of_pair, rho_value,
                           solve_types_parametric)
+
+
+def kts_types(t: int, s: int, mu):
+    return vertex_types(make_context(make_kts(t, s), mu, bipartite_tag=(t, s)))
 
 
 def pair_block(t: int, s: int, mu, types) -> None:
@@ -35,7 +39,7 @@ def pair_block(t: int, s: int, mu, types) -> None:
             cells = []
             for adjacent in (False, True):
                 rho = rho_value(t, s, mu, u, v, adjacent)
-                ok = rho.is_integer and qnum(lo) <= rho <= qnum(hi)
+                ok = rho_of_pair(t, s, mu, u, v, adjacent) is not None
                 word = "adj" if adjacent else "non"
                 cells.append(f"{word} rho={rho}{'' if ok else ' (infeasible)'}")
             print(f"    ({u.a},{u.b})--({v.a},{v.b})  bounds [{lo},{hi}]  "
@@ -47,7 +51,7 @@ def mu_minus_one_block() -> None:
     print("rho grows with a_uv; the table shows the a_uv = 0 baseline,")
     print("each extra common X-neighbour raises rho by one.")
     for t, s in [(1, 2), (1, 3), (2, 2), (2, 3)]:
-        types = solve_types_fixed(t, s, qnum(-1), non_main=True)
+        types = kts_types(t, s, qnum(-1))
         print(f"  K_({t},{s})  types: " + " ".join(f"({a},{b})" for a, b in types))
         pair_block(t, s, qnum(-1), types)
 
@@ -59,7 +63,7 @@ def family_block() -> None:
         tail = "feasible" if row.feasible else f"infeasible ({row.reason})"
         print(f"  a={row.a} b={row.b} s={row.s}  {tail}")
     print("  concrete s = 18:")
-    types = solve_types_fixed(3, 18, qnum(2), non_main=True)
+    types = kts_types(3, 18, qnum(2))
     print("  types: " + " ".join(f"({a},{b})" for a, b in types))
     pair_block(3, 18, qnum(2), types)
 
@@ -74,12 +78,10 @@ def grid_block() -> None:
             cells = []
             for m in (-3, -2, -1, 1, 2, 3):
                 try:
-                    ctx = make_context(make_kts(t, s), qnum(m),
-                                       bipartite_tag=(t, s))
+                    types = kts_types(t, s, qnum(m))
                 except MuIsEigenvalue:
                     cells.append("    *")
                     continue
-                types = {c.type_ab for c in enumerate_candidates(ctx)}
                 cells.append(f"{len(types):>5}")
             print(f"  {t} {s} | " + " ".join(cells))
     print("  (* = mu is an eigenvalue of the complement, excluded)")

@@ -21,13 +21,13 @@ import json
 import sys
 from typing import Optional
 
-from .algebra import parse_scalar, qnum
+from .algebra import parse_scalar
 from .catalog import catalog_entry
 from .engine import (StarSolution, make_context, multiplicity_cap,
-                     search_star_sets, verify_star_pair)
-from .errors import StarCompError
+                     search_star_sets, vertex_types, verify_star_pair)
+from .errors import HypothesisViolated, StarCompError
 from .graphs import graph6_decode, graph6_encode, make_kts
-from .kts import rho_bounds, rho_value, solve_types_fixed, solve_types_parametric
+from .kts import rho_bounds, rho_of_pair, rho_value, solve_types_parametric
 from .linalg import char_polynomial, integer_roots
 
 SCHEMA_VERSION = 1
@@ -97,10 +97,13 @@ def _build_parser() -> _Parser:
 def _cmd_analyze(args, out) -> int:
     mu = parse_scalar(args.mu)
     t, s = args.t, args.s
-    make_kts(t, s)  # validates 1 <= t <= s
-    # raises before any output when the closed form does not hold
-    types = solve_types_fixed(t, s, mu, non_main=True)
-    out.write(f"complement K_{{{t},{s}}}  mu={mu}  mval={mu * (mu * mu - t * s)}\n")
+    H = make_kts(t, s)  # validates 1 <= t <= s
+    # the s-free rows and rho tables rest on x^3 - ts x; raise before any output
+    if t + s < 3:
+        raise HypothesisViolated(f"the type equations need t + s >= 3, got ({t},{s})")
+    ctx = make_context(H, mu, bipartite_tag=(t, s))
+    types = vertex_types(ctx)
+    out.write(f"complement K_{{{t},{s}}}  mu={mu}  mval={ctx.mval}\n")
 
     rows = solve_types_parametric(t, mu)
     out.write(f"parametric types (t={t}, mu={mu}, s free):\n")
@@ -122,7 +125,7 @@ def _cmd_analyze(args, out) -> int:
             for adjacent in (False, True):
                 rho = rho_value(t, s, mu, u, v, adjacent)
                 word = "adjacent" if adjacent else "nonadjacent"
-                feasible = rho.is_integer and qnum(lo) <= rho <= qnum(hi)
+                feasible = rho_of_pair(t, s, mu, u, v, adjacent) is not None
                 verdict = "feasible" if feasible else "infeasible"
                 out.write(f"  ({u.a},{u.b}) ({v.a},{v.b}) {word} "
                           f"rho={rho} bounds=[{lo},{hi}] {verdict}\n")

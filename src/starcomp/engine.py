@@ -20,11 +20,12 @@ matrix is built.  Both candidate routes read it: a tagged K_{t,s} tests
 each vertex type (a, b) once, anything else walks the 2^q subsets in
 Gray-code order.  Either one runs once per search, and _non_main, the
 non-main test b^T N j = -mval of a regular graph (j the all-ones vector),
-filters its pool for every degree other than r = mu.  The pair relation (_build_label_tables, used by
-classify_pair and the search) forms B^T N B a row at a time, each row
-packed into one int and labelled by word-parallel compares.  The tests
-check them against the QNum resolvent, and the candidate types against
-the closed form kts.solve_types_fixed; both live in the tests as oracles.
+filters its pool for every degree other than r = mu.  The pair relation
+(_build_label_tables, used by classify_pair and the search) forms B^T N B
+a row at a time, each row packed into one int and labelled by
+word-parallel compares.  The tests check it against the QNum resolvent,
+and the types (vertex_types, which `starcomp analyze` prints) against
+their closed form; both oracles live in the tests.
 
 One function, _search, runs a search for one degree r (or for maximal
 families when r is None): it filters the candidates, builds the
@@ -195,34 +196,47 @@ def _non_main(ctx: StarContext, mask: int) -> bool:
     return sum(ctx.kernel.ones[i] for i in _ones(mask)) == ctx.kernel.adjacent
 
 
+def vertex_types(ctx: StarContext, non_main: bool = True) -> list[VertexType]:
+    """The types (a, b), the empty one included, ascending, whose vectors
+    pass b^T N b = mval * mu on a tagged K_{t,s} (BadTag otherwise), and
+    _non_main too when non_main is set.  N is a polynomial in C, so it
+    commutes with the part permutations: each type is tested once, on the
+    first a vertices of the t-part and the first b of the s-part."""
+    if ctx.tag is None:
+        raise BadTag("vertex types need a context tagged as K_{t,s}")
+    t, s = ctx.tag
+    N, target = ctx.kernel.N, ctx.kernel.self_target
+    out = []
+    for a, b in product(range(t + 1), range(s + 1)):
+        rep = (1 << a) - 1 | ((1 << b) - 1) << t
+        if sum(N[i][j] for i in _ones(rep) for j in _ones(rep)) == target and \
+                (not non_main or _non_main(ctx, rep)):
+            out.append(VertexType(a, b))
+    return out
+
+
 def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[CandidateVector]:
     """All 0/1 vectors b over V(H) with b^T N b = mval * mu, plus
     b^T N j = -mval when non_main is set (j the all-ones vector).
 
-    A tagged K_{t,s} goes type by type: N is a polynomial in C, so it
-    commutes with the part permutations, and each type (a, b), the empty
-    one included, is tested once on the first a vertices of the t-part and
-    the first b of the s-part.  Everything else scans the 2^q subsets in
-    Gray-code order, capped at q = BRUTE_FORCE_CAP.  Both routes run the
-    non-main test (_non_main) only on vectors that pass the self test, and
-    raise TooLarge before building a pool of more than CANDIDATE_CAP.
-    Candidates come back sorted by (type, indicator tuple).
+    A tagged K_{t,s} expands vertex_types: every vector of a passing type
+    passes.  Everything else scans the 2^q subsets in Gray-code order,
+    capped at q = BRUTE_FORCE_CAP, and runs the non-main test only on
+    vectors that pass the self test.  Both routes raise TooLarge before
+    building a pool of more than CANDIDATE_CAP.  Candidates come back
+    sorted by (type, indicator tuple).
     """
     N, target, q = ctx.kernel.N, ctx.kernel.self_target, ctx.q
     hits = []
     if ctx.tag is not None:
         t, s = ctx.tag
-        total = 0
-        for a, b in product(range(t + 1), range(s + 1)):
-            rep = (1 << a) - 1 | ((1 << b) - 1) << t
-            if sum(N[i][j] for i in _ones(rep) for j in _ones(rep)) == target and \
-                    (not non_main or _non_main(ctx, rep)):
-                total += comb(t, a) * comb(s, b)
-                if total > CANDIDATE_CAP:
-                    raise TooLarge(f"the candidate pool is capped at {CANDIDATE_CAP}")
-                hits.extend(sum(1 << i for i in vpart + wpart)
-                            for vpart, wpart in product(combinations(range(t), a),
-                                                        combinations(range(t, t + s), b)))
+        types = vertex_types(ctx, non_main)
+        if sum(comb(t, a) * comb(s, b) for a, b in types) > CANDIDATE_CAP:
+            raise TooLarge(f"the candidate pool is capped at {CANDIDATE_CAP}")
+        for a, b in types:
+            hits.extend(sum(1 << i for i in vpart + wpart)
+                        for vpart, wpart in product(combinations(range(t), a),
+                                                    combinations(range(t, t + s), b)))
     elif q > BRUTE_FORCE_CAP:
         raise TooLarge(f"untagged candidate scan is capped at q = {BRUTE_FORCE_CAP}")
     else:

@@ -9,6 +9,10 @@ of type (a,b) (a neighbours in the t-part, b in the s-part):
 and the pair relation for types (a,b), (c,d) with rho common H-neighbours:
 
     (mu^2-ts) rho + acs + bdt + mu(ad+bc) = -mu (mu^2-ts) a_uv.
+
+The types of one concrete K_{t,s} come from the engine's integer kernel
+(engine.vertex_types); this module keeps the closed forms it has no
+counterpart for: the s-free types and the rho tables.
 """
 
 from __future__ import annotations
@@ -18,43 +22,9 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .algebra import QNum, qnum
-from .engine import VertexType, make_context, solution_from_assembled
-from .errors import (DivisibilityViolation, HypothesisViolated, InternalInconsistency,
-                     MuIsEigenvalue)
+from .engine import make_context, solution_from_assembled
+from .errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
 from .graphs import Graph, SrgParams, make_kts
-
-
-def self_pairing_holds(t: int, s: int, mu, a: int, b: int) -> bool:
-    mu = qnum(mu)
-    lhs = (mu * mu - t * s) * (a + b) + a * a * s + t * b * b + 2 * a * b * mu
-    return lhs == mu * mu * (mu * mu - t * s)
-
-
-def non_main_holds(t: int, s: int, mu, a: int, b: int) -> bool:
-    mu = qnum(mu)
-    lhs = mu * mu * (a + b) + mu * (qnum(a * s) + t * b)
-    return lhs == -mu * (mu * mu - t * s)
-
-
-def solve_types_fixed(t: int, s: int, mu, non_main: bool = True) -> list[VertexType]:
-    """All integer types (a,b) satisfying the self-pairing relation and, when
-    non_main is set, the non-main relation too.  The relations rest on the
-    minimal polynomial x^3 - ts x: raises HypothesisViolated for t + s < 3
-    and MuIsEigenvalue when mu (mu^2 - ts) = 0, so (0,0) never passes."""
-    mu = qnum(mu)
-    if t + s < 3:
-        raise HypothesisViolated(f"the type equations need t + s >= 3, got ({t},{s})")
-    if not mu * (mu * mu - t * s):
-        raise MuIsEigenvalue(f"mu={mu} is an eigenvalue of K_{{{t},{s}}}")
-    out = []
-    for a in range(t + 1):
-        for b in range(s + 1):
-            if not self_pairing_holds(t, s, mu, a, b):
-                continue
-            if non_main and not non_main_holds(t, s, mu, a, b):
-                continue
-            out.append(VertexType(a, b))
-    return out
 
 
 class ParamRow(NamedTuple):

@@ -10,8 +10,10 @@ tables as one column-and-sum per pair; polynomial evaluation by Horner's
 rule and division over Q, with a pointwise check of a factorisation into
 integer roots and their cofactor; and isomorphism dedupe by canonical bytes
 up to the canonical cap, pairwise tests against every representative above
-it.  Polynomials are tuples of integer coefficients, lowest degree first.
-They are slow and simple on purpose; nothing in the package calls them.
+it; and the vertex types of K_{t,s} in closed form, from the self-pairing
+and non-main relations in QNum.  Polynomials are tuples of integer
+coefficients, lowest degree first.  They are slow and simple on purpose;
+nothing in the package calls them.
 """
 
 from fractions import Fraction
@@ -19,6 +21,8 @@ from math import isqrt
 
 from starcomp.algebra import qnum
 from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
+from starcomp.engine import VertexType
+from starcomp.errors import HypothesisViolated, MuIsEigenvalue
 from starcomp.graphs import graph6_encode, induced_subgraph
 from starcomp.linalg import _eliminate, char_polynomial, mat_mul, minimal_polynomial
 
@@ -259,3 +263,36 @@ def dedupe(found):
         reps.append((g, key))
     reps.sort(key=lambda item: item[1])
     return reps
+
+
+def self_pairing_holds(t: int, s: int, mu, a: int, b: int) -> bool:
+    mu = qnum(mu)
+    lhs = (mu * mu - t * s) * (a + b) + a * a * s + t * b * b + 2 * a * b * mu
+    return lhs == mu * mu * (mu * mu - t * s)
+
+
+def non_main_holds(t: int, s: int, mu, a: int, b: int) -> bool:
+    mu = qnum(mu)
+    lhs = mu * mu * (a + b) + mu * (qnum(a * s) + t * b)
+    return lhs == -mu * (mu * mu - t * s)
+
+
+def solve_types_fixed(t: int, s: int, mu, non_main: bool = True) -> list[VertexType]:
+    """All integer types (a,b) satisfying the self-pairing relation and, when
+    non_main is set, the non-main relation too.  The relations rest on the
+    minimal polynomial x^3 - ts x: raises HypothesisViolated for t + s < 3
+    and MuIsEigenvalue when mu (mu^2 - ts) = 0, so (0,0) never passes."""
+    mu = qnum(mu)
+    if t + s < 3:
+        raise HypothesisViolated(f"the type equations need t + s >= 3, got ({t},{s})")
+    if not mu * (mu * mu - t * s):
+        raise MuIsEigenvalue(f"mu={mu} is an eigenvalue of K_{{{t},{s}}}")
+    out = []
+    for a in range(t + 1):
+        for b in range(s + 1):
+            if not self_pairing_holds(t, s, mu, a, b):
+                continue
+            if non_main and not non_main_holds(t, s, mu, a, b):
+                continue
+            out.append(VertexType(a, b))
+    return out

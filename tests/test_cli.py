@@ -54,9 +54,10 @@ def test_analyze_quadratic_mu(capsys):
 @pytest.mark.parametrize("t,s,mu", [("3", "3", "3"), ("3", "3", "0"), ("2", "2", "2")])
 def test_analyze_mu_eigenvalue_is_error(capsys, t, s, mu):
     # mval = mu (mu^2 - ts) = 0 makes both defining relations homogeneous,
-    # so their solutions mean nothing; search refuses the same input
+    # so their solutions mean nothing; analyze and search both refuse it in
+    # make_context
     code, out, err = run(capsys, "analyze", t, s, mu)
-    assert code == 1 and "is an eigenvalue of K_" in err and out == ""
+    assert code == 1 and "is an eigenvalue of the complement" in err and out == ""
 
 
 @pytest.mark.parametrize("mu", ["0", "2"])

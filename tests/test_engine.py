@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from oracles import pairing, qnum_certificate, qnum_resolvent
+from oracles import pairing, qnum_certificate, qnum_resolvent, solve_types_fixed
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, stable_colouring
 from starcomp.catalog import named_graph, petersen
@@ -31,13 +31,13 @@ from starcomp import canon, engine
 from starcomp.engine import (Compat, make_context, classify_pair,
                              enumerate_candidates, multiplicity_cap,
                              search_star_sets, solution_from_assembled,
-                             verify_star_pair)
+                             verify_star_pair, vertex_types)
 from starcomp.errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
                              MuIsEigenvalue, TooLarge, Unbounded)
 import starcomp
 from starcomp.graphs import (Graph, complete, cycle, disjoint_union, graph6_encode,
                              induced_subgraph)
-from starcomp.kts import make_kts, solve_types_fixed
+from starcomp.kts import make_kts
 
 # (sqrt(5) - 1)/2 = 1/phi; with -1/phi and phi = 1 + 1/phi it covers the
 # golden-ratio field Q(sqrt(5))
@@ -184,10 +184,11 @@ def test_candidates_k11_by_type(mu, non_main, expected):
 
 
 def test_candidate_types_match_closed_form():
-    # the closed form of kts is the oracle for the kernel's type test
+    # the closed form in the oracles checks the kernel's type test; 1/2 and
+    # -3/2 are non-integer rational mu
     for t in range(1, 7):
         for s in range(max(t, 3 - t), 7):
-            for mu in MUS:
+            for mu in MUS + [qnum(Fraction(1, 2)), qnum(Fraction(-3, 2))]:
                 if not mu * (mu * mu - t * s):
                     continue
                 ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
@@ -195,6 +196,20 @@ def test_candidate_types_match_closed_form():
                     counts = Counter(c.type_ab for c in enumerate_candidates(ctx, non_main))
                     assert counts == {tp: comb(t, tp.a) * comb(s, tp.b)
                                       for tp in solve_types_fixed(t, s, mu, non_main)}
+
+
+def test_vertex_types_past_the_candidate_cap():
+    # K_{3,18} at mu=2 has 99,450 candidates: too many to build, but its
+    # two types come back without a pool
+    ctx = make_context(make_kts(3, 18), qnum(2), bipartite_tag=(3, 18))
+    assert vertex_types(ctx) == [(0, 10), (1, 6)]
+    with pytest.raises(TooLarge):
+        enumerate_candidates(ctx)
+
+
+def test_vertex_types_need_a_tag():
+    with pytest.raises(BadTag):
+        vertex_types(make_context(make_kts(2, 3), qnum(1)))
 
 
 def test_tagged_candidates_build_no_qnum(monkeypatch):

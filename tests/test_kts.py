@@ -12,15 +12,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import non_main_holds, self_pairing_holds, solve_types_fixed
 from starcomp import engine
 from starcomp.algebra import QNum, qnum
+from starcomp.engine import VertexType, make_context, vertex_types
 from starcomp.errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
 from starcomp.graphs import SrgParams, srg_check
-from starcomp.kts import (GrParams, VertexType, build_Gr, family_type0b,
-                          gr_params, kss_analysis, make_kts, non_main_holds,
-                          rho_bounds, rho_of_pair, rho_value,
-                          self_pairing_holds, solve_types_fixed,
-                          solve_types_parametric, srg_gap)
+from starcomp.kts import (GrParams, build_Gr, family_type0b, gr_params,
+                          kss_analysis, make_kts, rho_bounds, rho_of_pair,
+                          rho_value, solve_types_parametric, srg_gap)
+
+
+def kts_types(t, s, mu, non_main=True):
+    ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+    return vertex_types(ctx, non_main)
 
 
 # ---------------------------------------------------------------- make_kts
@@ -53,20 +58,22 @@ def test_make_kts_rejects_bad_parts():
     (3, 4, -3, []),
 ])
 def test_solve_types_fixed(t, s, mu, expected):
-    got = solve_types_fixed(t, s, qnum(mu), non_main=True)
-    assert [(v.a, v.b) for v in got] == expected
+    # the hand-derived table holds for the engine's types and for the
+    # closed-form oracle alike
+    assert kts_types(t, s, mu) == expected
+    assert solve_types_fixed(t, s, qnum(mu), non_main=True) == expected
 
 
 def test_types_satisfy_defining_relations():
-    for v in solve_types_fixed(3, 18, qnum(2)):
+    for v in kts_types(3, 18, 2):
         assert self_pairing_holds(3, 18, qnum(2), v.a, v.b)
         assert non_main_holds(3, 18, qnum(2), v.a, v.b)
     assert not self_pairing_holds(3, 18, qnum(2), 2, 2)
 
 
 def test_non_main_filter_is_a_restriction():
-    wide = solve_types_fixed(3, 3, qnum(-1), non_main=False)
-    narrow = solve_types_fixed(3, 3, qnum(-1), non_main=True)
+    wide = kts_types(3, 3, -1, non_main=False)
+    narrow = kts_types(3, 3, -1, non_main=True)
     assert set(narrow) <= set(wide)
 
 

@@ -98,9 +98,11 @@ def _cmd_analyze(args, out) -> int:
     mu = parse_scalar(args.mu)
     t, s = args.t, args.s
     H = make_kts(t, s)  # validates 1 <= t <= s
-    # the s-free rows and rho tables rest on x^3 - ts x; raise before any output
+    # vertex_types holds on every K_{t,s}, the rest does not; raise before any output
     if t + s < 3:
-        raise HypothesisViolated(f"the type equations need t + s >= 3, got ({t},{s})")
+        raise HypothesisViolated(f"the parametric rows and rho tables need the minimal "
+                                 f"polynomial x^3 - ts x, which K_{{t,s}} has only for "
+                                 f"t + s >= 3; got ({t},{s})")
     ctx = make_context(H, mu, bipartite_tag=(t, s))
     types = vertex_types(ctx)
     out.write(f"complement K_{{{t},{s}}}  mu={mu}  mval={ctx.mval}\n")

@@ -14,13 +14,14 @@ everything scaled by mval so the arithmetic stays exact.
 
 Every pairing the search needs is a sum of entries of N over the support
 of 0/1 vectors, so N exists only in integer form: make_context sums it
-over the integer powers of C into an IntKernel, N scaled to a common
-denominator (one int per entry, packed for quadratic mu), and no QNum
-matrix is built.  Both candidate routes read it: a tagged K_{t,s} tests
-each vertex type (a, b) once, anything else walks the 2^q subsets in
-Gray-code order.  Either one runs once per search, and _non_main, the
-non-main test b^T N j = -mval of a regular graph (j the all-ones vector),
-filters its pool for every degree other than r = mu.  The pair relation
+over the integer powers of C (the ones its minimal polynomial built) into
+an IntKernel, N scaled to a common denominator (one int per entry, packed
+for quadratic mu), and no QNum matrix is built.  Both candidate routes read
+it: a tagged K_{t,s} tests each vertex type (a, b) once, anything else
+walks the 2^q subsets in Gray-code order with N b packed into one int.
+Either one runs once per search, and _non_main, the non-main test
+b^T N j = -mval of a regular graph (j the all-ones vector), filters its
+pool for every degree other than r = mu.  The pair relation
 (_build_label_tables, used by classify_pair and the search) forms B^T N B
 a row at a time, each row packed into one int and labelled by
 word-parallel compares.  The tests check it against the QNum resolvent,
@@ -55,13 +56,13 @@ from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
 from .errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
                      InternalInconsistency, TooLarge, Unbounded)
 from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
-from .linalg import (combination_vanishes, identity, mat_mul, matrix_powers,
-                     minimal_polynomial, multiplicity, resolvent_coefficients,
+from .linalg import (combination_vanishes, identity, mat_mul, minimal_polynomial,
+                     minimal_polynomial_powers, multiplicity, resolvent_coefficients,
                      scaled_parts, weighted_sum)
 
-# The untagged scan costs about 2.0-2.8 us per subset at q = 16..24
-# (Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 2.2 s,
-# q = 24 takes 38 s, so q = 25 would take about 75 s and q = 30 about 40 min.
+# The untagged scan costs 0.33-0.6 us per subset at q = 16..24 (C_q at mu=3,
+# Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 0.34-0.37 s and
+# q = 24 7-10 s, so q = 25 would take about 15-20 s and q = 30 about 10 min.
 BRUTE_FORCE_CAP = 24
 # A pool of k candidates costs k^2 pair labels: the label tables of 4,096
 # K_{3,18} mu=2 candidates take 0.5-0.7 s (0.19 s at 2,048), and its full
@@ -118,18 +119,18 @@ class StarContext(NamedTuple):
 def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) -> StarContext:
     """Build the search context for complement H and eigenvalue mu.
 
-    N = sum_j a_j C^j comes from the minimal polynomial of C, and the
-    resolvent identity N (mu I - C) = mval I is checked entry by entry on
-    the integer powers C^j, with the scalars over one common denominator.
-    The kernel is summed the same way over the powers of C.  Raises
+    N = sum_j a_j C^j comes from the minimal polynomial m of C, whose
+    computation builds I, C, ..., C^d (d = deg m): these are the only
+    matrix products.  The resolvent identity N (mu I - C) = mval I is
+    checked entry by entry on those integer powers, with the scalars over
+    one common denominator, and the kernel is summed over them.  Raises
     MuIsEigenvalue when mu is an eigenvalue of H and BadTag when H is not
     the declared complete bipartite graph.
     """
     mu = qnum(mu)
-    C = H.matrix()
-    a, mval = resolvent_coefficients(minimal_polynomial(C), mu)
+    m, powers = minimal_polynomial_powers(H.matrix())
+    a, mval = resolvent_coefficients(m, mu)
     d = len(a)
-    powers = matrix_powers(C, d + 1)
     if bipartite_tag is not None:
         t, s = bipartite_tag
         if not (1 <= t <= s) or H != make_kts(t, s):
@@ -221,7 +222,8 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
 
     A tagged K_{t,s} expands vertex_types: every vector of a passing type
     passes.  Everything else scans the 2^q subsets in Gray-code order,
-    capped at q = BRUTE_FORCE_CAP, and runs the non-main test only on
+    capped at q = BRUTE_FORCE_CAP, with N b packed into one int, so each
+    step is a few int operations; it runs the non-main test only on
     vectors that pass the self test.  Both routes raise TooLarge before
     building a pool of more than CANDIDATE_CAP.  Candidates come back
     sorted by (type, indicator tuple).
@@ -242,20 +244,29 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     else:
         # Gray-code walk (Knuth, TAOCP 4A, 7.2.1.1): step k flips the lowest
         # set bit i of k.  With w = N b (N is symmetric), flipping b_i changes
-        # b^T N b by N_ii +- 2 w_i.
-        w = [0] * q
+        # b^T N b by N_ii +- 2 w_i.  w is one int with a W-bit field per
+        # vertex (TAOCP 4A, 7.1.3), each biased by top > q max|N_ij| >= |w_i|
+        # so that no field goes negative; a flip adds or subtracts the
+        # packed row N[i] in one operation.
+        top = q * max((abs(x) for row in N for x in row), default=0) + 1
+        W = (2 * top).bit_length()
+        F = (1 << W) - 1
+        shifts = [W * i for i in range(q)]
+        rows = [sum(x << sh for x, sh in zip(row, shifts)) for row in N]
+        diag = [N[i][i] for i in range(q)]
+        w = sum(top << sh for sh in shifts)
         mask = self_val = 0
         for step in range(1 << q):
             if step:
                 i = (step & -step).bit_length() - 1
                 mask ^= 1 << i
-                row = N[i]
+                w_i = (w >> shifts[i] & F) - top
                 if mask >> i & 1:
-                    self_val += row[i] + 2 * w[i]
-                    w = [x + y for x, y in zip(w, row)]
+                    self_val += diag[i] + 2 * w_i
+                    w += rows[i]
                 else:
-                    self_val += row[i] - 2 * w[i]
-                    w = [x - y for x, y in zip(w, row)]
+                    self_val += diag[i] - 2 * w_i
+                    w -= rows[i]
             if self_val == target and (not non_main or _non_main(ctx, mask)):
                 hits.append(mask)
                 if len(hits) > CANDIDATE_CAP:

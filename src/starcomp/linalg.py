@@ -1,9 +1,10 @@
 """Exact linear algebra over Z, Q and quadratic extensions.
 
 Matrices are plain lists of row lists, with integer entries wherever the
-package calls in.  Ranks and the minimal polynomial come from one
-fraction-free (Bareiss) elimination, the characteristic polynomial comes
-from Berkowitz's division-free algorithm, and the multiplicity of an
+package calls in.  Ranks come from Bareiss's fraction-free elimination,
+and the minimal polynomial from its step applied to each power of the
+matrix as it is built; the characteristic polynomial comes from
+Berkowitz's division-free algorithm, and the multiplicity of an
 eigenvalue, rational or quadratic, is an integer rank.  Polynomials are
 tuples of integer coefficients, lowest degree first.  Scalars from
 Q(sqrt(d)) enter only as coefficients of integer matrices: a combination
@@ -32,24 +33,22 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     cols = list(zip(*B))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def _eliminate(a: Matrix, ncols: int) -> tuple[int, int, int]:
+def _eliminate(a: Matrix) -> tuple[int, int, int]:
     """Bareiss's fraction-free elimination of the integer rows a, in place.
 
     A column with no pivot left is skipped, so the rows end in echelon
     form.  After the k-th pivot every entry below it is a (k+1) x (k+1)
     minor of the input, so each division by the previous pivot is exact
-    (Bareiss, Math. Comp. 22, 1968).  Columns past ncols are never pivots
-    but are carried along by the same row operations, so they too hold
-    exact minors of the input.  Returns the rank, the sign of the
+    (Bareiss, Math. Comp. 22, 1968).  Returns the rank, the sign of the
     row permutation and the last pivot, which for a square matrix of full
     rank is its determinant up to that sign.
     """
     rows = len(a)
     rank, sign, prev = 0, 1, 1
-    for col in range(ncols):
+    for col in range(len(a[0]) if a else 0):
         if rank == rows:
             break
         piv = next((i for i in range(rank, rows) if a[i][col]), None)
@@ -77,7 +76,7 @@ def _eliminate(a: Matrix, ncols: int) -> tuple[int, int, int]:
 
 def int_rank(M: Matrix) -> int:
     """Rank over Q of an integer matrix, fraction-free."""
-    return _eliminate([list(row) for row in M], len(M[0]) if M else 0)[0]
+    return _eliminate([list(row) for row in M])[0]
 
 
 def multiplicity(A: Matrix, mu) -> int:
@@ -178,27 +177,44 @@ def integer_roots(coeffs: Sequence[int]) -> tuple[dict[int, int], tuple[int, ...
 
 
 def minimal_polynomial(A: Matrix) -> tuple[int, ...]:
-    """Monic minimal polynomial of a square integer matrix.
+    """Monic minimal polynomial of a square integer matrix."""
+    return minimal_polynomial_powers(A)[0]
 
-    Row k stacks the flattened power A^k with the unit tag e_k, and
-    _eliminate reduces rows 0..k over their n*n matrix columns.  At the
-    least k where those k + 1 rows have rank k, A^k is the first power
-    that depends on the lower ones: the zero row's tag then holds integer
-    coefficients c_0..c_k with sum c_j A^j = 0, an integer multiple of m.
+
+def minimal_polynomial_powers(A: Matrix) -> tuple[tuple[int, ...], list[Matrix]]:
+    """The monic minimal polynomial m of a square integer matrix, and the
+    powers I, A, ..., A^d (d = deg m) its computation builds.
+
+    Row k is the flattened power A^k followed by n + 1 tag columns holding
+    e_k (deg m <= n).  Each row, once built, takes Bareiss's fraction-free
+    step against the earlier pivot rows in the order they were found; by
+    Sylvester's identity its entries are then minors of the rows, so each
+    division is exact.  A row with a non-zero matrix column left becomes a
+    pivot at the first; the first row with none is A^d, and its tag holds
+    integer coefficients c_0..c_d of sum c_j A^j = 0, a multiple of m.
     """
     n = len(A)
-    flat: list[list[int]] = []
-    power = identity(n)
+    powers = [identity(n)]
+    pivots: list[tuple[int, list[int]]] = []
     for k in count():
-        flat.append([x for row in power for x in row])
-        rows = [vec + [int(i == j) for j in range(k + 1)] for i, vec in enumerate(flat)]
-        if _eliminate(rows, n * n)[0] == k:
-            tag = rows[k][n * n:]
+        row = [x for r in powers[-1] for x in r] + [int(j == k) for j in range(n + 1)]
+        prev = 1
+        for col, piv in pivots:
+            pk, f = piv[col], row[col]
+            if f:
+                row = [(x * pk - f * y) // prev for x, y in zip(row, piv)]
+            elif pk != prev:
+                row = [x * pk // prev for x in row]
+            prev = pk
+        col = next((j for j in range(n * n) if row[j]), None)
+        if col is None:
+            tag = row[n * n:n * n + k + 1]
             if any(c % tag[-1] for c in tag):
                 raise InternalInconsistency("minimal polynomial of an integer matrix "
                                             "has a non-integer coefficient")
-            return tuple(c // tag[-1] for c in tag)
-        power = mat_mul(power, A)
+            return tuple(c // tag[-1] for c in tag), powers
+        pivots.append((col, row))
+        powers.append(mat_mul(powers[-1], A))
 
 
 def resolvent_coefficients(m: Sequence[int], mu: QNum) -> tuple[list[QNum], QNum]:
@@ -217,14 +233,6 @@ def resolvent_coefficients(m: Sequence[int], mu: QNum) -> tuple[list[QNum], QNum
     if not acc:
         raise MuIsEigenvalue(f"mu = {mu} is an eigenvalue of the complement")
     return a, acc
-
-
-def matrix_powers(C: Matrix, k: int) -> list[Matrix]:
-    """I, C, ..., C^(k-1) for a square integer matrix C."""
-    out = [identity(len(C))][:k]
-    while len(out) < k:
-        out.append(mat_mul(out[-1], C))
-    return out
 
 
 def scaled_parts(coeffs: Sequence[QNum]) -> tuple[int, list[int], list[int]]:

@@ -5,8 +5,9 @@ context checks and scaled resolvent moved to integer matrices: Gaussian
 elimination over QNum, the scaled resolvent N summed in QNum, its pairing
 x^T N y, and the reconstruction product B^T N B; the characteristic
 polynomial by interpolation through n + 1 determinants; the minimal
-polynomial by elimination over Q on the powers of the matrix; the pair-label
-tables as one column-and-sum per pair; polynomial evaluation by Horner's
+polynomial by elimination over Q on the powers of the matrix; the untagged
+candidate scan as a Gray-code walk over a list; the pair-label tables as one
+column-and-sum per pair; polynomial evaluation by Horner's
 rule and division over Q, with a pointwise check of a factorisation into
 integer roots and their cofactor; and isomorphism dedupe by canonical bytes
 up to the canonical cap, pairwise tests against every representative above
@@ -30,7 +31,7 @@ from starcomp.linalg import _eliminate, char_polynomial, mat_mul, minimal_polyno
 def det_bareiss(M):
     """Determinant of a square integer matrix, fraction-free."""
     n = len(M)
-    rank, sign, last = _eliminate([row[:] for row in M], n)
+    rank, sign, last = _eliminate([row[:] for row in M])
     return sign * last if rank == n else 0
 
 
@@ -242,6 +243,33 @@ def label_tables(ctx, cands):
                 adj_mask[i] |= 1 << j
                 adj_mask[j] |= 1 << i
     return adj_mask, compat_mask
+
+
+def gray_code_scan(ctx, non_main=True):
+    """The masks the untagged candidate scan hits, in walk order, by the walk
+    engine.enumerate_candidates used before packing: w = D N b held as a
+    q-long list, rebuilt at each Gray-code step from the row N[i] of the
+    flipped bit i."""
+    N, kernel, q = ctx.kernel.N, ctx.kernel, ctx.q
+    w = [0] * q
+    mask = self_val = 0
+    hits = []
+    for step in range(1 << q):
+        if step:
+            i = (step & -step).bit_length() - 1
+            mask ^= 1 << i
+            row = N[i]
+            if mask >> i & 1:
+                self_val += row[i] + 2 * w[i]
+                w = [x + y for x, y in zip(w, row)]
+            else:
+                self_val += row[i] - 2 * w[i]
+                w = [x - y for x, y in zip(w, row)]
+        if self_val == kernel.self_target and (
+                not non_main
+                or sum(kernel.ones[v] for v in range(q) if mask >> v & 1) == kernel.adjacent):
+            hits.append(mask)
+    return hits
 
 
 def dedupe(found):

@@ -62,8 +62,8 @@ def test_analyze_mu_eigenvalue_is_error(capsys, t, s, mu):
 
 @pytest.mark.parametrize("mu", ["0", "2"])
 def test_analyze_k11_is_error(capsys, mu):
-    # the type equations rest on the cubic x^3 - ts x, which is not the
-    # minimal polynomial of K_{1,1}
+    # the types are defined on K_{1,1}, but the parametric rows and rho
+    # tables rest on the cubic x^3 - ts x, which is not its minimal polynomial
     code, out, err = run(capsys, "analyze", "1", "1", mu)
     assert code == 1 and "t + s >= 3" in err and out == ""
 

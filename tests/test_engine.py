@@ -27,7 +27,7 @@ from oracles import pairing, qnum_certificate, qnum_resolvent, solve_types_fixed
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, stable_colouring
 from starcomp.catalog import named_graph, petersen
-from starcomp import canon, engine
+from starcomp import canon, engine, linalg
 from starcomp.engine import (Compat, make_context, classify_pair,
                              enumerate_candidates, multiplicity_cap,
                              search_star_sets, solution_from_assembled,
@@ -287,6 +287,11 @@ def naive_candidates(ctx):
 @settings(max_examples=40, deadline=None)
 @given(graphs, st.sampled_from(MUS))
 @example((4, 0b101001), qnum(0))   # the path P4 at mu = 0
+# quadratic mu where D N has negative entries, so the packed walk's fields
+# rest on their bias; each context has two hits without the non-main test
+@example((3, 0b011), GOLDEN)        # the path P3
+@example((3, 0b011), -GOLDEN)
+@example((6, 616), 1 + GOLDEN)
 def test_gray_code_scan_matches_naive_loop(g, mu):
     try:
         ctx = make_context(graph_from_mask(*g), mu)
@@ -299,6 +304,46 @@ def test_gray_code_scan_matches_naive_loop(g, mu):
         assert bits == naive[non_main]
         if mu == 0 and not non_main:
             assert (0,) * ctx.q in bits
+
+
+@pytest.mark.parametrize("H, mu", [(cycle(12), 3), (make_kts(6, 6), -2),
+                                   (cycle(10), QNum.quadratic_root(-3, 0, positive=True))],
+                         ids=["C12-mu3", "K66-mu-2", "C10-sqrt3"])
+@pytest.mark.parametrize("non_main", [True, False])
+def test_packed_scan_hits_match_list_walk(monkeypatch, H, mu, non_main):
+    # the packed walk hands _candidate the same masks, in the same order,
+    # as the walk over a q-long list.  C_12 at mu=3 (the benchmark's scan)
+    # has no hit; K_{6,6} has 225 at mu=-2, and C_10 has 40 at sqrt(3)
+    # without the non-main test
+    ctx = make_context(H, mu)
+    seen = []
+    candidate = engine._candidate
+
+    def recording(ctx, mask):
+        seen.append(mask)
+        return candidate(ctx, mask)
+    monkeypatch.setattr(engine, "_candidate", recording)
+    cands = enumerate_candidates(ctx, non_main=non_main)
+    assert seen == oracles.gray_code_scan(ctx, non_main)
+    assert sorted(c.mask for c in cands) == sorted(seen)
+
+
+@pytest.mark.parametrize("H, mu, products", [(cycle(12), 3, 7), (make_kts(6, 6), -2, 3),
+                                             (make_kts(3, 3), 1, 3)],
+                         ids=["C12", "K66", "K33"])
+def test_context_builds_each_power_once(monkeypatch, H, mu, products):
+    # the minimal polynomial (of degree d) builds I, C, ..., C^d, and the
+    # resolvent check and the kernel reuse them: d products, no more
+    assert len(linalg.minimal_polynomial(H.matrix())) - 1 == products
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counting(A, B):
+        calls.append(len(A))
+        return mat_mul(A, B)
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    make_context(H, mu)
+    assert len(calls) == products
 
 
 def test_candidates_mu_zero_includes_empty_vector():

@@ -39,7 +39,7 @@ def pair_block(t: int, s: int, mu, types) -> None:
             cells = []
             for adjacent in (False, True):
                 rho = rho_value(t, s, mu, u, v, adjacent)
-                ok = rho_of_pair(t, s, mu, u, v, adjacent) is not None
+                ok = rho_of_pair(t, s, u, v, rho) is not None
                 word = "adj" if adjacent else "non"
                 cells.append(f"{word} rho={rho}{'' if ok else ' (infeasible)'}")
             print(f"    ({u.a},{u.b})--({v.a},{v.b})  bounds [{lo},{hi}]  "

@@ -6,8 +6,11 @@ set X with G - X = H and mu an eigenvalue of G of multiplicity |X|?  The
 package enumerates the candidate H-neighbourhoods, searches compatible
 families (optionally under a regularity constraint), and certifies every
 result with three independent exact checks.  Complete bipartite complements
-K_{t,s} get closed-form candidate equations, pair-relation tables, the
-G(r) constructions and the associated feasibility analysis.
+K_{t,s} get their candidates by vertex type, the s-free type rows and
+pair-relation tables, and the mu = -1 construction G(r).  The paper's
+other closed forms (the all-type-(0,b) family, the strong-regularity gap,
+the K_{s,s} roots) are not in the package: the tests check the search
+against them.
 
 No floating point anywhere: scalars live in Q or a real quadratic field
 Q(sqrt(d)), and linear algebra is fraction-free over the integers.

@@ -127,7 +127,7 @@ def _cmd_analyze(args, out) -> int:
             for adjacent in (False, True):
                 rho = rho_value(t, s, mu, u, v, adjacent)
                 word = "adjacent" if adjacent else "nonadjacent"
-                feasible = rho_of_pair(t, s, mu, u, v, adjacent) is not None
+                feasible = rho_of_pair(t, s, u, v, rho) is not None
                 verdict = "feasible" if feasible else "infeasible"
                 out.write(f"  ({u.a},{u.b}) ({v.a},{v.b}) {word} "
                           f"rho={rho} bounds=[{lo},{hi}] {verdict}\n")

@@ -22,11 +22,12 @@ walks the 2^q subsets in Gray-code order with N b packed into one int.
 Either one runs once per search, and _non_main, the non-main test
 b^T N j = -mval of a regular graph (j the all-ones vector), filters its
 pool for every degree other than r = mu.  The pair relation
-(_build_label_tables, used by classify_pair and the search) forms B^T N B
-a row at a time, each row packed into one int and labelled by
-word-parallel compares.  The tests check it against the QNum resolvent,
-and the types (vertex_types, which `starcomp analyze` prints) against
-their closed form; both oracles live in the tests.
+(_build_label_tables) forms B^T N B a row at a time, each row packed
+into one int and labelled by word-parallel compares.  The tests check it
+against the QNum resolvent and read one pair's label off it
+(classify_pair), and they check the types (vertex_types, which `starcomp
+analyze` prints) against their closed form and the K_{s,s} roots; those
+oracles live in the tests.
 
 One function, _search, runs a search for one degree r (or for maximal
 families when r is None): it filters the candidates, builds the
@@ -46,15 +47,13 @@ search context.
 from __future__ import annotations
 
 import contextlib
-import enum
 from itertools import combinations, product
 from math import comb
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
-from .errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
-                     InternalInconsistency, TooLarge, Unbounded)
+from .errors import BadTag, HypothesisViolated, InternalInconsistency, TooLarge, Unbounded
 from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
 from .linalg import (combination_vanishes, identity, mat_mul, minimal_polynomial,
                      minimal_polynomial_powers, multiplicity, resolvent_coefficients,
@@ -70,13 +69,6 @@ BRUTE_FORCE_CAP = 24
 # pool a search in the tests builds is 225 (K_{6,6} mu=-2).
 CANDIDATE_CAP = 4096
 HALF_CAP_MIN_Q = 3
-
-
-class Compat(enum.Enum):
-    """Forced relation between two prospective star-set vertices."""
-    ADJACENT = "adjacent"
-    NON_ADJACENT = "non-adjacent"
-    INCOMPATIBLE = "incompatible"
 
 
 class IntKernel(NamedTuple):
@@ -274,21 +266,6 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     out = [_candidate(ctx, m) for m in hits]
     out.sort(key=lambda c: (c.type_ab, c.bits))
     return out
-
-
-def classify_pair(ctx: StarContext, u: CandidateVector, v: CandidateVector) -> Compat:
-    """Relation forced between two candidates if both join the star set.
-
-    Equal vectors are co-duplicates, legal only for mu in {-1, 0} (where the
-    same arithmetic labels the pair); for any other mu they are rejected
-    with DuplicateNeighbourhood.  The label is the one the search uses.
-    """
-    if u.mask == v.mask and not ctx.mu_special:
-        raise DuplicateNeighbourhood("equal H-neighbourhoods require mu in {-1, 0}")
-    (adj, _), (compat, _) = _build_label_tables(ctx, [u, v])
-    if not compat >> 1 & 1:
-        return Compat.INCOMPATIBLE
-    return Compat.ADJACENT if adj >> 1 & 1 else Compat.NON_ADJACENT
 
 
 # --------------------------------------------------------------------------
@@ -554,7 +531,8 @@ def search_star_sets(ctx: StarContext,
     after orderly pruning and before isomorphism reduction, counted across
     the whole call (all the degrees of a sweep together).  The search stops
     at that many, so fewer isomorphism classes may come back.  A negative
-    max_x or max_solutions is a ValueError.
+    max_x or max_solutions is a ValueError, and so is a bool for any of
+    the three (bool is an int, so True would mean degree or limit 1).
 
     symmetry (tagged contexts only) prunes a partial choice of candidates
     once a part permutation of K_{t,s} (S_t x S_s, and the part swap when
@@ -569,6 +547,8 @@ def search_star_sets(ctx: StarContext,
     output.
     """
     for name, limit in (("max_x", max_x), ("max_solutions", max_solutions)):
+        if isinstance(limit, bool):
+            raise ValueError(f"{name} must be an integer or None, got {limit}")
         if limit is not None and limit < 0:
             raise ValueError(f"{name} must be non-negative, got {limit}")
     if ctx.mu_special and max_x is None:
@@ -578,7 +558,8 @@ def search_star_sets(ctx: StarContext,
         # than 2^q distinct vectors
         lo = max(ctx.H.degrees(), default=0)
         degrees = range(lo, ctx.q + _effective_cap(ctx, max_x, 1 << ctx.q) + 1)
-    elif require_regular is None or isinstance(require_regular, int):
+    elif require_regular is None or (isinstance(require_regular, int)
+                                     and not isinstance(require_regular, bool)):
         degrees = [require_regular]
     else:
         raise ValueError("require_regular must be None, an integer, or 'sweep'")

@@ -27,10 +27,6 @@ class Unbounded(StarCompError):
     """The search space is provably infinite and no cap was supplied."""
 
 
-class DuplicateNeighbourhood(StarCompError):
-    """Two prospective star-set vertices share a neighbourhood where forbidden."""
-
-
 class DivisibilityViolation(StarCompError):
     """An integrality condition required by a construction fails."""
 

@@ -44,11 +44,6 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, rows)
 
-    @staticmethod
-    def from_matrix(rows: Sequence[Sequence[int]]) -> "Graph":
-        n = len(rows)
-        return Graph(n, [sum((1 << j) for j in range(n) if rows[i][j]) for i in range(n)])
-
     def matrix(self) -> list[list[int]]:
         return [[self.adj[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
 
@@ -71,10 +66,6 @@ class Graph:
                 if row >> u & 1:
                     yield (v, u)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph with old vertex v renamed to perm[v]."""
         rows = [0] * self.n
@@ -82,10 +73,6 @@ class Graph:
             for u in self.neighbours(v):
                 rows[perm[v]] |= 1 << perm[u]
         return Graph(self.n, rows)
-
-    def complement(self) -> "Graph":
-        mask = (1 << self.n) - 1
-        return Graph(self.n, [~r & mask & ~(1 << v) for v, r in enumerate(self.adj)])
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -229,17 +216,8 @@ def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def make_kts(t: int, s: int) -> Graph:
     """K_{t,s} with the t-part on vertices 0..t-1 and the s-part following."""
     if not (1 <= t <= s):
         raise HypothesisViolated(f"need s >= t >= 1, got ({t},{s})")
     return Graph.from_edges(t + s, [(i, t + j) for i in range(t) for j in range(s)])
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    rows = list(a.adj) + [r << a.n for r in b.adj]
-    return Graph(a.n + b.n, rows)

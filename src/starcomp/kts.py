@@ -11,8 +11,12 @@ and the pair relation for types (a,b), (c,d) with rho common H-neighbours:
     (mu^2-ts) rho + acs + bdt + mu(ad+bc) = -mu (mu^2-ts) a_uv.
 
 The types of one concrete K_{t,s} come from the engine's integer kernel
-(engine.vertex_types); this module keeps the closed forms it has no
-counterpart for: the s-free types and the rho tables.
+(engine.vertex_types).  This module keeps the closed forms that `starcomp
+analyze`, scripts/pair_tables.py and the catalogue run: the s-free types,
+the rho tables and the mu = -1 construction G(r).  The paper's other
+closed forms (the all-type-(0,b) family, the strong-regularity gap, and
+the K_{s,s} type roots and bound s(r-s)) have no caller here; the tests
+hold them as oracles the search must agree with.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple, Optional
 from .algebra import QNum, qnum
 from .engine import make_context, solution_from_assembled
 from .errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
-from .graphs import Graph, SrgParams, make_kts
+from .graphs import Graph, make_kts
 
 
 class ParamRow(NamedTuple):
@@ -86,15 +90,13 @@ def rho_bounds(t: int, s: int, u, v) -> tuple[int, int]:
     return lo, hi
 
 
-def rho_of_pair(t: int, s: int, mu, u, v, adjacent: bool) -> Optional[int]:
-    """Integer rho in the combinatorial range, or None when the pair is
-    infeasible for the given adjacency."""
-    val = rho_value(t, s, mu, u, v, adjacent)
-    if not val.is_integer:
+def rho_of_pair(t: int, s: int, u, v, rho: QNum) -> Optional[int]:
+    """rho (a rho_value of the pair) as an int when it is an integer in the
+    combinatorial range; None when the pair is infeasible."""
+    if not rho.is_integer:
         return None
-    rho = val.as_int()
     lo, hi = rho_bounds(t, s, u, v)
-    return rho if lo <= rho <= hi else None
+    return rho.as_int() if lo <= rho.as_int() <= hi else None
 
 
 # -- the mu = -1 construction ----------------------------------------------
@@ -156,83 +158,3 @@ def build_Gr(t: int, s: int, r: int):
         raise InternalInconsistency(f"G({t},{s},{r}) fails its degree equations")
     ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
     return solution_from_assembled(ctx, g)
-
-
-# -- type-(0,b) family, gap and K_{s,s} reports ------------------------------
-
-class FamilyReport(NamedTuple):
-    t: int
-    mu: QNum
-    b: QNum
-    s: QNum
-    r: QNum
-    order: QNum
-    x_size: QNum
-    srg: Optional[SrgParams]
-    status: str  # "ok" | "infeasible" | "prior-work"
-    note: str = ""
-
-
-def family_type0b(t: int, mu) -> FamilyReport:
-    """Parameters of the all-type-(0,b) family: b = mu^2 + t mu, r = s =
-    mu(mu^2 + 2t mu + mu + t^2)/t, with the SRG parameters filled for t = 1."""
-    mu = qnum(mu)
-    b = mu * mu + t * mu
-    s = mu * (mu * mu + 2 * t * mu + mu + t * t) / t
-    r = s
-    order = mu * (mu + 2 * t + 1) * (mu * mu + 2 * t * mu + mu + t * t - t) / (t * t)
-    x_size = (s * (r - t) / (b)) if b else qnum(0)
-    ints = all(v.is_integer and v.as_fraction() > 0 for v in (b, s, order, x_size))
-    if not ints:
-        status, note = "infeasible", "family parameters are not all positive integers"
-    elif t == 2 and mu == 1:
-        status = "prior-work"
-        note = "t=2, mu=1 is settled elsewhere (Sch_10 and its induced regular subgraphs); values are a cross-check only"
-    else:
-        status, note = "ok", ""
-    srg = None
-    if t == 1 and status == "ok" and mu.is_integer and mu.as_fraction() > 0:
-        m = mu.as_int()
-        srg = SrgParams((m * m + 3 * m) ** 2, m * (m * m + 3 * m + 1), 0, m * (m + 1))
-    return FamilyReport(t=t, mu=mu, b=b, s=s, r=r, order=order,
-                        x_size=x_size, srg=srg, status=status, note=note)
-
-
-def srg_gap(k: int, t: int, s: int, r: int, mu) -> QNum:
-    """(k+t+s)r - r^2 - k mu^2 - (k mu + r)^2/(s+t-1); zero exactly when the
-    order-(k+t+s) r-regular graph with eigenvalue mu of multiplicity k is
-    strongly regular.  Requires k+t+s-1 > r."""
-    if not k + t + s - 1 > r:
-        raise HypothesisViolated(f"need k+t+s-1 > r, got {k}+{t}+{s}-1 <= {r}")
-    mu = qnum(mu)
-    km = k * mu + r
-    return qnum((k + t + s) * r - r * r) - k * mu * mu - km * km / (s + t - 1)
-
-
-class KssReport(NamedTuple):
-    s: int
-    mu: QNum
-    discriminant: QNum
-    roots: Optional[tuple[int, int]]
-    mu_integral: bool
-    bound: Optional[int]
-
-
-def kss_analysis(s: int, mu, r: Optional[int] = None) -> KssReport:
-    """K_{s,s} feasibility report: the two type roots when they exist, the
-    integrality condition on mu, and the multiplicity bound s(r-s)."""
-    mu = qnum(mu)
-    disc = -(s + mu) * (2 * mu * mu + mu - s)
-    roots = None
-    if disc.is_rational and disc.as_fraction() >= 0:
-        f = disc.as_fraction()
-        root = QNum.sqrt(f.numerator * f.denominator) / f.denominator
-        if root.is_rational:
-            x1 = (s - mu + root) / 2
-            x2 = (s - mu - root) / 2
-            if x1.is_integer and x2.is_integer and x2.as_fraction() >= 0:
-                roots = (x1.as_int(), x2.as_int())
-    mu_integral = bool(mu.is_integer and abs(mu.as_fraction()) < s)
-    bound = s * (r - s) if r is not None else None
-    return KssReport(s=s, mu=mu, discriminant=disc, roots=roots,
-                     mu_integral=mu_integral, bound=bound)

@@ -15,16 +15,30 @@ it; and the vertex types of K_{t,s} in closed form, from the self-pairing
 and non-main relations in QNum.  Polynomials are tuples of integer
 coefficients, lowest degree first.  They are slow and simple on purpose;
 nothing in the package calls them.
+
+Also here, as the package has no caller for them:
+
+  * classify_pair (with Compat and DuplicateNeighbourhood): the label of
+    one pair of candidates, read from the engine's pair-label tables;
+  * the paper's closed forms for K_{t,s}, which the search is checked
+    against: the all-type-(0,b) family (family_type0b, FamilyReport), the
+    strong-regularity gap (srg_gap), and the K_{s,s} type roots and
+    multiplicity bound s(r-s) (kss_analysis, KssReport);
+  * small graphs only the tests build: complete, disjoint_union,
+    complement and edge_count.
 """
 
+import enum
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple, Optional
 
-from starcomp.algebra import qnum
+from starcomp import engine
+from starcomp.algebra import QNum, qnum
 from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
 from starcomp.engine import VertexType
-from starcomp.errors import HypothesisViolated, MuIsEigenvalue
-from starcomp.graphs import graph6_encode, induced_subgraph
+from starcomp.errors import HypothesisViolated, MuIsEigenvalue, StarCompError
+from starcomp.graphs import Graph, SrgParams, graph6_encode, induced_subgraph
 from starcomp.linalg import _eliminate, char_polynomial, mat_mul, minimal_polynomial
 
 
@@ -324,3 +338,131 @@ def solve_types_fixed(t: int, s: int, mu, non_main: bool = True) -> list[VertexT
                 continue
             out.append(VertexType(a, b))
     return out
+
+
+# -- the pair label of two candidates ---------------------------------------
+
+class Compat(enum.Enum):
+    """Forced relation between two prospective star-set vertices."""
+    ADJACENT = "adjacent"
+    NON_ADJACENT = "non-adjacent"
+    INCOMPATIBLE = "incompatible"
+
+
+class DuplicateNeighbourhood(StarCompError):
+    """Two prospective star-set vertices share a neighbourhood where forbidden."""
+
+
+def classify_pair(ctx, u, v) -> Compat:
+    """Relation forced between two candidates if both join the star set.
+
+    Equal vectors are co-duplicates, legal only for mu in {-1, 0} (where the
+    same arithmetic labels the pair); for any other mu they are rejected
+    with DuplicateNeighbourhood.  The label is the one the search reads
+    from engine._build_label_tables.
+    """
+    if u.mask == v.mask and not ctx.mu_special:
+        raise DuplicateNeighbourhood("equal H-neighbourhoods require mu in {-1, 0}")
+    (adj, _), (compat, _) = engine._build_label_tables(ctx, [u, v])
+    if not compat >> 1 & 1:
+        return Compat.INCOMPATIBLE
+    return Compat.ADJACENT if adj >> 1 & 1 else Compat.NON_ADJACENT
+
+
+# -- the paper's closed forms for K_{t,s} -----------------------------------
+
+class FamilyReport(NamedTuple):
+    t: int
+    mu: QNum
+    b: QNum
+    s: QNum
+    r: QNum
+    order: QNum
+    x_size: QNum
+    srg: Optional[SrgParams]
+    status: str  # "ok" | "infeasible" | "prior-work"
+    note: str = ""
+
+
+def family_type0b(t: int, mu) -> FamilyReport:
+    """Parameters of the all-type-(0,b) family: b = mu^2 + t mu, r = s =
+    mu(mu^2 + 2t mu + mu + t^2)/t, with the SRG parameters filled for t = 1."""
+    mu = qnum(mu)
+    b = mu * mu + t * mu
+    s = mu * (mu * mu + 2 * t * mu + mu + t * t) / t
+    r = s
+    order = mu * (mu + 2 * t + 1) * (mu * mu + 2 * t * mu + mu + t * t - t) / (t * t)
+    x_size = (s * (r - t) / (b)) if b else qnum(0)
+    ints = all(v.is_integer and v.as_fraction() > 0 for v in (b, s, order, x_size))
+    if not ints:
+        status, note = "infeasible", "family parameters are not all positive integers"
+    elif t == 2 and mu == 1:
+        status = "prior-work"
+        note = "t=2, mu=1 is settled elsewhere (Sch_10 and its induced regular subgraphs); values are a cross-check only"
+    else:
+        status, note = "ok", ""
+    srg = None
+    if t == 1 and status == "ok" and mu.is_integer and mu.as_fraction() > 0:
+        m = mu.as_int()
+        srg = SrgParams((m * m + 3 * m) ** 2, m * (m * m + 3 * m + 1), 0, m * (m + 1))
+    return FamilyReport(t=t, mu=mu, b=b, s=s, r=r, order=order,
+                        x_size=x_size, srg=srg, status=status, note=note)
+
+
+def srg_gap(k: int, t: int, s: int, r: int, mu) -> QNum:
+    """(k+t+s)r - r^2 - k mu^2 - (k mu + r)^2/(s+t-1); zero exactly when the
+    order-(k+t+s) r-regular graph with eigenvalue mu of multiplicity k is
+    strongly regular.  Requires k+t+s-1 > r."""
+    if not k + t + s - 1 > r:
+        raise HypothesisViolated(f"need k+t+s-1 > r, got {k}+{t}+{s}-1 <= {r}")
+    mu = qnum(mu)
+    km = k * mu + r
+    return qnum((k + t + s) * r - r * r) - k * mu * mu - km * km / (s + t - 1)
+
+
+class KssReport(NamedTuple):
+    s: int
+    mu: QNum
+    discriminant: QNum
+    roots: Optional[tuple[int, int]]
+    mu_integral: bool
+    bound: Optional[int]
+
+
+def kss_analysis(s: int, mu, r: Optional[int] = None) -> KssReport:
+    """K_{s,s} feasibility report: the two type roots when they exist, the
+    integrality condition on mu, and the multiplicity bound s(r-s)."""
+    mu = qnum(mu)
+    disc = -(s + mu) * (2 * mu * mu + mu - s)
+    roots = None
+    if disc.is_rational and disc.as_fraction() >= 0:
+        f = disc.as_fraction()
+        root = QNum.sqrt(f.numerator * f.denominator) / f.denominator
+        if root.is_rational:
+            x1 = (s - mu + root) / 2
+            x2 = (s - mu - root) / 2
+            if x1.is_integer and x2.is_integer and x2.as_fraction() >= 0:
+                roots = (x1.as_int(), x2.as_int())
+    mu_integral = bool(mu.is_integer and abs(mu.as_fraction()) < s)
+    bound = s * (r - s) if r is not None else None
+    return KssReport(s=s, mu=mu, discriminant=disc, roots=roots,
+                     mu_integral=mu_integral, bound=bound)
+
+
+# -- small graphs only the tests build --------------------------------------
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    return Graph(a.n + b.n, list(a.adj) + [r << a.n for r in b.adj])
+
+
+def complement(g: Graph) -> Graph:
+    mask = (1 << g.n) - 1
+    return Graph(g.n, [~r & mask & ~(1 << v) for v, r in enumerate(g.adj)])
+
+
+def edge_count(g: Graph) -> int:
+    return sum(g.degrees()) // 2

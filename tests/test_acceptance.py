@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import qnum_resolvent
+from oracles import qnum_resolvent, srg_gap
 from starcomp.algebra import parse_scalar, qnum
 from starcomp.canon import are_isomorphic
 from starcomp.catalog import catalog_entry, petersen
@@ -26,7 +26,7 @@ from starcomp.engine import (enumerate_candidates, make_context,
 from starcomp.errors import DivisibilityViolation
 from starcomp.graphs import (SrgParams, graph6_decode, induced_subgraph,
                              srg_check)
-from starcomp.kts import build_Gr, gr_params, make_kts, rho_value, srg_gap
+from starcomp.kts import build_Gr, gr_params, make_kts, rho_value
 from starcomp.linalg import char_polynomial, integer_roots
 
 GOLDEN = parse_scalar("root(-1,1):pos")
@@ -85,13 +85,13 @@ def test_c01_k33_mu1_sweep_three_graphs(k33_sweep):
 
 
 def test_c02_srg_status_and_gap(k33_sweep):
-    by_order = {sol.order: sol.graph for sol in k33_sweep}
-    assert srg_check(by_order[9]) is None
-    assert srg_check(by_order[12]) is None
-    assert srg_check(by_order[15]) == SrgParams(15, 6, 1, 3)
-    assert srg_gap(9, 3, 3, 6, 1) == 0
-    assert srg_gap(3, 3, 3, 4, 1) == qnum(Fraction(36, 5)) > 0
-    assert srg_gap(6, 3, 3, 5, 1) == qnum(Fraction(24, 5)) > 0
+    # each find's gap, from its own |X| and degree, is zero exactly where
+    # the find is strongly regular
+    got = {sol.order: (srg_check(sol.graph),
+                       srg_gap(len(sol.x_vertices), 3, 3, sol.cert.regular_degree, 1))
+           for sol in k33_sweep}
+    assert got == {9: (None, qnum(Fraction(36, 5))), 12: (None, qnum(Fraction(24, 5))),
+                   15: (SrgParams(15, 6, 1, 3), qnum(0))}
 
 
 def test_c03_k66_membership(k66_r8, k66_r10):

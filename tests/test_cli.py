@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from starcomp import cli, kts
 from starcomp.cli import main
 
 
@@ -37,6 +38,21 @@ def test_analyze_t3_s18(capsys):
     assert "types: (0,10) (1,6)" in out
     assert "(0,10) (0,10) nonadjacent rho=6 bounds=[2,10] feasible" in out
     assert "(1,6) (1,6) adjacent rho=1 bounds=[0,7] feasible" in out
+
+
+def test_analyze_computes_each_rho_once(capsys, monkeypatch):
+    # K_{3,18} at mu=2 has 3 type pairs, each printed adjacent and not
+    calls = []
+    real = kts.rho_value
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in (cli, kts):
+        monkeypatch.setattr(module, "rho_value", counted)
+    code, out, err = run(capsys, "analyze", "3", "18", "2")
+    assert code == 0 and out.count(" rho=") == 6
+    assert len(calls) == 6
 
 
 def test_analyze_no_types_is_empty(capsys):

@@ -23,20 +23,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from oracles import pairing, qnum_certificate, qnum_resolvent, solve_types_fixed
+from oracles import (Compat, DuplicateNeighbourhood, classify_pair, complete,
+                     disjoint_union, pairing, qnum_certificate, qnum_resolvent,
+                     solve_types_fixed)
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, stable_colouring
 from starcomp.catalog import named_graph, petersen
 from starcomp import canon, engine, linalg
-from starcomp.engine import (Compat, make_context, classify_pair,
-                             enumerate_candidates, multiplicity_cap,
+from starcomp.engine import (make_context, enumerate_candidates, multiplicity_cap,
                              search_star_sets, solution_from_assembled,
                              verify_star_pair, vertex_types)
-from starcomp.errors import (BadTag, DuplicateNeighbourhood, HypothesisViolated,
-                             MuIsEigenvalue, TooLarge, Unbounded)
+from starcomp.errors import BadTag, HypothesisViolated, MuIsEigenvalue, TooLarge, Unbounded
 import starcomp
-from starcomp.graphs import (Graph, complete, cycle, disjoint_union, graph6_encode,
-                             induced_subgraph)
+from starcomp.graphs import Graph, cycle, graph6_encode, induced_subgraph
 from starcomp.kts import make_kts
 
 # (sqrt(5) - 1)/2 = 1/phi; with -1/phi and phi = 1 + 1/phi it covers the
@@ -643,6 +642,13 @@ def test_search_rejects_negative_limits(k33_ctx, limit):
         search_star_sets(k33_ctx, require_regular="sweep", **{limit: -1})
     # zero is a limit, not an error
     assert search_star_sets(k33_ctx, require_regular="sweep", **{limit: 0}) == []
+
+
+@pytest.mark.parametrize("limit", ["require_regular", "max_x", "max_solutions"])
+def test_search_rejects_bool_limits(k33_ctx, limit):
+    # bool is an int: True would silently search degree 1, or cap at 1
+    with pytest.raises(ValueError, match=limit):
+        search_star_sets(k33_ctx, **{"require_regular": "sweep", limit: True})
 
 
 def _count_raw_finds(monkeypatch) -> list[int]:

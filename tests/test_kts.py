@@ -1,26 +1,30 @@
 """Closed-form theory over complete bipartite complements: vertex types,
 pair relations, the G(r) construction, family parameters, and the
-strongly-regular gap.
+strongly-regular gap.  The last two, and the K_{s,s} roots and bound, are
+oracles in tests/oracles.py; the final section holds the search to them.
 
 Type and rho oracles were computed by brute force over explicit vectors
 (quadratic-form evaluation against the scaled resolvent) before the
 closed forms were written; several appear again in the acceptance suite.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import non_main_holds, self_pairing_holds, solve_types_fixed
+from oracles import (edge_count, family_type0b, kss_analysis, non_main_holds,
+                     self_pairing_holds, solve_types_fixed, srg_gap)
 from starcomp import engine
 from starcomp.algebra import QNum, qnum
 from starcomp.engine import VertexType, make_context, vertex_types
-from starcomp.errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
+from starcomp.cli import main
+from starcomp.errors import (DivisibilityViolation, HypothesisViolated, InternalInconsistency,
+                             MuIsEigenvalue)
 from starcomp.graphs import SrgParams, srg_check
-from starcomp.kts import (GrParams, build_Gr, family_type0b, gr_params,
-                          kss_analysis, make_kts, rho_bounds, rho_of_pair,
-                          rho_value, solve_types_parametric, srg_gap)
+from starcomp.kts import (GrParams, build_Gr, gr_params, make_kts, rho_bounds,
+                          rho_of_pair, rho_value, solve_types_parametric)
 
 
 def kts_types(t, s, mu, non_main=True):
@@ -36,7 +40,7 @@ def test_make_kts_layout():
     assert g.degrees() == [3, 3, 2, 2, 2]
     assert not g.adjacent(0, 1) and not g.adjacent(2, 3)
     assert all(g.adjacent(u, w) for u in (0, 1) for w in (2, 3, 4))
-    assert make_kts(1, 1).edge_count == 1
+    assert edge_count(make_kts(1, 1)) == 1
 
 
 def test_make_kts_rejects_bad_parts():
@@ -131,15 +135,19 @@ def test_rho_bounds():
     assert rho_bounds(1, 2, VertexType(1, 2), VertexType(1, 2)) == (3, 3)
 
 
+def rho_verdict(t, s, mu, u, v, adjacent):
+    return rho_of_pair(t, s, u, v, rho_value(t, s, mu, u, v, adjacent))
+
+
 def test_rho_of_pair_feasibility():
     mu = qnum(-1)
     # feasible: integer inside bounds
-    assert rho_of_pair(2, 3, mu, VertexType(1, 3), VertexType(1, 3), False) == 3
+    assert rho_verdict(2, 3, mu, VertexType(1, 3), VertexType(1, 3), False) == 3
     # infeasible: below the overlap lower bound
-    assert rho_of_pair(2, 3, mu, VertexType(1, 3), VertexType(2, 1), False) is None
+    assert rho_verdict(2, 3, mu, VertexType(1, 3), VertexType(2, 1), False) is None
     # infeasible: not an integer
     gold = QNum.quadratic_root(-1, 1)
-    got = rho_of_pair(1, 2, gold, VertexType(0, 1), VertexType(0, 1), True)
+    got = rho_verdict(1, 2, gold, VertexType(0, 1), VertexType(0, 1), True)
     assert got is None or isinstance(got, int)
 
 
@@ -243,3 +251,53 @@ def test_kss_analysis():
     # discriminant not a perfect square: no rational type solution
     rep = kss_analysis(4, qnum(1))
     assert rep.discriminant == qnum(5) and rep.roots is None
+
+
+# ------------------------------------- the search against the closed forms
+
+KSS_MUS = [qnum(m) for m in range(-6, 7)] + [qnum(Fraction(1, 2)), qnum(Fraction(-3, 2))]
+
+
+def test_kss_roots_are_the_engine_types():
+    # on every K_{s,s} context for s = 2..8 and these mu, the engine's types
+    # are the orientations of the oracle's root pair that fit in [0, s]^2
+    contexts = typed = 0
+    for s in range(2, 9):
+        for mu in KSS_MUS:
+            try:
+                ctx = make_context(make_kts(s, s), mu, bipartite_tag=(s, s))
+            except MuIsEigenvalue:
+                continue
+            roots = kss_analysis(s, mu).roots
+            pairs = {roots, roots[::-1]} if roots else set()
+            expected = sorted(p for p in pairs if max(p) <= s and p != (0, 0))
+            assert vertex_types(ctx) == expected, (s, mu)
+            contexts += 1
+            typed += bool(expected)
+    assert (contexts, typed) == (88, 9)
+
+
+def test_family_type0b_is_the_k15_find(k15_sweep):
+    # t = 1, mu = 1: the family predicts the sweep's one graph, the Clebsch graph
+    rep = family_type0b(1, 1)
+    (sol,) = k15_sweep
+    assert rep.status == "ok" and rep.s == 5
+    assert (rep.order, rep.r, rep.x_size) == (sol.order, sol.cert.regular_degree,
+                                              len(sol.x_vertices))
+    assert all(c.type_ab == (0, rep.b) for c in sol.candidates)
+    assert srg_check(sol.graph) == rep.srg
+
+
+def test_kss_size_bound_holds_for_every_find(capsys, k33_sweep, k66_r8, k66_r10):
+    # |X| <= s(r - s), the bound of `starcomp bound` and of the oracle alike
+    rows = []
+    for s, mu, sols in ((3, 1, k33_sweep), (6, -2, k66_r8 + k66_r10)):
+        for sol in sols:
+            r = sol.cert.regular_degree
+            assert main(["bound", "--q", str(2 * s), "--s", str(s), "--r", str(r)]) == 0
+            bound = json.loads(capsys.readouterr().out)["sizeBound"]
+            assert bound == kss_analysis(s, mu, r).bound >= len(sol.x_vertices)
+            rows.append((s, r, len(sol.x_vertices), bound))
+    # all three K_{3,3} graphs meet it with equality
+    assert rows[:3] == [(3, 4, 3, 3), (3, 5, 6, 6), (3, 6, 9, 9)]
+    assert k66_r8 and k66_r10

@@ -38,7 +38,7 @@ from starcomp.linalg import char_polynomial, integer_roots
 
 
 def describe(sol) -> str:
-    roots, _ = integer_roots(char_polynomial(sol.graph.matrix()))
+    roots, _ = integer_roots(char_polynomial(sol.graph.matrix()), max(sol.graph.degrees()))
     spec = " ".join(f"{ev}^{m}" if m > 1 else str(ev)
                     for ev, m in sorted(roots.items()))
     srg = srg_check(sol.graph)

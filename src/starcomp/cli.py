@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .algebra import parse_scalar
 from .catalog import catalog_entry
@@ -136,16 +135,11 @@ def _cmd_analyze(args, out) -> int:
 
 # ----------------------------------------------------------------- search
 
-def _char_poly_fields(poly: tuple[int, ...]) -> tuple[list, Optional[list]]:
-    roots, residual = integer_roots(poly)
-    root_list = [[r, roots[r]] for r in sorted(roots)]
-    residual_list = list(residual) if len(residual) > 1 else None
-    return root_list, residual_list
-
-
 def _solution_record(sol: StarSolution) -> dict:
     cert = sol.cert
-    roots, residual = _char_poly_fields(char_polynomial(sol.graph.matrix()))
+    # every adjacency eigenvalue lies in [-maximum degree, maximum degree]
+    roots, residual = integer_roots(char_polynomial(sol.graph.matrix()),
+                                    max(sol.graph.degrees()))
     types = None
     if all(c.type_ab is not None for c in sol.candidates):
         types = [[c.type_ab.a, c.type_ab.b] for c in sol.candidates]
@@ -153,8 +147,8 @@ def _solution_record(sol: StarSolution) -> dict:
         "graph6": graph6_encode(sol.graph),
         "order": sol.order,
         "degree": cert.regular_degree,
-        "spectrumIntegerRoots": roots,
-        "residualFactor": residual,
+        "spectrumIntegerRoots": [[r, roots[r]] for r in sorted(roots)],
+        "residualFactor": list(residual) if len(residual) > 1 else None,
         "starSet": list(sol.x_vertices),
         "types": types,
         "certificate": _cert_record(cert),

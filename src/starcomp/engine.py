@@ -55,9 +55,8 @@ from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
 from .errors import BadTag, HypothesisViolated, InternalInconsistency, TooLarge, Unbounded
 from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
-from .linalg import (combination_vanishes, identity, mat_mul, minimal_polynomial,
-                     minimal_polynomial_powers, multiplicity, resolvent_coefficients,
-                     scaled_parts, weighted_sum)
+from .linalg import (combination_vanishes, identity, mat_mul, minimal_polynomial_powers,
+                     multiplicity, resolvent_coefficients, scaled_parts, weighted_sum)
 
 # The untagged scan costs 0.33-0.6 us per subset at q = 16..24 (C_q at mu=3,
 # Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 0.34-0.37 s and
@@ -308,9 +307,10 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
     reconstruction identity mval (mu I - A_X) = B^T N B entry by entry.
     For (iii), C, its minimal polynomial m and the coefficients a_j of
     N = sum_j a_j C^j come from G - X itself, so B^T N B =
-    sum_j a_j B^T C^j B with integer matrices B^T C^j B, and the identity
-    is compared in integers.  Failures land in the certificate flags;
-    nothing is raised.
+    sum_j a_j B^T C^j B with integer matrices B^T C^j B, each formed from
+    a power C^j that the minimal polynomial has already built, and the
+    identity is compared in integers.  Failures land in the certificate
+    flags; nothing is raised.
     """
     mu = qnum(mu)
     X = list(X)
@@ -324,15 +324,11 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
 
     recon = False
     if mu_ok:
-        a, mval = resolvent_coefficients(minimal_polynomial(C), mu)
+        m, powers = minimal_polynomial_powers(C)
+        a, mval = resolvent_coefficients(m, mu)
         B = [[A[h][x] for x in X] for h in rest]
         Bt = [[A[x][h] for h in rest] for x in X]
-        terms = []
-        CjB = B
-        for j in range(len(a)):
-            if j:
-                CjB = mat_mul(C, CjB)
-            terms.append(mat_mul(Bt, CjB))
+        terms = [mat_mul(Bt, mat_mul(P, B)) for P in powers[:len(a)]]
         AX = [[A[u][v] for v in X] for u in X]
         recon = combination_vanishes(a + [-mval * mu, mval],
                                      terms + [identity(len(X)), AX])

@@ -1,12 +1,15 @@
 """Exact linear algebra over Z, Q and quadratic extensions.
 
 Matrices are plain lists of row lists, with integer entries wherever the
-package calls in.  Ranks come from Bareiss's fraction-free elimination,
-and the minimal polynomial from its step applied to each power of the
-matrix as it is built; the characteristic polynomial comes from
+package calls in.  One fraction-free elimination, Bareiss's step applied
+to one row at a time, serves twice: fed the rows of a matrix it gives the
+rank, and fed each power of a matrix as it is built, the minimal
+polynomial and those powers.  The characteristic polynomial comes from
 Berkowitz's division-free algorithm, and the multiplicity of an
 eigenvalue, rational or quadratic, is an integer rank.  Polynomials are
-tuples of integer coefficients, lowest degree first.  Scalars from
+tuples of integer coefficients, lowest degree first; their integer roots
+are found by synthetic division at each integer in [-bound, bound], a
+bound the caller knows (for a graph, its maximum degree).  Scalars from
 Q(sqrt(d)) enter only as coefficients of integer matrices: a combination
 sum_j c_j M_j is summed over one common denominator, split into its
 rational and sqrt(d) parts, so testing it for zero is pure int.  No QNum
@@ -36,47 +39,37 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def _eliminate(a: Matrix) -> tuple[int, int, int]:
-    """Bareiss's fraction-free elimination of the integer rows a, in place.
+def _bareiss_step(row: list[int], pivots: list[tuple[int, list[int]]]) -> list[int]:
+    """The integer row after Bareiss's fraction-free step against each pivot
+    row (col, piv), in the order the pivots were found.
 
-    A column with no pivot left is skipped, so the rows end in echelon
-    form.  After the k-th pivot every entry below it is a (k+1) x (k+1)
-    minor of the input, so each division by the previous pivot is exact
-    (Bareiss, Math. Comp. 22, 1968).  Returns the rank, the sign of the
-    row permutation and the last pivot, which for a square matrix of full
-    rank is its determinant up to that sign.
+    Each pivot row took the step against the pivots before it, and col is
+    its first non-zero entry.  By Sylvester's identity each entry after the k-th step is a
+    (k+1) x (k+1) minor of the rows, so each division by the previous
+    pivot is exact (Bareiss, Math. Comp. 22, 1968).  The row is non-zero
+    iff it is independent of the pivot rows.
     """
-    rows = len(a)
-    rank, sign, prev = 0, 1, 1
-    for col in range(len(a[0]) if a else 0):
-        if rank == rows:
-            break
-        piv = next((i for i in range(rank, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
-        top = a[rank]
-        pk = top[col]
-        tail = top[col + 1:]
-        for i in range(rank + 1, rows):
-            row = a[i]
-            f = row[col]
-            if f:
-                row[col + 1:] = [(x * pk - f * y) // prev
-                                 for x, y in zip(row[col + 1:], tail)]
-            elif pk != prev:
-                row[col + 1:] = [x * pk // prev for x in row[col + 1:]]
-            row[col] = 0
+    prev = 1
+    for col, piv in pivots:
+        pk, f = piv[col], row[col]
+        if f:
+            row = [(x * pk - f * y) // prev for x, y in zip(row, piv)]
+        elif pk != prev:
+            row = [x * pk // prev for x in row]
         prev = pk
-        rank += 1
-    return rank, sign, prev
+    return row
 
 
 def int_rank(M: Matrix) -> int:
-    """Rank over Q of an integer matrix, fraction-free."""
-    return _eliminate([list(row) for row in M])[0]
+    """Rank over Q of an integer matrix: the rows that stay non-zero under
+    the fraction-free step become pivots, and the rank counts them."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in M:
+        row = _bareiss_step(list(row), pivots)
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            pivots.append((col, row))
+    return len(pivots)
 
 
 def multiplicity(A: Matrix, mu) -> int:
@@ -133,52 +126,30 @@ def char_polynomial(A: Matrix) -> tuple[int, ...]:
     return tuple(reversed(poly))
 
 
-def integer_roots(coeffs: Sequence[int]) -> tuple[dict[int, int], tuple[int, ...]]:
-    """Integer roots with multiplicities of the polynomial with coefficients
-    coeffs (no trailing zero, leading coefficient arbitrary), and the
-    cofactor left once synthetic division has taken out each (x - r)^m;
-    for a non-zero polynomial it has no integer root."""
-    cs = list(coeffs)
+def integer_roots(coeffs: Sequence[int], bound: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Integer roots r with |r| <= bound, with multiplicities, of the
+    polynomial with coefficients coeffs (no trailing zero, leading
+    coefficient arbitrary), and the cofactor left once synthetic division
+    has taken out each (x - r)^m; it has no integer root in that range.
+
+    Each r in -bound..bound is tried by synthetic division, so the work is
+    O(bound * deg) whatever the coefficients.  For the characteristic
+    polynomial of a graph, its maximum degree bounds every eigenvalue.
+    """
+    cs = tuple(coeffs)
     roots: dict[int, int] = {}
-    if not cs:
-        return roots, ()
-    # strip the power of x first
-    k = 0
-    while cs[k] == 0:
-        k += 1
-    if k:
-        roots[0] = k
-        cs = cs[k:]
-    const = abs(cs[0])
-    cands: set[int] = set()
-    d = 1
-    while d * d <= const:
-        if const % d == 0:
-            cands.add(d)
-            cands.add(const // d)
-        d += 1
-    for c in sorted(cands):
-        for r in (c, -c):
-            while True:
-                acc = 0
-                for coef in reversed(cs):
-                    acc = acc * r + coef
-                if acc != 0 or len(cs) == 1:
-                    break
-                # synthetic division by (x - r)
-                out = []
-                carry = 0
-                for coef in reversed(cs):
-                    carry = coef + carry * r
-                    out.append(carry)
-                cs = list(reversed(out[:-1]))
-                roots[r] = roots.get(r, 0) + 1
-    return roots, tuple(cs)
-
-
-def minimal_polynomial(A: Matrix) -> tuple[int, ...]:
-    """Monic minimal polynomial of a square integer matrix."""
-    return minimal_polynomial_powers(A)[0]
+    for r in range(-bound, bound + 1):
+        while len(cs) > 1:
+            quotient = []
+            carry = 0
+            for coef in reversed(cs):
+                carry = coef + carry * r
+                quotient.append(carry)
+            if carry:
+                break
+            cs = tuple(reversed(quotient[:-1]))
+            roots[r] = roots.get(r, 0) + 1
+    return roots, cs
 
 
 def minimal_polynomial_powers(A: Matrix) -> tuple[tuple[int, ...], list[Matrix]]:
@@ -186,26 +157,18 @@ def minimal_polynomial_powers(A: Matrix) -> tuple[tuple[int, ...], list[Matrix]]
     powers I, A, ..., A^d (d = deg m) its computation builds.
 
     Row k is the flattened power A^k followed by n + 1 tag columns holding
-    e_k (deg m <= n).  Each row, once built, takes Bareiss's fraction-free
-    step against the earlier pivot rows in the order they were found; by
-    Sylvester's identity its entries are then minors of the rows, so each
-    division is exact.  A row with a non-zero matrix column left becomes a
-    pivot at the first; the first row with none is A^d, and its tag holds
-    integer coefficients c_0..c_d of sum c_j A^j = 0, a multiple of m.
+    e_k (deg m <= n).  Each row, once built, takes the fraction-free step
+    against the earlier pivot rows.  A row with a non-zero matrix column
+    left becomes a pivot at the first; the first row with none is A^d, and
+    its tag holds integer coefficients c_0..c_d of sum c_j A^j = 0, a
+    multiple of m.
     """
     n = len(A)
     powers = [identity(n)]
     pivots: list[tuple[int, list[int]]] = []
     for k in count():
         row = [x for r in powers[-1] for x in r] + [int(j == k) for j in range(n + 1)]
-        prev = 1
-        for col, piv in pivots:
-            pk, f = piv[col], row[col]
-            if f:
-                row = [(x * pk - f * y) // prev for x, y in zip(row, piv)]
-            elif pk != prev:
-                row = [x * pk // prev for x in row]
-            prev = pk
+        row = _bareiss_step(row, pivots)
         col = next((j for j in range(n * n) if row[j]), None)
         if col is None:
             tag = row[n * n:n * n + k + 1]

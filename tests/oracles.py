@@ -4,17 +4,17 @@ They are the exact-field routes the package used before its certificate,
 context checks and scaled resolvent moved to integer matrices: Gaussian
 elimination over QNum, the scaled resolvent N summed in QNum, its pairing
 x^T N y, and the reconstruction product B^T N B; the characteristic
-polynomial by interpolation through n + 1 determinants; the minimal
-polynomial by elimination over Q on the powers of the matrix; the untagged
-candidate scan as a Gray-code walk over a list; the pair-label tables as one
-column-and-sum per pair; polynomial evaluation by Horner's
-rule and division over Q, with a pointwise check of a factorisation into
-integer roots and their cofactor; and isomorphism dedupe by canonical bytes
-up to the canonical cap, pairwise tests against every representative above
-it; and the vertex types of K_{t,s} in closed form, from the self-pairing
-and non-main relations in QNum.  Polynomials are tuples of integer
-coefficients, lowest degree first.  They are slow and simple on purpose;
-nothing in the package calls them.
+polynomial by interpolation through n + 1 determinants, each by elimination
+over Q; the minimal polynomial by elimination over Q on the powers of the
+matrix; the untagged candidate scan as a Gray-code walk over a list; the
+pair-label tables as one column-and-sum per pair; polynomial evaluation by
+Horner's rule and division over Q, with a pointwise check of a
+factorisation into integer roots and their cofactor; and isomorphism
+dedupe by canonical bytes up to the canonical cap, pairwise tests against
+every representative above it; and the vertex types of K_{t,s} in closed
+form, from the self-pairing and non-main relations in QNum.  Polynomials
+are tuples of integer coefficients, lowest degree first.  They are slow
+and simple on purpose; nothing in the package calls them.
 
 Also here, as the package has no caller for them:
 
@@ -39,14 +39,30 @@ from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
 from starcomp.engine import VertexType
 from starcomp.errors import HypothesisViolated, MuIsEigenvalue, StarCompError
 from starcomp.graphs import Graph, SrgParams, graph6_encode, induced_subgraph
-from starcomp.linalg import _eliminate, char_polynomial, mat_mul, minimal_polynomial
+from starcomp.linalg import char_polynomial, mat_mul, minimal_polynomial_powers
 
 
-def det_bareiss(M):
-    """Determinant of a square integer matrix, fraction-free."""
-    n = len(M)
-    rank, sign, last = _eliminate([row[:] for row in M])
-    return sign * last if rank == n else 0
+def det_over_q(M):
+    """Determinant of a square integer matrix by Gaussian elimination over
+    Q: the product of the pivots, negated once per row swap."""
+    rows = [[Fraction(x) for x in row] for row in M]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pr = rows[col]
+        det *= pr[col]
+        for i in range(col + 1, n):
+            f = rows[i][col] / pr[col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+    assert det.denominator == 1, det
+    return det.numerator
 
 
 def horner(p, x):
@@ -106,8 +122,8 @@ def interpolated_char_polynomial(A):
     """det(xI - A) sampled at x = 0..n with integer determinants, then
     interpolated by Newton's divided differences in Fraction."""
     n = len(A)
-    coef = [Fraction(det_bareiss([[(x if i == j else 0) - A[i][j] for j in range(n)]
-                                  for i in range(n)]))
+    coef = [Fraction(det_over_q([[(x if i == j else 0) - A[i][j] for j in range(n)]
+                                 for i in range(n)]))
             for x in range(n + 1)]
     for j in range(1, n + 1):
         for i in range(n, j - 1, -1):
@@ -185,7 +201,7 @@ def minimal_polynomial_over_q(A):
 
 def qnum_resolvent(C, mu):
     """N = sum_j a_j C^j and mval = m(mu), accumulated entry by entry in QNum."""
-    m = minimal_polynomial(C)
+    m = minimal_polynomial_powers(C)[0]
     d = len(m) - 1
     a = [qnum(0)] * d
     acc = qnum(1)

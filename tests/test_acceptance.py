@@ -34,7 +34,8 @@ GOLDEN = parse_scalar("root(-1,1):pos")
 
 def integer_spectrum(sol):
     """{root: multiplicity}, asserting the spectrum is fully integral."""
-    roots, _ = integer_roots(char_polynomial(sol.graph.matrix()))
+    G = sol.graph
+    roots, _ = integer_roots(char_polynomial(G.matrix()), max(G.degrees()))
     assert sum(roots.values()) == sol.order
     return roots
 

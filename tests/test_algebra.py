@@ -5,6 +5,7 @@ before the module was written; the hypothesis blocks check the field and
 ring laws on randomized elements.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,15 +143,26 @@ def test_divmod_exact_and_divides():
 
 def test_integer_roots_with_multiplicity():
     # (x-1)^2 (x+3) = x^3 + x^2 - 5x + 3
-    assert integer_roots((3, -5, 1, 1)) == ({1: 2, -3: 1}, (1,))
+    assert integer_roots((3, -5, 1, 1), 3) == ({1: 2, -3: 1}, (1,))
     # x^2 + x - 1 has no integer roots
-    assert integer_roots((-1, 1, 1)) == ({}, (-1, 1, 1))
+    assert integer_roots((-1, 1, 1), 1) == ({}, (-1, 1, 1))
     # x^2 (x - 2)(2x^2 + 1) = 2x^5 - 4x^4 + x^3 - 2x^2
     p = (0, 0, -2, 1, -4, 2)
-    roots, cofactor = integer_roots(p)
+    roots, cofactor = integer_roots(p, 2)
     assert roots == {0: 2, 2: 1} and cofactor == (1, 0, 2)
     assert_deflation(p, roots, cofactor)
-    assert integer_roots(()) == ({}, ())
+    assert integer_roots((), 0) == ({}, ())
+    # a root beyond the bound stays in the cofactor
+    assert integer_roots((-5, 1), 4) == ({}, (-5, 1))
+
+
+def test_integer_roots_work_is_set_by_the_bound():
+    # (x - 3)(x^2 + 10^18 + 9): a constant term near 3 * 10^18 has far too
+    # many candidate divisors to try, but only -3..3 are scanned
+    c = 10**18 + 9
+    t0 = time.perf_counter()
+    assert integer_roots((-3 * c, c, -3, 1), 3) == ({3: 1}, (c, 0, 1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _poly(coeffs):
@@ -177,7 +189,9 @@ def test_integer_roots_are_roots(coeffs, probe):
     p = _poly(coeffs)
     if not p:
         return
-    roots, cofactor = integer_roots(p)
+    # a non-zero integer root divides the lowest non-zero coefficient, so
+    # the largest coefficient bounds it
+    roots, cofactor = integer_roots(p, max(map(abs, p)))
     for r, m in roots.items():
         assert m >= 1 and horner(p, r) == 0
     if horner(p, probe) != 0:

@@ -145,10 +145,12 @@ def test_rho_of_pair_feasibility():
     assert rho_verdict(2, 3, mu, VertexType(1, 3), VertexType(1, 3), False) == 3
     # infeasible: below the overlap lower bound
     assert rho_verdict(2, 3, mu, VertexType(1, 3), VertexType(2, 1), False) is None
-    # infeasible: not an integer
+    # at mu = (sqrt(5)-1)/2 the adjacent pair has rho = 0, feasible, and the
+    # non-adjacent pair has rho = mu, infeasible as it is not an integer
     gold = QNum.quadratic_root(-1, 1)
-    got = rho_verdict(1, 2, gold, VertexType(0, 1), VertexType(0, 1), True)
-    assert got is None or isinstance(got, int)
+    assert rho_verdict(1, 2, gold, VertexType(0, 1), VertexType(0, 1), True) == 0
+    assert rho_value(1, 2, gold, VertexType(0, 1), VertexType(0, 1), False) == gold
+    assert rho_verdict(1, 2, gold, VertexType(0, 1), VertexType(0, 1), False) is None
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3),

@@ -17,6 +17,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(ERROR, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: built on first use, and parse_args
+    keeps no state between calls."""
     p = _Parser(prog="starcomp",
                 description="exact star-complement search over complete "
                             "bipartite complements")

@@ -49,14 +49,15 @@ from __future__ import annotations
 import contextlib
 from itertools import combinations, product
 from math import comb
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
 from .errors import BadTag, HypothesisViolated, InternalInconsistency, TooLarge, Unbounded
 from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
-from .linalg import (combination_vanishes, identity, mat_mul, minimal_polynomial_powers,
-                     multiplicity, resolvent_coefficients, scaled_parts, weighted_sum)
+from .linalg import (combination_vanishes, minimal_polynomial_powers, multiplicity,
+                     resolvent_coefficients, scaled_parts, weighted_sum)
 
 # The untagged scan costs 0.33-0.6 us per subset at q = 16..24 (C_q at mu=3,
 # Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 0.34-0.37 s and
@@ -306,11 +307,12 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
     of mu in G equals |X| (a fraction-free integer rank), (iii) the scaled
     reconstruction identity mval (mu I - A_X) = B^T N B entry by entry.
     For (iii), C, its minimal polynomial m and the coefficients a_j of
-    N = sum_j a_j C^j come from G - X itself, so B^T N B =
-    sum_j a_j B^T C^j B with integer matrices B^T C^j B, each formed from
-    a power C^j that the minimal polynomial has already built, and the
-    identity is compared in integers.  Failures land in the certificate
-    flags; nothing is raised.
+    N = sum_j a_j C^j come from G - X itself.  Over one common denominator
+    D, D N = P + R sqrt(d) is summed on the q x q side from the powers C^j
+    that the minimal polynomial has already built, and B^T P B and
+    B^T R B, one product for each non-zero part, are compared with the
+    matching parts of D mval (mu I - A_X) in integers.  Failures land in
+    the certificate flags; nothing is raised.
     """
     mu = qnum(mu)
     X = list(X)
@@ -326,12 +328,23 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
     if mu_ok:
         m, powers = minimal_polynomial_powers(C)
         a, mval = resolvent_coefficients(m, mu)
-        B = [[A[h][x] for x in X] for h in rest]
-        Bt = [[A[x][h] for h in rest] for x in X]
-        terms = [mat_mul(Bt, mat_mul(P, B)) for P in powers[:len(a)]]
-        AX = [[A[u][v] for v in X] for u in X]
-        recon = combination_vanishes(a + [-mval * mu, mval],
-                                     terms + [identity(len(X)), AX])
+        d, q = len(a), len(rest)
+        # b_x, column x of B: the H-neighbourhood of x
+        bs = [[A[x][h] for h in rest] for x in X]
+
+        def part_vanishes(c: list[int]) -> bool:
+            # B^T (sum_j c_j C^j) B + c_d I + c_(d+1) A_X = 0, entry by entry
+            if not any(c):
+                return True
+            DN = weighted_sum(c[:d], powers[:d])
+            rows = [DN[u * q:(u + 1) * q] for u in range(q)]
+            NB = [[sum(map(mul, row, b)) for row in rows] for b in bs]
+            return all(sum(map(mul, bi, nbj)) + c[d] * (x == y) + c[d + 1] * A[x][y] == 0
+                       for x, bi in zip(X, bs) for y, nbj in zip(X, NB))
+
+        # D N = sum_j D a_j C^j splits into a rational and a sqrt(d) part
+        _, ps, rs = scaled_parts(a + [-mval * mu, mval])
+        recon = part_vanishes(ps) and part_vanishes(rs)
 
     return Certificate(mu=mu, x_size=len(X), multiplicity=mult,
                        regular_degree=regular_degree(G),
@@ -692,13 +705,15 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
 
     def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
                 allowed: int, state):
-        # state is that of chosen_idx[:-1]: the orderly test of chosen_idx
-        # runs last, once the cheaper degree checks (which most nodes fail)
-        # have passed
+        # the orderly test of chosen_idx runs last, once the cheaper degree
+        # checks (which most nodes fail) have passed.  Below depth 1 state
+        # is that of chosen_idx[:-1]; the root tests each of its picks once
+        # and hands a depth-1 node its own state.
+        tested = len(chosen_idx) < 2
         if cov == need:
             # H-side degrees are saturated; X-side must match exactly
             if (all(adeg[p] == room[i] for p, i in enumerate(chosen_idx))
-                    and extend(state, chosen_idx) is not None):
+                    and (tested or extend(state, chosen_idx) is not None)):
                 emit(chosen_idx)
             return
         if len(chosen_idx) >= cap:
@@ -711,11 +726,14 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                     return
                 if not special and avail.bit_count() < deficit:
                     return
-        if chosen_idx:
+        if not tested:
             state = extend(state, chosen_idx)
             if state is None:
                 return
-        m = allowed
+        m, firsts = allowed, None
+        if not chosen_idx:
+            firsts = [extend(root, [i]) for i in range(k)]
+            m = sum(1 << i for i, st in enumerate(firsts) if st is not None)
         while m:
             low = m & -m
             i = low.bit_length() - 1
@@ -741,7 +759,7 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
             for p, pi in enumerate(nxt):
                 if new_adeg[p] == room[pi]:
                     pruned &= ~adj_mask[pi]
-            regular(nxt, new_cov, new_adeg, pruned, state)
+            regular(nxt, new_cov, new_adeg, pruned, state if firsts is None else firsts[i])
 
     with contextlib.suppress(_BudgetSpent):
         if r is None:

@@ -57,7 +57,14 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbours(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if self.adj[v] >> u & 1]
+        """The neighbours of v, ascending: the set bits of its row, lowest first."""
+        out = []
+        row = self.adj[v]
+        while row:
+            low = row & -row
+            out.append(low.bit_length() - 1)
+            row ^= low
+        return out
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):

@@ -4,12 +4,13 @@ Matrices are plain lists of row lists, with integer entries wherever the
 package calls in.  One fraction-free elimination, Bareiss's step applied
 to one row at a time, serves twice: fed the rows of a matrix it gives the
 rank, and fed each power of a matrix as it is built, the minimal
-polynomial and those powers.  The characteristic polynomial comes from
-Berkowitz's division-free algorithm, and the multiplicity of an
-eigenvalue, rational or quadratic, is an integer rank.  Polynomials are
-tuples of integer coefficients, lowest degree first; their integer roots
-are found by synthetic division at each integer in [-bound, bound], a
-bound the caller knows (for a graph, its maximum degree).  Scalars from
+polynomial and those powers.  The characteristic polynomial comes from a
+Hessenberg reduction over GF(p), p a Mersenne prime above twice a bound
+on its coefficients, and the multiplicity of an eigenvalue, rational or
+quadratic, is an integer rank.  Polynomials are tuples of integer
+coefficients, lowest degree first; their integer roots are found by
+synthetic division at each integer in [-bound, bound], a bound the
+caller knows (for a graph, its maximum degree).  Scalars from
 Q(sqrt(d)) enter only as coefficients of integer matrices: a combination
 sum_j c_j M_j is summed over one common denominator, split into its
 rational and sqrt(d) parts, so testing it for zero is pure int.  No QNum
@@ -25,7 +26,7 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import QNum, qnum
-from .errors import InternalInconsistency, MuIsEigenvalue
+from .errors import InternalInconsistency, MuIsEigenvalue, TooLarge
 
 Matrix = list[list]
 
@@ -102,28 +103,75 @@ def multiplicity(A: Matrix, mu) -> int:
     return null // 2
 
 
+# Mersenne exponents e (2^e - 1 prime), for the moduli of char_polynomial
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+                      9689, 9941, 11213, 19937, 21701, 23209, 44497)
+
+
 def char_polynomial(A: Matrix) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - A) of a square integer matrix.
 
-    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
-    with A_r the leading r x r block, R = A[r][:r] and S = A[:r][r],
-    det(xI - A_{r+1}) is the product of the lower-triangular Toeplitz
-    matrix with first column 1, -a_rr, -R S, -R A_r S, ..., -R A_r^(r-1) S
-    and the coefficients of det(xI - A_r).  It uses integer additions and
-    multiplications only; the result is monic of degree n.
+    Every eigenvalue has |lambda| <= R, the largest absolute row sum
+    (Gershgorin), so each coefficient, an elementary symmetric function of
+    the eigenvalues up to sign, has |c_k| <= C(n, k) R^k <= (1 + R)^n.
+    Over GF(p), p the smallest Mersenne prime 2^e - 1 (e in
+    MERSENNE_EXPONENTS) with p > 2 (1 + R)^n, A is reduced to upper
+    Hessenberg form H by similarity, and the characteristic polynomials
+    p_m of its leading m x m blocks follow the recurrence (1-based)
+
+        p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1)i ... h_m(m-1) p_(i-1)
+
+    from p_0 = 1 (Cohen, GTM 138, section 2.2): O(n^3) operations in all.
+    The symmetric residue of each coefficient of p_n is the integer.
+    Raises TooLarge when the bound passes the largest prime of the table.
+    The result is monic of degree n.
     """
-    poly = [1]  # det(xI - A_r), highest power first
-    for r, row in enumerate(A):
-        R = row[:r]
-        block = [A[i][:r] for i in range(r)]
-        v = [A[i][r] for i in range(r)]
-        col = [1, -row[r]]
-        for k in range(r):
-            if k:
-                v = [sum(map(mul, b, v)) for b in block]
-            col.append(-sum(map(mul, R, v)))
-        poly = [sum(map(mul, col[i::-1], poly)) for i in range(r + 2)]
-    return tuple(reversed(poly))
+    n = len(A)
+    bound = 2 * (1 + max((sum(map(abs, row)) for row in A), default=0)) ** n
+    p = next((m for m in ((1 << e) - 1 for e in MERSENNE_EXPONENTS) if m > bound), None)
+    if p is None:
+        raise TooLarge(f"characteristic polynomial coefficients may pass "
+                       f"2^{MERSENNE_EXPONENTS[-1]}")
+    H = [[x % p for x in row] for row in A]
+    # column j - 1 is cleared below row j by a pivot row j, similarity
+    # L^-1 H L with L = I + sum_i u_i e_i e_j^T: row_i -= u_i row_j, then
+    # col_j += sum_i u_i col_i (the u_i commute, as e_j^T e_i = 0)
+    for j in range(1, n - 1):
+        piv = next((i for i in range(j, n) if H[i][j - 1]), None)
+        if piv is None:
+            continue
+        if piv != j:
+            H[piv], H[j] = H[j], H[piv]
+            for row in H:
+                row[piv], row[j] = row[j], row[piv]
+        inv = pow(H[j][j - 1], -1, p)
+        pivot_row = H[j][j:]
+        us = []
+        for i in range(j + 1, n):
+            u = H[i][j - 1] * inv % p
+            us.append(u)
+            if u:
+                # columns below j - 1 are zero in rows j and i already
+                H[i] = [0] * j + [(x - u * y) % p for x, y in zip(H[i][j:], pivot_row)]
+        if any(us):
+            for row in H:
+                row[j] = (row[j] + sum(map(mul, us, row[j + 1:]))) % p
+    polys = [[1]]   # p_0, p_1, ...: ascending coefficients mod p
+    for m in range(n):
+        prev = polys[m]
+        h = H[m][m]
+        new = [-h * prev[0]] + [a - h * b for a, b in zip(prev, prev[1:])] + [1]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % p
+            if not t:
+                break
+            c = t * H[i][m] % p
+            for k, b in enumerate(polys[i]):
+                new[k] -= c * b
+        polys.append([c % p for c in new])
+    half = p >> 1
+    return tuple(c - p if c > half else c for c in polys[n])
 
 
 def integer_roots(coeffs: Sequence[int], bound: int) -> tuple[dict[int, int], tuple[int, ...]]:

@@ -4,10 +4,11 @@ They are the exact-field routes the package used before its certificate,
 context checks and scaled resolvent moved to integer matrices: Gaussian
 elimination over QNum, the scaled resolvent N summed in QNum, its pairing
 x^T N y, and the reconstruction product B^T N B; the characteristic
-polynomial by interpolation through n + 1 determinants, each by elimination
-over Q; the minimal polynomial by elimination over Q on the powers of the
-matrix; the untagged candidate scan as a Gray-code walk over a list; the
-pair-label tables as one column-and-sum per pair; polynomial evaluation by
+polynomial by Berkowitz's division-free algorithm, and by interpolation
+through n + 1 determinants, each by elimination over Q; the minimal
+polynomial by elimination over Q on the powers of the matrix; the
+untagged candidate scan as a Gray-code walk over a list; the pair-label
+tables as one column-and-sum per pair; polynomial evaluation by
 Horner's rule and division over Q, with a pointwise check of a
 factorisation into integer roots and their cofactor; and isomorphism
 dedupe by canonical bytes up to the canonical cap, pairwise tests against
@@ -31,6 +32,7 @@ Also here, as the package has no caller for them:
 import enum
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import NamedTuple, Optional
 
 from starcomp import engine
@@ -39,7 +41,7 @@ from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
 from starcomp.engine import VertexType
 from starcomp.errors import HypothesisViolated, MuIsEigenvalue, StarCompError
 from starcomp.graphs import Graph, SrgParams, graph6_encode, induced_subgraph
-from starcomp.linalg import char_polynomial, mat_mul, minimal_polynomial_powers
+from starcomp.linalg import mat_mul, minimal_polynomial_powers
 
 
 def det_over_q(M):
@@ -116,6 +118,27 @@ def assert_deflation(p, roots, cofactor):
         for r, m in roots.items():
             prod *= (x - r) ** m
         assert prod == horner(p, x), x
+
+
+def berkowitz_char_polynomial(A):
+    """det(xI - A) by Berkowitz's division-free algorithm (Inf. Process.
+    Lett. 18, 1984): with A_r the leading r x r block, R = A[r][:r] and
+    S = A[:r][r], det(xI - A_{r+1}) is the product of the lower-triangular
+    Toeplitz matrix with first column 1, -a_rr, -R S, -R A_r S, ...,
+    -R A_r^(r-1) S and the coefficients of det(xI - A_r), in integer
+    additions and multiplications only."""
+    poly = [1]  # det(xI - A_r), highest power first
+    for r, row in enumerate(A):
+        R = row[:r]
+        block = [A[i][:r] for i in range(r)]
+        v = [A[i][r] for i in range(r)]
+        col = [1, -row[r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, b, v)) for b in block]
+            col.append(-sum(map(mul, R, v)))
+        poly = [sum(map(mul, col[i::-1], poly)) for i in range(r + 2)]
+    return tuple(reversed(poly))
 
 
 def interpolated_char_polynomial(A):
@@ -239,7 +262,7 @@ def qnum_certificate(G, X, mu):
     X = list(X)
     rest = [v for v in range(G.n) if v not in set(X)]
     C = induced_subgraph(G, rest).matrix()
-    mu_ok = horner(char_polynomial(C), mu) != 0
+    mu_ok = horner(berkowitz_char_polynomial(C), mu) != 0
     A = G.matrix()
     mult = G.n - field_rank([[mu * (i == j) - A[i][j] for j in range(G.n)]
                              for i in range(G.n)])

@@ -168,6 +168,22 @@ def test_search_output_file_reruns_identically(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; what one call parses must not
+    # reach the next: neither --output nor --r nor a usage error
+    path = tmp_path / "k33.jsonl"
+    code, out, err = run(capsys, "search", "3", "3", "1", "--sweep", "--r", "4")
+    assert code == 1 and "not allowed with" in err
+    code, out, err = run(capsys, "search", "3", "3", "1", "--r", "4", "--output", str(path))
+    assert code == 0 and out == ""
+    code, out, err = run(capsys, "search", "3", "3", "1", "--sweep")
+    assert code == 0 and err == ""
+    head = jsonl(out)[0]
+    assert head["r"] == "sweep" and head["maxX"] is None
+    assert jsonl(path.read_text())[0]["r"] == 4
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_search_output_into_missing_directory_is_an_error(tmp_path, capsys):
     path = tmp_path / "missing" / "x.jsonl"
     code, out, err = run(capsys, "search", "3", "3", "1", "--sweep",

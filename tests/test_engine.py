@@ -875,13 +875,14 @@ def _count_orderly_tests(monkeypatch) -> list[int]:
     return calls
 
 
-# The regular DFS runs the orderly test only on nodes that pass its degree
-# checks, so a test placed earlier, or run twice, moves these counts.  The
-# raw finds of test_search_modes_pinned show that the placement prunes
-# nothing the degree checks would keep.
+# The regular DFS tests each pick of its root once, and below depth 1 runs
+# the orderly test only on nodes that pass its degree checks, so a test
+# placed earlier, or run twice, moves these counts.  The raw finds of
+# test_search_modes_pinned show that the placement prunes nothing the
+# degree checks would keep.
 @pytest.mark.parametrize("t,s,mu,require,tests", [
-    (2, 5, 1, "sweep", 1184),
-    (6, 6, -2, 10, 322),
+    (2, 5, 1, "sweep", 1272),
+    (6, 6, -2, 10, 358),
 ])
 def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
     calls = _count_orderly_tests(monkeypatch)

@@ -1,31 +1,33 @@
 """Exact linear algebra: determinants, characteristic and minimal
 polynomials, the resolvent coefficients, integer rank and eigenvalue
 multiplicity.  The oracles (elimination over QNum, the QNum scaled
-resolvent, the interpolated characteristic polynomial, the minimal
-polynomial over Q, the determinant over Q and polynomial division over
-Q) live in oracles.py.
+resolvent, the characteristic polynomial by Berkowitz's algorithm and by
+interpolation, the minimal polynomial over Q, the determinant over Q and
+polynomial division over Q) live in oracles.py.
 
 Characteristic polynomial oracles below are classical values (cycles,
 complete bipartite graphs, the Petersen graph) checked against closed-form
 spectra before this module existed.
 """
 
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (assert_deflation, det_over_q, divides, field_rank,
-                     interpolated_char_polynomial, minimal_polynomial_over_q,
+from oracles import (assert_deflation, berkowitz_char_polynomial, det_over_q, divides,
+                     field_rank, interpolated_char_polynomial, minimal_polynomial_over_q,
                      qnum_resolvent)
 from starcomp.algebra import QNum, qnum
 from starcomp.catalog import petersen
 from starcomp.engine import make_context, search_star_sets
-from starcomp.errors import MuIsEigenvalue
+from starcomp.errors import MuIsEigenvalue, TooLarge
 from starcomp.graphs import cycle
 from starcomp.kts import make_kts
-from starcomp.linalg import (char_polynomial, combination_vanishes, identity,
-                             int_rank, integer_roots, mat_mul,
+from starcomp.linalg import (_bareiss_step, char_polynomial, combination_vanishes,
+                             identity, int_rank, integer_roots, mat_mul,
                              minimal_polynomial_powers, multiplicity,
                              resolvent_coefficients, scaled_parts, weighted_sum)
 
@@ -111,9 +113,29 @@ def test_char_polynomial_shape(M):
                        min_size=n, max_size=n)))
 @example([])
 def test_char_polynomial_matches_interpolation(M):
-    # non-symmetric on purpose: Berkowitz's recurrence reads the row R and
-    # the column S of each border separately
+    # non-symmetric on purpose: the Hessenberg reduction works on rows and
+    # on columns separately
     assert char_polynomial(M) == interpolated_char_polynomial(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([])
+@example([[-10**6]])
+@example([[10**6] * 40 for _ in range(40)])   # 2 (1 + R)^n needs p = 2^1279 - 1
+def test_char_polynomial_matches_berkowitz(M):
+    # with entries near 10^6 the bound 2 (1 + R)^n passes 2^127 from n = 6
+    # on, so most draws use the moduli 2^521 - 1 and above
+    assert char_polynomial(M) == berkowitz_char_polynomial(M)
+
+
+def test_char_polynomial_past_the_largest_modulus_is_too_large():
+    # |c_1| <= 2^44497 could exceed half of the largest prime 2^44497 - 1
+    with pytest.raises(TooLarge):
+        char_polynomial([[1 << 44497]])
+    assert char_polynomial([[1 << 44495]]) == (-(1 << 44495), 1)
 
 
 def test_char_polynomial_on_largest_sweep_graphs():
@@ -307,6 +329,30 @@ def test_int_rank_matches_field_rank(M):
     assert r == int_rank([list(col) for col in zip(*M)])
     if len(M) == len(M[0]):
         assert (r == len(M)) == (det_over_q(M) != 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bareiss_step_stays_fraction_free(seed):
+    # after the k-th step each entry of a row is a (k+1) x (k+1) minor of
+    # that row and the k pivot rows before it (Sylvester's identity), so
+    # Hadamard's bound, the product of their lengths, holds.  Without the
+    # exact division by the previous pivot the entries of an 8 x 10 matrix
+    # with two-digit entries (some zero, so that a row can skip a pivot)
+    # roughly square at each step and pass it; the rank alone would not show
+    # that.
+    rng = random.Random(seed)
+    M = [[rng.randint(-99, 99) if rng.random() < 0.8 else 0 for _ in range(10)]
+         for _ in range(8)]
+    pivots, used = [], []
+    for row in M:
+        out = _bareiss_step(list(row), pivots)
+        bound = prod(sum(x * x for x in r) for r in used + [row])
+        assert all(x * x <= bound for x in out)
+        col = next((j for j, x in enumerate(out) if x), None)
+        if col is not None:
+            pivots.append((col, out))
+            used.append(row)
+    assert len(pivots) == int_rank(M) == field_rank(M)
 
 
 GOLDEN = QNum.quadratic_root(-1, 1)   # (sqrt 5 - 1)/2

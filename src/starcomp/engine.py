@@ -29,12 +29,14 @@ against the QNum resolvent and read one pair's label off it
 analyze` prints) against their closed form and the K_{s,s} roots; those
 oracles live in the tests.
 
-One function, _search, runs a search for one degree r (or for maximal
-families when r is None): it filters the candidates, builds the
-pair-label tables and assembles every find.  Only its recursion depends
-on the mode: a DFS that prunes by the degree equations, or a walk over
-maximal cliques of the compatibility relation.  On a tagged context both
-drop the choices that a part permutation of K_{t,s} maps to a
+One function, _search, runs the whole search: every degree r of a sweep,
+one r, or maximal families (r None).  Labels, cover masks and least
+images do not depend on r, so it builds one pool, its pair-label tables
+and one orderly-test root per call, and a degree only masks the
+candidates it may use.  Only the recursion depends on the mode: a DFS
+that prunes by the degree equations, or a walk over maximal cliques of
+the compatibility relation.  On a tagged context both drop the choices
+that a part permutation of K_{t,s} maps to a
 lexicographically smaller one (orderly generation, _orderly_test), so
 each orbit of finds is assembled about once; _dedupe removes the rest,
 refining each find once and handing that colouring to canonical().
@@ -573,18 +575,9 @@ def search_star_sets(ctx: StarContext,
     else:
         raise ValueError("require_regular must be None, an integer, or 'sweep'")
 
-    # mu = r is the one main eigenvalue of an r-regular graph: for that
-    # degree only, the non-main filter comes off the one scan of the context
-    main = [r is not None and ctx.mu == r for r in degrees]
-    pool = enumerate_candidates(ctx, non_main=not any(main))
-    non_main_pool = [c for c in pool if _non_main(ctx, c.mask)] if any(main) else pool
     found: list[Graph] = []
-    for r, is_main in zip(degrees, main):
-        if len(found) == max_solutions:
-            break
-        _search(ctx, pool if is_main else non_main_pool, r, max_x, max_solutions,
-                symmetry, found)
-
+    with contextlib.suppress(_BudgetSpent):
+        _search(ctx, degrees, max_x, max_solutions, symmetry, found)
     return [solution_from_assembled(ctx, g) for g, _key in _dedupe(found)]
 
 
@@ -629,37 +622,26 @@ class _BudgetSpent(Exception):
     """Unwinds a search once it holds max_solutions raw finds."""
 
 
-def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
-            max_x: Optional[int], max_solutions: Optional[int], symmetry: bool,
-            found: list[Graph]) -> None:
-    """Append to found the star sets built from pool: r-regular extensions,
-    or maximal compatible families when r is None.  Stops once found holds
-    max_solutions raw finds."""
+def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[int],
+            max_solutions: Optional[int], symmetry: bool, found: list[Graph]) -> None:
+    """Append to found the r-regular star sets of each r in degrees
+    (maximal families for r None); raises _BudgetSpent once found holds
+    max_solutions raw finds.  The tables are built over the pool of
+    candidates of size > 0 when a degree first reaches the walk.  A degree
+    keeps need, room, cap and usable: the candidates that pass the
+    non-main test (unless r = mu), have size <= r and support inside the
+    needy vertices.  usable is closed under the part permutations and keeps
+    the pool's order, so the walk is the one a pool of usable would take."""
     q = ctx.q
-    if r is None:
-        need = [0] * q
-        cands = [c for c in pool if c.size > 0]
-    else:
-        need = [r - ctx.H.degree(v) for v in range(q)]
-        if any(x < 0 for x in need) or not any(need):
-            return
-        needy = sum(1 << v for v in range(q) if need[v])
-        cands = [c for c in pool if 0 < c.size <= r and not c.mask & ~needy]
-    if not cands:
-        return
-    cap = _effective_cap(ctx, max_x, len(cands))
-    max_size = max(c.size for c in cands)
-    if cap < 1 or (sum(need) + max_size - 1) // max_size > cap:
-        return
-
-    k = len(cands)
-    adj_mask, compat_mask = _build_label_tables(ctx, cands)
-    full = (1 << k) - 1
-    ge_mask = [(full >> i) << i for i in range(k)]
-    root, extend = _orderly_test(ctx, cands, symmetry)
+    main = ctx.mu in degrees
+    pool = [c for c in enumerate_candidates(ctx, non_main=not main) if c.size > 0]
+    masks, full = [c.mask for c in pool], (1 << len(pool)) - 1
+    non_main = sum(1 << i for i, m in enumerate(masks) if _non_main(ctx, m)) if main else full
+    special = ctx.mu_special
+    extend = None
 
     def emit(chosen_idx: list[int]):
-        chosen = [cands[i] for i in chosen_idx]
+        chosen = [pool[i] for i in chosen_idx]
         adjacency = [[adj_mask[a] >> b & 1 for b in chosen_idx] for a in chosen_idx]
         found.append(_assemble(ctx, chosen, adjacency))
         if len(found) == max_solutions:
@@ -695,14 +677,6 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                     continue
             maximal(nxt, nxt_all, nxt_pick, nxt_state)
 
-    masks = [c.mask for c in cands]
-    cover_mask = [0] * q
-    for i, mask in enumerate(masks):
-        for v in _ones(mask):
-            cover_mask[v] |= 1 << i
-    special = ctx.mu_special
-    room = [] if r is None else [r - c.size for c in cands]  # the X-degree each pick must reach
-
     def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
                 allowed: int, state):
         # the orderly test of chosen_idx runs last, once the cheaper degree
@@ -732,8 +706,8 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                 return
         m, firsts = allowed, None
         if not chosen_idx:
-            firsts = [extend(root, [i]) for i in range(k)]
-            m = sum(1 << i for i, st in enumerate(firsts) if st is not None)
+            firsts = {i: extend(root, [i]) for i in _ones(allowed)}
+            m = sum(1 << i for i, st in firsts.items() if st is not None)
         while m:
             low = m & -m
             i = low.bit_length() - 1
@@ -761,8 +735,33 @@ def _search(ctx: StarContext, pool: list[CandidateVector], r: Optional[int],
                     pruned &= ~adj_mask[pi]
             regular(nxt, new_cov, new_adeg, pruned, state if firsts is None else firsts[i])
 
-    with contextlib.suppress(_BudgetSpent):
+    # the walks read need, room and cap of the degree in hand
+    for r in degrees:
+        if len(found) == max_solutions:
+            return
         if r is None:
-            maximal([], full, full, root)
+            need, usable = [0] * q, non_main
         else:
-            regular([], [0] * q, [], full, root)
+            need = [r - ctx.H.degree(v) for v in range(q)]
+            if any(x < 0 for x in need) or not any(need):
+                continue
+            needy = sum(1 << v for v in range(q) if need[v])
+            usable = (full if ctx.mu == r else non_main) & sum(
+                1 << i for i, m in enumerate(masks) if m.bit_count() <= r and not m & ~needy)
+        if not usable:
+            continue
+        cap = _effective_cap(ctx, max_x, usable.bit_count())
+        max_size = max(masks[i].bit_count() for i in _ones(usable))
+        if cap < 1 or (sum(need) + max_size - 1) // max_size > cap:
+            continue
+        if extend is None:
+            adj_mask, compat_mask = _build_label_tables(ctx, pool)
+            ge_mask = [(full >> i) << i for i in range(len(pool))]
+            cover_mask = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
+                          for v in range(q)]
+            root, extend = _orderly_test(ctx, pool, symmetry)
+        if r is None:
+            maximal([], usable, usable, root)
+        else:
+            room = [r - c.size for c in pool]   # the X-degree each pick must reach
+            regular([], [0] * q, [], usable, root)

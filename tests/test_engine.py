@@ -622,13 +622,15 @@ def test_regular_searches_return_regular_graphs(t, s, mu, tag, max_x):
     sweep = search_star_sets(ctx, require_regular="sweep", max_x=max_x)
     assert sweep and all(sol.cert.regular_degree is not None for sol in sweep)
     cap = max_x if max_x is not None else multiplicity_cap(ctx.q)
-    found = 0
+    lines = []
     for r in range(max(ctx.H.degrees()), ctx.q + cap + 1):
         sols = search_star_sets(ctx, require_regular=r, max_x=max_x)
         assert all(sol.cert.regular_degree == r for sol in sols), r
-        found += len(sols)
-    # graphs of different degrees are never isomorphic
-    assert found == len(sweep)
+        lines += solution_lines(sols).splitlines()
+    # graphs of different degrees are never isomorphic, and the degrees of a
+    # sweep share one pool, its tables and the orderly test's root and
+    # memos, so each degree must find what a search of that degree alone finds
+    assert sorted(solution_lines(sweep).splitlines()) == sorted(lines)
 
 
 def test_search_max_solutions_budget(k33_ctx):
@@ -777,7 +779,8 @@ def part_symmetries(t, s):
 
 
 def record_searches(monkeypatch):
-    """Per _search call, its candidate list and the index tuples it assembled."""
+    """Per search_star_sets call, its candidate pool and the index tuples it
+    assembled."""
     runs = []
     real_test, real_assemble = engine._orderly_test, engine._assemble
 
@@ -889,6 +892,28 @@ def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
     ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
     assert search_star_sets(ctx, require_regular=require)
     assert calls[0] == tests
+
+
+# A sweep builds the pair-label tables and the orderly test's root once,
+# on the first degree that reaches the walk (once per degree before: 42 on
+# K_{6,6} mu=-2, 7 on K_{2,5} mu=1), and not at all when every degree
+# closes before it: K_{2,3} has no candidate at mu = -2.
+@pytest.mark.parametrize("t,s,mu,builds", [
+    (6, 6, -2, 1),
+    (2, 5, 1, 1),
+    (2, 3, -2, 0),
+])
+def test_sweep_builds_tables_once(monkeypatch, t, s, mu, builds):
+    names = ("_build_label_tables", "_orderly_test")
+    calls = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(engine, name, counted)
+    ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+    assert bool(search_star_sets(ctx, require_regular="sweep")) == bool(builds)
+    assert [calls[name] for name in names] == [builds, builds]
 
 
 # _dedupe refines each find once (119 seed colourings; 127 when each

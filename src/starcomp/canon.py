@@ -182,7 +182,10 @@ def canonical(g: Graph, colouring: Optional[tuple] = None) -> CanonicalForm:
                 return resume
         return depth
 
-    walk((colouring or stable_colouring(g))[0], [], [])
+    try:
+        walk((colouring or stable_colouring(g))[0], [], [])
+    finally:
+        del walk   # it holds itself in a cell: break that cycle on return
     perm = best[1]
     return CanonicalForm(bytes=graph6_encode(g.relabel(perm)).encode("ascii"),
                          perm=tuple(perm))
@@ -270,4 +273,7 @@ def are_isomorphic(a: Graph, b: Graph,
                     return True
         return False
 
-    return extend(0, 0)
+    try:
+        return extend(0, 0)
+    finally:
+        del extend   # it holds itself in a cell: break that cycle on return

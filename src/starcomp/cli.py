@@ -139,14 +139,15 @@ def _cmd_analyze(args, out) -> int:
 
 # ----------------------------------------------------------------- search
 
-def _solution_record(sol: StarSolution) -> dict:
+def _solution_record(sol: StarSolution, t: int, s: int) -> dict:
     cert = sol.cert
     # every adjacency eigenvalue lies in [-maximum degree, maximum degree]
     roots, residual = integer_roots(char_polynomial(sol.graph.matrix()),
                                     max(sol.graph.degrees()))
-    types = None
-    if all(c.type_ab is not None for c in sol.candidates):
-        types = [[c.type_ab.a, c.type_ab.b] for c in sol.candidates]
+    # the type (a, b) of x: its neighbours in the t-part and the s-part of K_{t,s}
+    parts = ((1 << t) - 1, ((1 << s) - 1) << t)
+    types = [[(sol.graph.adj[x] & part).bit_count() for part in parts]
+             for x in sol.x_vertices]
     return {
         "graph6": graph6_encode(sol.graph),
         "order": sol.order,
@@ -189,7 +190,7 @@ def _cmd_search(args, out) -> int:
                    "maxX": args.max_x, "maxSolutions": args.max_solutions},
                   stream)
         for sol in solutions:
-            _jsonline(_solution_record(sol), stream)
+            _jsonline(_solution_record(sol, t, s), stream)
         _jsonline({"summary": {"count": len(solutions), "dedupedBy": "canonical"}},
                   stream)
     finally:

@@ -19,15 +19,16 @@ an IntKernel, N scaled to a common denominator (one int per entry, packed
 for quadratic mu), and no QNum matrix is built.  Both candidate routes read
 it: a tagged K_{t,s} tests each vertex type (a, b) once, anything else
 walks the 2^q subsets in Gray-code order with N b packed into one int.
-Either one runs once per search, and _non_main, the non-main test
-b^T N j = -mval of a regular graph (j the all-ones vector), filters its
-pool for every degree other than r = mu.  The pair relation
-(_build_label_tables) forms B^T N B a row at a time, each row packed
-into one int and labelled by word-parallel compares.  The tests check it
-against the QNum resolvent and read one pair's label off it
-(classify_pair), and they check the types (vertex_types, which `starcomp
-analyze` prints) against their closed form and the K_{s,s} roots; those
-oracles live in the tests.
+Either one runs once per search and yields plain ints, each candidate
+the bitmask of its H-neighbourhood.  _non_main, the non-main test
+b^T N j = -mval of a regular graph (j the all-ones vector), filters the
+pool for every degree other than r = mu, and for maximal families too.
+The pair relation (_build_label_tables) forms B^T N B a row at a time,
+each row packed into one int and labelled by word-parallel compares.
+The tests check it against the QNum resolvent and read one pair's label
+off it (classify_pair), and they check the types (vertex_types, which
+`starcomp analyze` prints) against their closed form and the K_{s,s}
+roots; those oracles live in the tests.
 
 One function, _search, runs the whole search: every degree r of a sweep,
 one r, or maximal families (r None).  Labels, cover masks and least
@@ -36,10 +37,10 @@ and one orderly-test root per call, and a degree only masks the
 candidates it may use.  Only the recursion depends on the mode: a DFS
 that prunes by the degree equations, or a walk over maximal cliques of
 the compatibility relation.  On a tagged context both drop the choices
-that a part permutation of K_{t,s} maps to a
-lexicographically smaller one (orderly generation, _orderly_test), so
-each orbit of finds is assembled about once; _dedupe removes the rest,
-refining each find once and handing that colouring to canonical().
+that a part permutation of K_{t,s} maps to a lexicographically smaller
+one (orderly generation, _orderly_test), so each orbit of finds is
+assembled about once; _dedupe removes the rest, refining each find once
+and handing that colouring to canonical().
 
 make_context and verify_star_pair check their identities on integer
 matrices; the certificate builds everything from G - X, never from a
@@ -154,28 +155,15 @@ class VertexType(NamedTuple):
     b: int
 
 
-class CandidateVector(NamedTuple):
-    """A 0/1 H-neighbourhood vector passing the self (and non-main) tests.
-
-    mask (bit v set iff v is a neighbour) is the form the engine reads;
-    bits, the same vector as a tuple, only orders the candidates."""
-    bits: tuple[int, ...]
-    mask: int
-    type_ab: Optional[VertexType]
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-
-def _candidate(ctx: StarContext, mask: int) -> CandidateVector:
-    """The candidate with H-neighbourhood mask, a subset of the q vertices."""
-    type_ab = None
-    if ctx.tag is not None:
-        low = (1 << ctx.tag[0]) - 1
-        type_ab = VertexType((mask & low).bit_count(), (mask & ~low).bit_count())
-    return CandidateVector(bits=tuple(mask >> v & 1 for v in range(ctx.q)), mask=mask,
-                           type_ab=type_ab)
+def _candidate(ctx: StarContext, mask: int) -> tuple[int, ...]:
+    """The sort key of the candidate with H-neighbourhood mask (bit v set
+    iff v is a neighbour): its type (a, b) on a tagged K_{t,s}, then its
+    indicator vector (b_0, ..., b_{q-1}) read as a binary number, b_0 first."""
+    key = (int(f"{mask:0{ctx.q}b}"[::-1], 2),)
+    if ctx.tag is None:
+        return key
+    t = ctx.tag[0]
+    return ((mask & (1 << t) - 1).bit_count(), (mask >> t).bit_count()) + key
 
 
 def _ones(mask: int):
@@ -210,9 +198,10 @@ def vertex_types(ctx: StarContext, non_main: bool = True) -> list[VertexType]:
     return out
 
 
-def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[CandidateVector]:
+def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[int]:
     """All 0/1 vectors b over V(H) with b^T N b = mval * mu, plus
-    b^T N j = -mval when non_main is set (j the all-ones vector).
+    b^T N j = -mval when non_main is set (j the all-ones vector), each as
+    its bitmask (bit v set iff b_v = 1).
 
     A tagged K_{t,s} expands vertex_types: every vector of a passing type
     passes.  Everything else scans the 2^q subsets in Gray-code order,
@@ -220,7 +209,7 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
     step is a few int operations; it runs the non-main test only on
     vectors that pass the self test.  Both routes raise TooLarge before
     building a pool of more than CANDIDATE_CAP.  Candidates come back
-    sorted by (type, indicator tuple).
+    sorted by _candidate: type, then indicator vector.
     """
     N, target, q = ctx.kernel.N, ctx.kernel.self_target, ctx.q
     hits = []
@@ -265,9 +254,8 @@ def enumerate_candidates(ctx: StarContext, non_main: bool = True) -> list[Candid
                 hits.append(mask)
                 if len(hits) > CANDIDATE_CAP:
                     raise TooLarge(f"the candidate pool is capped at {CANDIDATE_CAP}")
-    out = [_candidate(ctx, m) for m in hits]
-    out.sort(key=lambda c: (c.type_ab, c.bits))
-    return out
+    hits.sort(key=lambda m: _candidate(ctx, m))
+    return hits
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +278,8 @@ class Certificate(NamedTuple):
 
 
 class StarSolution(NamedTuple):
-    """A graph together with a certified star set inside it."""
-    candidates: tuple[CandidateVector, ...]
+    """A graph together with a certified star set inside it: H on vertices
+    0..q-1, X after, so x's H-neighbourhood mask is graph.adj[x] & (2^q - 1)."""
     graph: Graph
     x_vertices: tuple[int, ...]
     cert: Certificate
@@ -355,14 +343,13 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
                        reconstruction_ok=recon)
 
 
-def _assemble(ctx: StarContext, chosen: list[CandidateVector],
-              adjacency: list[list[int]]) -> Graph:
+def _assemble(ctx: StarContext, chosen: list[int], adjacency: list[list[int]]) -> Graph:
     """Graph with H on vertices 0..q-1 and the star set after, in choice order."""
     q, k = ctx.q, len(chosen)
     rows = list(ctx.H.adj)
-    xrows = [cand.mask for cand in chosen]
-    for j, cand in enumerate(chosen):
-        for v in _ones(cand.mask):
+    xrows = list(chosen)
+    for j, mask in enumerate(chosen):
+        for v in _ones(mask):
             rows[v] |= 1 << (q + j)
     for i in range(k):
         for j in range(k):
@@ -376,12 +363,10 @@ def solution_from_assembled(ctx: StarContext, G: Graph) -> StarSolution:
     q..n-1) as a certified solution; raises InternalInconsistency when its
     certificate fails."""
     xs = tuple(range(ctx.q, G.n))
-    chosen = [_candidate(ctx, G.adj[x] & ((1 << ctx.q) - 1)) for x in xs]
     cert = verify_star_pair(G, xs, ctx.mu)
     if not cert.passed:
         raise InternalInconsistency("assembled solution failed certification")
-    return StarSolution(candidates=tuple(chosen), graph=G,
-                        x_vertices=xs, cert=cert)
+    return StarSolution(graph=G, x_vertices=xs, cert=cert)
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +390,7 @@ def _effective_cap(ctx: StarContext, max_x: Optional[int], n_cands: int) -> int:
     return cap
 
 
-def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool):
+def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool):
     """The orderly-generation test (Read, "Every one a winner", 1978;
     Faradzev, 1978) under the part permutations of K_{t,s}: S_t x S_s,
     plus the part swap when t = s.  Returns (root, extend); with symmetry
@@ -443,7 +428,6 @@ def _orderly_test(ctx: StarContext, cands: list[CandidateVector], symmetry: bool
     starts = [((A, A), (B, B))]
     if t == s:
         starts.append(((A, B), (B, A)))
-    masks = [c.mask for c in cands]
     index = {m: i for i, m in enumerate(masks)}
 
     def least(S: int, cells) -> int:
@@ -533,7 +517,8 @@ def search_star_sets(ctx: StarContext,
     below; None returns maximal compatible families instead (maximal, or
     cut off at max_x).  The candidates are enumerated once per call: a
     degree r = mu, where mu is the main eigenvalue, takes them all, every
-    other degree only those that pass the non-main test.
+    other degree, and maximal families too, only those that pass the
+    non-main test.
 
     max_x bounds |X|; it is mandatory for mu in {-1, 0}, where co-duplicate
     vertices make the families infinite (Unbounded otherwise).  For other
@@ -581,7 +566,7 @@ def search_star_sets(ctx: StarContext,
     return [solution_from_assembled(ctx, g) for g, _key in _dedupe(found)]
 
 
-def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
+def _build_label_tables(ctx: StarContext, masks: list[int]):
     """The pair labels as bitmask tables: bit j of adj_mask[i] (compat_mask[i])
     is set when j is forced adjacent to (may join X alongside) i; the
     diagonal bit concerns a repeat of i.
@@ -593,8 +578,7 @@ def _build_label_tables(ctx: StarContext, cands: list[CandidateVector]):
     none carries; XOR with a packed target zeroes the fields that hit it,
     and ((x + M) & H) ^ H keeps just their guard bits (H: bit w-1 of each).
     """
-    k, q, kern = len(cands), ctx.q, ctx.kernel
-    masks = [c.mask for c in cands]
+    k, q, kern = len(masks), ctx.q, ctx.kernel
     top = q * q * max((abs(x) for row in kern.N for x in row), default=0) + abs(kern.adjacent)
     step = (top.bit_length() + 9) // 8     # bytes per field, w = 8 step: 2^(w-2) > top
     unit = (bytes(step), b"\x01" + bytes(step - 1))
@@ -634,9 +618,9 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
     the pool's order, so the walk is the one a pool of usable would take."""
     q = ctx.q
     main = ctx.mu in degrees
-    pool = [c for c in enumerate_candidates(ctx, non_main=not main) if c.size > 0]
-    masks, full = [c.mask for c in pool], (1 << len(pool)) - 1
-    non_main = sum(1 << i for i, m in enumerate(masks) if _non_main(ctx, m)) if main else full
+    pool = [m for m in enumerate_candidates(ctx, non_main=not main) if m]
+    full = (1 << len(pool)) - 1
+    non_main = sum(1 << i for i, m in enumerate(pool) if _non_main(ctx, m)) if main else full
     special = ctx.mu_special
     extend = None
 
@@ -726,7 +710,7 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
             # compat_mask decides whether i itself may repeat
             pruned = allowed & compat_mask[i] & ge_mask[i]
             new_cov = cov[:]
-            for v in _ones(masks[i]):
+            for v in _ones(pool[i]):
                 new_cov[v] += 1
                 if new_cov[v] == need[v]:
                     pruned &= ~cover_mask[v]
@@ -735,33 +719,37 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
                     pruned &= ~adj_mask[pi]
             regular(nxt, new_cov, new_adeg, pruned, state if firsts is None else firsts[i])
 
-    # the walks read need, room and cap of the degree in hand
-    for r in degrees:
-        if len(found) == max_solutions:
-            return
-        if r is None:
-            need, usable = [0] * q, non_main
-        else:
-            need = [r - ctx.H.degree(v) for v in range(q)]
-            if any(x < 0 for x in need) or not any(need):
+    # the walks read need, room and cap of the degree in hand.  Each holds
+    # itself in a cell, emptied on the way out to free the tables on return
+    try:
+        for r in degrees:
+            if len(found) == max_solutions:
+                return
+            if r is None:
+                need, usable = [0] * q, non_main
+            else:
+                need = [r - ctx.H.degree(v) for v in range(q)]
+                if any(x < 0 for x in need) or not any(need):
+                    continue
+                needy = sum(1 << v for v in range(q) if need[v])
+                usable = (full if ctx.mu == r else non_main) & sum(
+                    1 << i for i, m in enumerate(pool) if m.bit_count() <= r and not m & ~needy)
+            if not usable:
                 continue
-            needy = sum(1 << v for v in range(q) if need[v])
-            usable = (full if ctx.mu == r else non_main) & sum(
-                1 << i for i, m in enumerate(masks) if m.bit_count() <= r and not m & ~needy)
-        if not usable:
-            continue
-        cap = _effective_cap(ctx, max_x, usable.bit_count())
-        max_size = max(masks[i].bit_count() for i in _ones(usable))
-        if cap < 1 or (sum(need) + max_size - 1) // max_size > cap:
-            continue
-        if extend is None:
-            adj_mask, compat_mask = _build_label_tables(ctx, pool)
-            ge_mask = [(full >> i) << i for i in range(len(pool))]
-            cover_mask = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
-                          for v in range(q)]
-            root, extend = _orderly_test(ctx, pool, symmetry)
-        if r is None:
-            maximal([], usable, usable, root)
-        else:
-            room = [r - c.size for c in pool]   # the X-degree each pick must reach
-            regular([], [0] * q, [], usable, root)
+            cap = _effective_cap(ctx, max_x, usable.bit_count())
+            max_size = max(pool[i].bit_count() for i in _ones(usable))
+            if cap < 1 or (sum(need) + max_size - 1) // max_size > cap:
+                continue
+            if extend is None:
+                adj_mask, compat_mask = _build_label_tables(ctx, pool)
+                ge_mask = [(full >> i) << i for i in range(len(pool))]
+                cover_mask = [sum(1 << i for i, m in enumerate(pool) if m >> v & 1)
+                              for v in range(q)]
+                root, extend = _orderly_test(ctx, pool, symmetry)
+            if r is None:
+                maximal([], usable, usable, root)
+            else:
+                room = [r - m.bit_count() for m in pool]   # the X-degree each pick must reach
+                regular([], [0] * q, [], usable, root)
+    finally:
+        del maximal, regular

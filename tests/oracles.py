@@ -19,6 +19,9 @@ and simple on purpose; nothing in the package calls them.
 
 Also here, as the package has no caller for them:
 
+  * indicator and type_of: a candidate bitmask as its 0/1 vector and as
+    its vertex type on K_{t,s}, the two halves of the order the engine
+    sorts candidates by;
   * classify_pair (with Compat and DuplicateNeighbourhood): the label of
     one pair of candidates, read from the engine's pair-label tables;
   * the paper's closed forms for K_{t,s}, which the search is checked
@@ -282,7 +285,7 @@ def label_tables(ctx, cands):
     for each candidate i the column D N b_i, summed over the support of
     every j >= i and compared with 0 and the adjacent target."""
     N, adjacent = ctx.kernel.N, ctx.kernel.adjacent
-    supports = [[v for v, b in enumerate(c.bits) if b] for c in cands]
+    supports = [[v for v, b in enumerate(indicator(m, len(N))) if b] for m in cands]
     k = len(cands)
     adj_mask, compat_mask = [0] * k, [0] * k
     for i in range(k):
@@ -379,6 +382,20 @@ def solve_types_fixed(t: int, s: int, mu, non_main: bool = True) -> list[VertexT
     return out
 
 
+# -- candidates as 0/1 vectors ----------------------------------------------
+
+def indicator(mask, q):
+    """The 0/1 vector (b_0, ..., b_{q-1}) of a candidate bitmask: b_v = 1
+    iff bit v is set."""
+    return tuple(mask >> v & 1 for v in range(q))
+
+
+def type_of(mask, t):
+    """The vertex type (a, b) of a candidate bitmask on K_{t,s}: a
+    neighbours among vertices 0..t-1, b among the vertices after."""
+    return sum(mask >> v & 1 for v in range(t)), bin(mask >> t).count("1")
+
+
 # -- the pair label of two candidates ---------------------------------------
 
 class Compat(enum.Enum):
@@ -393,14 +410,14 @@ class DuplicateNeighbourhood(StarCompError):
 
 
 def classify_pair(ctx, u, v) -> Compat:
-    """Relation forced between two candidates if both join the star set.
+    """Relation forced between two candidate bitmasks if both join the star set.
 
     Equal vectors are co-duplicates, legal only for mu in {-1, 0} (where the
     same arithmetic labels the pair); for any other mu they are rejected
     with DuplicateNeighbourhood.  The label is the one the search reads
     from engine._build_label_tables.
     """
-    if u.mask == v.mask and not ctx.mu_special:
+    if u == v and not ctx.mu_special:
         raise DuplicateNeighbourhood("equal H-neighbourhoods require mu in {-1, 0}")
     (adj, _), (compat, _) = engine._build_label_tables(ctx, [u, v])
     if not compat >> 1 & 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import qnum_resolvent, srg_gap
+from oracles import indicator, qnum_resolvent, srg_gap
 from starcomp.algebra import parse_scalar, qnum
 from starcomp.canon import are_isomorphic
 from starcomp.catalog import catalog_entry, petersen
@@ -240,7 +240,7 @@ def test_c11_candidate_oracle_equivalence():
     for t, s, mu in cases:
         q = t + s
         tagged = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
-        closed = {c.bits for c in enumerate_candidates(tagged)}
+        closed = {indicator(m, q) for m in enumerate_candidates(tagged)}
         N, mval = qnum_resolvent(make_kts(t, s).matrix(), qnum(mu))
         target_self = mval * qnum(mu)
         target_ones = -mval

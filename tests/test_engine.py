@@ -8,6 +8,7 @@ existed, and the brute-force comparison is re-run here.
 """
 
 import ast
+import gc
 import hashlib
 import itertools
 import os
@@ -24,10 +25,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from oracles import (Compat, DuplicateNeighbourhood, classify_pair, complete,
-                     disjoint_union, pairing, qnum_certificate, qnum_resolvent,
-                     solve_types_fixed)
+                     disjoint_union, indicator, pairing, qnum_certificate, qnum_resolvent,
+                     solve_types_fixed, type_of)
 from starcomp.algebra import QNum, qnum
-from starcomp.canon import are_isomorphic, stable_colouring
+from starcomp.canon import are_isomorphic, canonical, stable_colouring
 from starcomp.catalog import named_graph, petersen
 from starcomp import canon, engine, linalg
 from starcomp.engine import (make_context, enumerate_candidates, multiplicity_cap,
@@ -150,20 +151,21 @@ def test_candidate_counts(t, s, mu, count, types):
     ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
     cands = enumerate_candidates(ctx)
     assert len(cands) == count
-    assert {c.type_ab for c in cands} == types
+    assert {type_of(m, t) for m in cands} == types
     # each candidate satisfies the scaled self-pairing and non-main checks
     N = oracle_N(ctx)
-    for c in cands:
-        assert pairing(N, c.bits, c.bits) == ctx.mval * ctx.mu
-        assert ones_sum(N, c.bits) == -ctx.mval
+    for m in cands:
+        b = indicator(m, ctx.q)
+        assert pairing(N, b, b) == ctx.mval * ctx.mu
+        assert ones_sum(N, b) == -ctx.mval
 
 
 def test_candidates_sorted_and_deterministic():
     ctx = make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3))
     a = enumerate_candidates(ctx)
     b = enumerate_candidates(ctx)
-    assert [c.bits for c in a] == [c.bits for c in b]
-    assert a == sorted(a, key=lambda c: (c.type_ab, c.bits))
+    assert [indicator(m, 6) for m in a] == [indicator(m, 6) for m in b]
+    assert a == sorted(a, key=lambda m: (type_of(m, 3), indicator(m, 6)))
 
 
 @pytest.mark.parametrize("mu,non_main,expected", [
@@ -178,8 +180,8 @@ def test_candidates_k11_by_type(mu, non_main, expected):
     # the type equations do not hold on K_{1,1}, but the kernel's type test does
     ctx = make_context(make_kts(1, 1), qnum(mu), bipartite_tag=(1, 1))
     cands = enumerate_candidates(ctx, non_main=non_main)
-    assert [c.bits for c in cands] == expected
-    assert [c.type_ab for c in cands] == expected
+    assert [indicator(m, 2) for m in cands] == expected
+    assert [type_of(m, 1) for m in cands] == expected
 
 
 def test_candidate_types_match_closed_form():
@@ -192,7 +194,7 @@ def test_candidate_types_match_closed_form():
                     continue
                 ctx = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
                 for non_main in (True, False):
-                    counts = Counter(c.type_ab for c in enumerate_candidates(ctx, non_main))
+                    counts = Counter(type_of(m, t) for m in enumerate_candidates(ctx, non_main))
                     assert counts == {tp: comb(t, tp.a) * comb(s, tp.b)
                                       for tp in solve_types_fixed(t, s, mu, non_main)}
 
@@ -235,8 +237,8 @@ def test_candidates_brute_force_equivalence(monkeypatch):
         tagged = make_context(make_kts(t, s), mu, bipartite_tag=(t, s))
         untagged = make_context(make_kts(t, s), mu)
         for non_main in (True, False):
-            a = {c.bits for c in enumerate_candidates(tagged, non_main=non_main)}
-            b = {c.bits for c in enumerate_candidates(untagged, non_main=non_main)}
+            a = set(enumerate_candidates(tagged, non_main=non_main))
+            b = set(enumerate_candidates(untagged, non_main=non_main))
             assert a == b
 
 
@@ -263,7 +265,7 @@ def test_candidate_cap_is_exact_and_raises_before_building(monkeypatch, tag):
     monkeypatch.setattr(engine, "CANDIDATE_CAP", 224)
 
     def built(*args):
-        raise AssertionError("a candidate was built before the cap check")
+        raise AssertionError("a candidate was keyed before the cap check")
     monkeypatch.setattr(engine, "_candidate", built)
     with pytest.raises(TooLarge, match="capped at 224"):
         enumerate_candidates(ctx)
@@ -299,7 +301,7 @@ def test_gray_code_scan_matches_naive_loop(g, mu):
     naive = naive_candidates(ctx)
     for non_main in (True, False):
         cands = enumerate_candidates(ctx, non_main=non_main)
-        bits = [c.bits for c in cands]
+        bits = [indicator(m, ctx.q) for m in cands]
         assert bits == naive[non_main]
         if mu == 0 and not non_main:
             assert (0,) * ctx.q in bits
@@ -324,7 +326,7 @@ def test_packed_scan_hits_match_list_walk(monkeypatch, H, mu, non_main):
     monkeypatch.setattr(engine, "_candidate", recording)
     cands = enumerate_candidates(ctx, non_main=non_main)
     assert seen == oracles.gray_code_scan(ctx, non_main)
-    assert sorted(c.mask for c in cands) == sorted(seen)
+    assert sorted(cands) == sorted(seen)
 
 
 @pytest.mark.parametrize("H, mu, products", [(cycle(12), 3, 7), (make_kts(6, 6), -2, 3),
@@ -348,11 +350,11 @@ def test_context_builds_each_power_once(monkeypatch, H, mu, products):
 def test_candidates_mu_zero_includes_empty_vector():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     ctx = make_context(p4, qnum(0))
-    bits = {c.bits for c in enumerate_candidates(ctx, non_main=False)}
+    bits = {indicator(m, 4) for m in enumerate_candidates(ctx, non_main=False)}
     assert (0, 0, 0, 0) in bits
     # with mu != 0 the empty vector is never a candidate
     ctx1 = make_context(p4, qnum(1))
-    assert all(any(c.bits) for c in enumerate_candidates(ctx1, non_main=False))
+    assert all(any(indicator(m, 4)) for m in enumerate_candidates(ctx1, non_main=False))
 
 
 # ------------------------------------------------------------ pairing
@@ -372,7 +374,7 @@ def test_pairing_symmetric_bilinear(xm, ym):
 
 def test_classify_pair_labels():
     ctx = make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3))
-    cands = {c.bits: c for c in enumerate_candidates(ctx)}
+    cands = {indicator(m, 6): m for m in enumerate_candidates(ctx)}
     # hand-checked against N = C^2 + C - 8I: disjoint (1,1) vectors pair to
     # 8 = -mval (adjacent); vectors sharing a V-vertex pair to -5+1+1+3 = 0
     u = cands[(1, 0, 0, 1, 0, 0)]
@@ -410,12 +412,12 @@ def test_classify_pair_duplicates():
 
 
 def closed_form_pairing(ctx, u, v):
-    """Pair relation for typed candidates over K_{t,s}: with rho common
+    """Pair relation for candidate bitmasks over K_{t,s}: with rho common
     neighbours, (mu^2 - ts) rho + acs + bdt + mu(ad + bc)."""
     t, s = ctx.tag
-    a, b = u.type_ab
-    c, d = v.type_ab
-    rho = bin(u.mask & v.mask).count("1")
+    a, b = type_of(u, t)
+    c, d = type_of(v, t)
+    rho = bin(u & v).count("1")
     return (ctx.mu * ctx.mu - t * s) * rho + a * c * s + b * d * t \
         + ctx.mu * (a * d + b * c)
 
@@ -434,14 +436,14 @@ def test_closed_form_pair_relation_matches_resolvent(ts, mu, xm, ym):
     except MuIsEigenvalue:
         assume(False)
     N = oracle_N(ctx)
-    vectors = [engine._candidate(ctx, m & ((1 << (t + s)) - 1)) for m in (xm, ym)]
+    vectors = [m & ((1 << (t + s)) - 1) for m in (xm, ym)]
     for non_main in (True, False):
         vectors += enumerate_candidates(ctx, non_main=non_main)
     for u in vectors:
         for v in vectors:
             value = closed_form_pairing(ctx, u, v)
-            assert value == pairing(N, u.bits, v.bits)
-            if u.bits != v.bits or ctx.mu_special:
+            assert value == pairing(N, indicator(u, t + s), indicator(v, t + s))
+            if u != v or ctx.mu_special:
                 assert classify_pair(ctx, u, v) == label_of(ctx, value)
 
 
@@ -497,8 +499,7 @@ def test_int_kernel_matches_qnum_pairing(H_tag, mu, xm, ym):
     assert unpack(kern, sum(kern.N[i][j] for i in sx for j in sy), d) == pairing(N, x, y)
     assert unpack(kern, sum(kern.ones[i] for i in sx), d) == ones_sum(N, x)
     full = (1 << q) - 1
-    adj, compat = engine._build_label_tables(
-        ctx, [engine._candidate(ctx, xm & full), engine._candidate(ctx, ym & full)])
+    adj, compat = engine._build_label_tables(ctx, [xm & full, ym & full])
     assert table_label(adj, compat, 0, 1) == label_of(ctx, pairing(N, x, y))
 
 
@@ -537,14 +538,15 @@ def test_label_tables_match_pairing(H_tag, mu, masks):
     except MuIsEigenvalue:
         assume(False)
     N = oracle_N(ctx)
-    vectors = [engine._candidate(ctx, m & ((1 << ctx.q) - 1)) for m in masks]
+    vectors = [m & ((1 << ctx.q) - 1) for m in masks]
     adj, compat = engine._build_label_tables(ctx, vectors)
     assert (adj, compat) == oracles.label_tables(ctx, vectors)
     assert len(adj) == len(compat) == len(vectors)
     assert all(m >> len(vectors) == 0 for m in adj + compat)
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
-            assert table_label(adj, compat, i, j) == label_of(ctx, pairing(N, u.bits, v.bits))
+            assert table_label(adj, compat, i, j) == label_of(
+                ctx, pairing(N, indicator(u, ctx.q), indicator(v, ctx.q)))
 
 
 def test_label_tables_k66_pinned(k66_ctx):
@@ -571,7 +573,8 @@ def test_search_results_certified_and_labeled(k33_ctx, k33_sweep):
         assert sol.cert.passed
         assert sol.cert.multiplicity == len(sol.x_vertices)
         # pair labels match assembled adjacency
-        g, xs, cands = sol.graph, sol.x_vertices, sol.candidates
+        g, xs = sol.graph, sol.x_vertices
+        cands = [g.adj[x] & ((1 << k33_ctx.q) - 1) for x in xs]
         for i, u in enumerate(xs):
             for j in range(i + 1, len(xs)):
                 label = classify_pair(k33_ctx, cands[i], cands[j])
@@ -779,8 +782,8 @@ def part_symmetries(t, s):
 
 
 def record_searches(monkeypatch):
-    """Per search_star_sets call, its candidate pool and the index tuples it
-    assembled."""
+    """Per search_star_sets call, its candidate pool (bitmasks) and the
+    index tuples it assembled."""
     runs = []
     real_test, real_assemble = engine._orderly_test, engine._assemble
 
@@ -789,8 +792,8 @@ def record_searches(monkeypatch):
         return real_test(ctx, cands, symmetry)
 
     def assemble(ctx, chosen, adjacency):
-        index = {c.bits: i for i, c in enumerate(runs[-1][0])}
-        runs[-1][1].append(tuple(index[c.bits] for c in chosen))
+        index = {m: i for i, m in enumerate(runs[-1][0])}
+        runs[-1][1].append(tuple(index[m] for m in chosen))
         return real_assemble(ctx, chosen, adjacency)
     monkeypatch.setattr(engine, "_orderly_test", test)
     monkeypatch.setattr(engine, "_assemble", assemble)
@@ -819,11 +822,11 @@ def test_orderly_test_matches_brute_force(monkeypatch, t, s, mu, require, max_x)
     rejected = 0
     for cands, finds in runs:
         root, extend = engine._orderly_test(ctx, cands, True)
-        index = {c.mask: i for i, c in enumerate(cands)}
+        index = {m: i for i, m in enumerate(cands)}
 
         def least_image(P):
             return min(tuple(sorted(index[sum(1 << g[v] for v in range(ctx.q)
-                                              if cands[i].mask >> v & 1)]
+                                              if cands[i] >> v & 1)]
                                     for i in P))
                        for g in group)
 
@@ -960,6 +963,36 @@ def test_one_candidate_scan_per_search(monkeypatch, H, mu, tag, require, classes
         assert sols[0].cert.regular_degree == mu
 
 
+def _k_ctx(t, s, mu):
+    return make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+
+
+# The recursive walks (_search's regular and maximal, canonical's walk,
+# are_isomorphic's extend) each hold themselves in a closure cell.  Left
+# there, that cycle keeps a search's pool, label tables and orderly states
+# alive until the cyclic collector runs: 767 objects after one K_{6,6}
+# mu=-2 r=8 search, 951 at r=10, about 30 after canonical(Petersen).
+@pytest.mark.parametrize("call", [
+    lambda ctx=_k_ctx(6, 6, -2): search_star_sets(ctx, require_regular=8),
+    lambda ctx=_k_ctx(6, 6, -2): search_star_sets(ctx, require_regular=10),
+    lambda ctx=_k_ctx(2, 5, 1): search_star_sets(ctx),
+    # unwinds through _BudgetSpent
+    lambda ctx=_k_ctx(2, 5, 1): search_star_sets(ctx, require_regular="sweep",
+                                                 max_solutions=3),
+    lambda: canonical(petersen()),
+    lambda: are_isomorphic(petersen(), petersen().relabel([9 - v for v in range(10)])),
+], ids=["k66-r8", "k66-r10", "k25-maximal", "k25-budget", "canonical", "are_isomorphic"])
+def test_calls_leave_no_reference_cycle(call):
+    call()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_search_max_x_restricts(k33_ctx):
     sols = search_star_sets(k33_ctx, require_regular="sweep", max_x=3)
     assert [s.order for s in sols] == [9]
@@ -984,11 +1017,11 @@ def test_search_maximal_mode(k33_ctx):
         row = tuple(1 if g.adjacent(u, h) else 0 for h in range(k33_ctx.q))
         chosen.add(row)
     for c in cands:
-        if c.bits in chosen:
+        if indicator(c, k33_ctx.q) in chosen:
             continue
         labels = []
         for d in cands:
-            if d.bits in chosen:
+            if indicator(d, k33_ctx.q) in chosen:
                 labels.append(classify_pair(k33_ctx, c, d))
         assert Compat.INCOMPATIBLE in labels
 
@@ -1026,7 +1059,7 @@ def test_solution_from_assembled_fixture():
     sol = solution_from_assembled(ctx, g5)
     assert sol.x_vertices == tuple(range(12, 18))
     assert sol.cert.passed and sol.cert.multiplicity == 6
-    assert {c.type_ab for c in sol.candidates} == {(4, 4)}
+    assert {type_of(g5.adj[x] & ((1 << 12) - 1), 6) for x in sol.x_vertices} == {(4, 4)}
 
 
 # ----------------------------------------------------------- verification

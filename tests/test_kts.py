@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (edge_count, family_type0b, kss_analysis, non_main_holds,
-                     self_pairing_holds, solve_types_fixed, srg_gap)
+                     self_pairing_holds, solve_types_fixed, srg_gap, type_of)
 from starcomp import engine
 from starcomp.algebra import QNum, qnum
 from starcomp.engine import VertexType, make_context, vertex_types
@@ -286,7 +286,8 @@ def test_family_type0b_is_the_k15_find(k15_sweep):
     assert rep.status == "ok" and rep.s == 5
     assert (rep.order, rep.r, rep.x_size) == (sol.order, sol.cert.regular_degree,
                                               len(sol.x_vertices))
-    assert all(c.type_ab == (0, rep.b) for c in sol.candidates)
+    assert all(type_of(sol.graph.adj[x] & ((1 << 6) - 1), 1) == (0, rep.b)
+               for x in sol.x_vertices)
     assert srg_check(sol.graph) == rep.srg
 
 

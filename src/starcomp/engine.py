@@ -39,8 +39,9 @@ that prunes by the degree equations, or a walk over maximal cliques of
 the compatibility relation.  On a tagged context both drop the choices
 that a part permutation of K_{t,s} maps to a lexicographically smaller
 one (orderly generation, _orderly_test), so each orbit of finds is
-assembled about once; _dedupe removes the rest, refining each find once
-and handing that colouring to canonical().
+assembled once (about once for a part group too large to list);
+_dedupe merges orbits that are isomorphic and whatever else is left,
+refining each find once and handing that colouring to canonical().
 
 make_context and verify_star_pair check their identities on integer
 matrices; the certificate builds everything from G - X, never from a
@@ -50,8 +51,8 @@ search context.
 from __future__ import annotations
 
 import contextlib
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, permutations, product
+from math import comb, factorial
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -72,6 +73,13 @@ BRUTE_FORCE_CAP = 24
 # pool a search in the tests builds is 225 (K_{6,6} mu=-2).
 CANDIDATE_CAP = 4096
 HALF_CAP_MIN_Q = 3
+# The orderly test lists a part group of at most PART_GROUP_CAP elements:
+# packing the images takes 0.2-0.7 us per element and candidate (1.8 ms for
+# the 20 candidates of K_{2,5} mu=1), under 1 ms per candidate at the cap.
+# That lists K_{t,s} for t <= 3 and s <= 5, and K_{1,6}; not K_{4,4} (1,152).
+# A packed int, |G| (|pool| max_x + 1) bits at mu in {-1, 0}, is capped too.
+PART_GROUP_CAP = 1000
+PACKED_BITS_CAP = 1 << 18
 
 
 class IntKernel(NamedTuple):
@@ -390,7 +398,7 @@ def _effective_cap(ctx: StarContext, max_x: Optional[int], n_cands: int) -> int:
     return cap
 
 
-def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool):
+def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Optional[int]):
     """The orderly-generation test (Read, "Every one a winner", 1978;
     Faradzev, 1978) under the part permutations of K_{t,s}: S_t x S_s,
     plus the part swap when t = s.  Returns (root, extend); with symmetry
@@ -398,11 +406,28 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool):
 
     extend(state, prefix, k) takes the state of prefix[:-k], a
     non-decreasing tuple of candidate indices, and returns the state of
-    prefix, or None when some symmetry g maps prefix to a set whose sorted
-    tuple is lexicographically smaller; root is the state of ().  Every
-    prefix of the lex-least member of an orbit passes, so pruning on the
-    test keeps one find per orbit, and the first of each isomorphism class.
+    prefix, or None when it finds a symmetry g that maps prefix to a set
+    whose sorted tuple is lexicographically smaller; root is the state of
+    ().  Every prefix of the lex-least member of an orbit passes, so
+    pruning on the test keeps the first find of each isomorphism class.
 
+    A group of at most PART_GROUP_CAP elements is listed, and then the
+    test is complete: a prefix passes iff it is the least of its images,
+    so the search emits one find per orbit (the minimal-image problem;
+    Linton, ISSAC 2004).  A prefix is a set of slots, x = i * copies + c
+    for copy c of candidate i (copies = max_x when repeats are legal, else
+    1); for sets of equal size, sorted tuples compare as the sets do at
+    their least difference.  Slot x is bit W-1-x of a W-bit field, so the
+    lex-smaller set has the larger field.  Candidate i packs its image
+    under the j-th group element into field j of one int (Knuth, TAOCP 4A,
+    7.1.3), and copy c is that int shifted right c places.  A state is the
+    OR of its prefix's packed images, and the prefix's own field in every
+    field plus one; one subtraction leaves the guard bit above a field set
+    exactly where the image beats the prefix.  A packed int takes
+    |G| (W + 1) bits; past PACKED_BITS_CAP (a large max_x), the cell test
+    runs instead.
+
+    Larger groups (K_{6,6} has 1,036,800 elements) take the cell test.
     The symmetries that map the sources matched so far onto P[:depth]
     form a coset held as paired cells (a, b) of vertex bitmasks: g maps
     each a onto b.  A source with support S maps onto target T iff
@@ -425,10 +450,41 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool):
         return [], lambda state, prefix, k=1: state
     t, s = ctx.tag
     A, B = (1 << t) - 1, ((1 << s) - 1) << t
+    index = {m: i for i, m in enumerate(masks)}
+    copies = max_x if ctx.mu_special else 1
+    W = len(masks) * copies
+    order = factorial(t) * factorial(s) * (1 + (t == s))
+    if order <= PART_GROUP_CAP and order * (W + 1) <= PACKED_BITS_CAP:
+        def images(part: int, shift: int, n: int) -> list[int]:
+            # the images of one part's bits under each permutation of the part
+            bits = list(_ones(part >> shift))
+            return [sum(1 << g[v] for v in bits) << shift for g in permutations(range(n))]
+        # field[x], in binary, is a field (guard bit 0) for an image x; the
+        # fields of (sigma, tau) for every tau are joined once per candidate
+        field = ["0" * (x * copies + 1) + "1" + "0" * (W - 1 - x * copies)
+                 for x in range(len(masks))]
+        block = ["".join(field[index[m & A | w]] for w in images(m & B, t, s)) for m in masks]
+        packed = [int("".join(block[index[w | m & B]] for w in images(m & A, 0, t)), 2)
+                  for m in masks]
+        if t == s:   # then each element after the part swap
+            packed = [p | packed[index[m >> t | (m & A) << t]] << order // 2 * (W + 1)
+                      for p, m in zip(packed, masks)]
+        ones = int(("0" * W + "1") * order, 2)
+        guards = ones << W
+
+        def listed(state, prefix: list[int], k: int = 1):
+            image, rep = state
+            for pos in range(len(prefix) - k, len(prefix)):
+                p = prefix[pos]
+                c = pos - prefix.index(p)
+                image |= packed[p] >> c
+                rep += ones << W - 1 - p * copies - c
+            return None if ((image | guards) - rep) & guards else (image, rep)
+        return (0, ones), listed
+
     starts = [((A, A), (B, B))]
     if t == s:
         starts.append(((A, B), (B, A)))
-    index = {m: i for i, m in enumerate(masks)}
 
     def least(S: int, cells) -> int:
         image = 0
@@ -525,8 +581,11 @@ def search_star_sets(ctx: StarContext,
     mu the bound (q+1)(q-2)/2 applies on top whenever q >= 3.
     max_solutions is a work limit on raw finds: graphs the search assembles
     after orderly pruning and before isomorphism reduction, counted across
-    the whole call (all the degrees of a sweep together).  The search stops
-    at that many, so fewer isomorphism classes may come back.  A negative
+    the whole call (all the degrees of a sweep together).  On a tagged
+    context whose part group has at most PART_GROUP_CAP elements, the
+    search assembles one find per orbit under that group, so every raw
+    find counted is a new orbit.  The search stops at that many, so fewer
+    isomorphism classes may come back.  A negative
     max_x or max_solutions is a ValueError, and so is a bool for any of
     the three (bool is an int, so True would mean degree or limit 1).
 
@@ -745,7 +804,7 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
                 ge_mask = [(full >> i) << i for i in range(len(pool))]
                 cover_mask = [sum(1 << i for i, m in enumerate(pool) if m >> v & 1)
                               for v in range(q)]
-                root, extend = _orderly_test(ctx, pool, symmetry)
+                root, extend = _orderly_test(ctx, pool, symmetry, max_x)
             if r is None:
                 maximal([], usable, usable, root)
             else:

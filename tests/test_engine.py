@@ -262,13 +262,29 @@ def test_candidate_cap_is_exact_and_raises_before_building(monkeypatch, tag):
     ctx = make_context(make_kts(6, 6), qnum(-2), bipartite_tag=tag)
     monkeypatch.setattr(engine, "CANDIDATE_CAP", 225)
     assert len(enumerate_candidates(ctx)) == 225
-    monkeypatch.setattr(engine, "CANDIDATE_CAP", 224)
+    # combinations runs only when the tagged route expands a type, so it
+    # must not run at all past the cap; the untagged scan counts its hits
+    # (vectors that pass both tests) and must stop at the one past the cap.
+    # 100 catches a scan that checks the cap only at its end, which also
+    # hits 225 = 224 + 1 on this pool
+    hits = []
+    non_main = engine._non_main
 
-    def built(*args):
-        raise AssertionError("a candidate was keyed before the cap check")
-    monkeypatch.setattr(engine, "_candidate", built)
-    with pytest.raises(TooLarge, match="capped at 224"):
-        enumerate_candidates(ctx)
+    def counted(ctx, mask):
+        hits.append(non_main(ctx, mask))
+        return hits[-1]
+
+    def expanded(*args):
+        raise AssertionError("a type was expanded before the cap check")
+    monkeypatch.setattr(engine, "_non_main", counted)
+    monkeypatch.setattr(engine, "combinations", expanded)
+    for cap in (224, 100):
+        monkeypatch.setattr(engine, "CANDIDATE_CAP", cap)
+        hits.clear()
+        with pytest.raises(TooLarge, match=f"capped at {cap}"):
+            enumerate_candidates(ctx)
+        if tag is None:
+            assert sum(hits) == cap + 1
 
 
 def naive_candidates(ctx):
@@ -668,10 +684,13 @@ def _count_raw_finds(monkeypatch) -> list[int]:
     return calls
 
 
+# The K_{2,5} sweep has 13 raw finds, one per orbit: 1, 3, 4, 3, 1 and 1
+# at r = 5..10.  Budget 2 stops in r = 6 after the one find of r = 5, and
+# 10 stops in r = 8, so a budget spent per degree would assemble more.
 @pytest.mark.parametrize("t,s,budget", [
     (3, 3, 2),
     (2, 5, 10),
-    (2, 5, 50),
+    (2, 5, 2),
 ])
 def test_sweep_max_solutions_is_one_budget(monkeypatch, t, s, budget):
     # max_solutions counts raw finds over the whole sweep, not per degree
@@ -688,20 +707,22 @@ def test_sweep_max_solutions_is_one_budget(monkeypatch, t, s, budget):
 # "graph6 star-set" line per solution.  Classes and digests were recorded
 # before the regular and maximal searches shared one function; the raw
 # finds of the tagged searches fell with orderly pruning (20, 85, 56, 455
-# and 7 before it).  Maximal mode has no benchmark workload, so these pins
-# are what guard it.
+# and 7 before it), and again to one per orbit once the orderly test
+# listed the part group (10, 41, 12, 119 and 3 with the one-branch cell
+# test).  Maximal mode has no benchmark workload, so these pins are what
+# guard it.
 SEARCH_MODES = [
     ((3, 3), 1, True, None, None, 1, 1,
      "98a87b6f2a7279f0a40fa3fcc9b01a43c9f27cbdfbdf6b15297187a4850eef9e"),
-    ((2, 2), -1, True, None, 4, 10, 8,
+    ((2, 2), -1, True, None, 4, 8, 8,
      "8d926d2dcd83a83b9050886017f126ff9cc0941d5fce6c36dfe93fc1f490acb5"),
-    ((2, 3), -1, True, None, 5, 41, 25,
+    ((2, 3), -1, True, None, 5, 25, 25,
      "16b162749c35be9f2bb58d517a3a0c3c65c599217333dacf3f4965e18945fdee"),
-    ((3, 3), 1, True, None, 4, 12, 5,
+    ((3, 3), 1, True, None, 4, 5, 5,
      "9fb0f567dbb5405e4c54d386cfe7c461aa7e0c8b6e39531c6fcc4b04301f43fa"),
     ("petersen", 2, False, None, None, 0, 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ((2, 5), 1, True, "sweep", None, 119, 12,
+    ((2, 5), 1, True, "sweep", None, 13, 12,
      "fdb6e9ebfd288cb9ea3abc2afe4ddf25c6e099b11c1121f8b378dd995de7cf49"),
     ((3, 3), 1, False, "sweep", None, 13, 3,
      "72cde243ccde9b474da53e0ef57c7101831dc3943247fa9d5a10879395f3b86c"),
@@ -726,12 +747,21 @@ def test_search_modes_pinned(monkeypatch, H, mu, tag, require, max_x, raw, class
     assert hashlib.sha256(solution_lines(sols).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("H,mu,tag,require,max_x,raw,classes,digest", SEARCH_MODES)
+# The same searches on the cell route of the orderly test (PART_GROUP_CAP
+# = 0), which follows one tie branch and so hands _dedupe repeats of an
+# orbit to merge: 119 finds in 12 classes on the K_{2,5} sweep, where the
+# listed route leaves 13.
+CELL_RAW = [1, 10, 41, 12, 0, 119, 13, 3]
+CELL_MODES = [mode[:5] + (raw,) + mode[6:] for mode, raw in zip(SEARCH_MODES, CELL_RAW)]
+
+
+@pytest.mark.parametrize("H,mu,tag,require,max_x,raw,classes,digest", CELL_MODES)
 def test_dedupe_matches_oracle(monkeypatch, H, mu, tag, require, max_x, raw, classes,
                                digest):
     # the raw finds of each pinned search, deduplicated by the colouring
     # buckets and by the route they replaced (canonical bytes up to the
     # cap, a pairwise scan above it)
+    monkeypatch.setattr(engine, "PART_GROUP_CAP", 0)
     runs = []
     real = engine._dedupe
     monkeypatch.setattr(engine, "_dedupe", lambda found: runs.append(found) or real(found))
@@ -781,15 +811,27 @@ def part_symmetries(t, s):
             if {*g[:t]} == parts[0] or (t == s and {*g[:t]} == parts[1])]
 
 
+def image_table(cands, group):
+    """Per group element g, the index of g's image of each candidate."""
+    index = {m: i for i, m in enumerate(cands)}
+    return [[index[sum(1 << g[v] for v in range(len(g)) if m >> v & 1)] for m in cands]
+            for g in group]
+
+
+def least_image(P, table):
+    """The lex-least sorted tuple among the images of index tuple P."""
+    return min(tuple(sorted(image[i] for i in P)) for image in table)
+
+
 def record_searches(monkeypatch):
     """Per search_star_sets call, its candidate pool (bitmasks) and the
     index tuples it assembled."""
     runs = []
     real_test, real_assemble = engine._orderly_test, engine._assemble
 
-    def test(ctx, cands, symmetry):
+    def test(ctx, cands, *args):
         runs.append((cands, []))
-        return real_test(ctx, cands, symmetry)
+        return real_test(ctx, cands, *args)
 
     def assemble(ctx, chosen, adjacency):
         index = {m: i for i, m in enumerate(runs[-1][0])}
@@ -808,61 +850,120 @@ def record_searches(monkeypatch):
     (3, 3, 1, None, 4),
     (3, 3, 1, "sweep", None),
     (1, 5, 1, None, 4),
+    (2, 5, 1, "sweep", None),
+    (3, 5, -1, None, 5),
 ])
 def test_orderly_test_matches_brute_force(monkeypatch, t, s, mu, require, max_x):
-    # the whole group against the one-branch test: a rejected prefix has a
-    # lex-smaller image, and every prefix of an orbit's lex-least find passes
+    # the whole group against both routes of the test: a rejected prefix
+    # has a lex-smaller image, and every prefix of an orbit's lex-least find
+    # passes.  Each group here is listed, and the listed route is complete:
+    # a prefix passes iff it is its own least image.  PART_GROUP_CAP = 0
+    # runs the cell route, which follows one tie branch, so the listed
+    # route rejects every prefix that the cell route rejects
     ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
     runs = record_searches(monkeypatch)
     search_star_sets(ctx, require_regular=require, max_x=max_x, symmetry=False)
     monkeypatch.undo()
     group = part_symmetries(t, s)
+    listed = engine.PART_GROUP_CAP
+    assert len(group) <= listed
     tuples = (itertools.combinations_with_replacement if ctx.mu_special
               else itertools.combinations)
-    rejected = 0
-    for cands, finds in runs:
-        root, extend = engine._orderly_test(ctx, cands, True)
-        index = {m: i for i, m in enumerate(cands)}
+    tables = [image_table(cands, group) for cands, _ in runs]
+    images = {}
 
-        def least_image(P):
-            return min(tuple(sorted(index[sum(1 << g[v] for v in range(ctx.q)
-                                              if cands[i] >> v & 1)]
-                                    for i in P))
-                       for g in group)
+    def least(run, P):
+        # by brute force, once for both routes
+        if (run, P) not in images:
+            images[run, P] = least_image(P, tables[run])
+        return images[run, P]
 
-        def passes(P):
-            whole = extend(root, list(P), len(P)) is not None
-            state = root
-            for n in range(1, len(P) + 1):
-                state = extend(state, list(P[:n]))
-                if state is None:
-                    break
-            # one index at a time is the from-scratch test of every prefix
-            assert (state is not None) == all(
-                extend(root, list(P[:n]), n) is not None for n in range(1, len(P) + 1))
-            return whole
+    rejected = {}
+    for cap in (listed, 0):
+        monkeypatch.setattr(engine, "PART_GROUP_CAP", cap)
+        rejected[cap] = set()
+        for run, (cands, finds) in enumerate(runs):
+            root, extend = engine._orderly_test(ctx, cands, True, max_x)
 
-        prefixes = {F[:n] for F in finds for n in range(1, len(F) + 1)}
-        prefixes.update(P for n in (1, 2, 3) for P in tuples(range(len(cands)), n))
-        # as in the DFS, each child of a passing prefix extends that prefix's
-        # one state, so siblings and descendants share its levels and memos;
-        # each verdict must be that of a fresh test from the root
-        states = {(): root}
-        for P in sorted(prefixes):
-            if not passes(P):
-                rejected += 1
-                assert least_image(P) < P, P
-            if P[:-1] in states:
-                state = extend(states[P[:-1]], list(P))
-                fresh_root, fresh = engine._orderly_test(ctx, cands, True)
-                assert (state is not None) == \
-                    (fresh(fresh_root, list(P), len(P)) is not None), P
-                if state is not None:
-                    states[P] = state
-        for L in {least_image(F) for F in finds}:
-            assert L in finds
-            assert all(passes(L[:n]) for n in range(1, len(L) + 1)), L
-    assert rejected
+            def passes(P):
+                whole = extend(root, list(P), len(P)) is not None
+                state = root
+                for n in range(1, len(P) + 1):
+                    state = extend(state, list(P[:n]))
+                    if state is None:
+                        break
+                # one index at a time is the from-scratch test of every prefix
+                assert (state is not None) == all(
+                    extend(root, list(P[:n]), n) is not None for n in range(1, len(P) + 1))
+                return whole
+
+            prefixes = {F[:n] for F in finds for n in range(1, len(F) + 1)}
+            prefixes.update(P for n in (1, 2, 3) for P in tuples(range(len(cands)), n))
+            # as in the DFS, each child of a passing prefix extends that
+            # prefix's one state, so siblings and descendants share it (and,
+            # on the cell route, its levels and memos); each verdict must be
+            # that of a fresh test from the root
+            states = {(): root}
+            for P in sorted(prefixes):
+                if not passes(P):
+                    rejected[cap].add((run, P))
+                    assert least(run, P) < P, P
+                elif cap:
+                    assert least(run, P) == P, P
+                if P[:-1] in states:
+                    state = extend(states[P[:-1]], list(P))
+                    fresh_root, fresh = engine._orderly_test(ctx, cands, True, max_x)
+                    assert (state is not None) == \
+                        (fresh(fresh_root, list(P), len(P)) is not None), P
+                    if state is not None:
+                        states[P] = state
+            for L in {least(run, F) for F in finds}:
+                assert L in finds
+                assert all(passes(L[:n]) for n in range(1, len(L) + 1)), L
+    assert rejected[0] and rejected[0] <= rejected[listed]
+
+
+# On a listed group each raw find is the lex-least member of its own
+# orbit under the group, one find per orbit.  The orbits are counted by
+# brute force over the group from the finds of the cell route, which keeps
+# every orbit's least member (860, 360 and 1,223 finds for the three mu = -1
+# searches, 119 for the K_{2,5} sweep).  At mu = -1 each orbit is one
+# isomorphism class; the K_{2,5} sweep has 13 orbits in 12 classes.
+@pytest.mark.parametrize("t,s,mu,require,max_x,orbits", [
+    (2, 5, 1, "sweep", None, 13),
+    (2, 3, -1, None, 12, 249),
+    (2, 2, -1, None, 16, 145),
+    (3, 4, -1, None, 10, 275),
+])
+def test_raw_finds_are_orbits(monkeypatch, t, s, mu, require, max_x, orbits):
+    ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+    listed = engine.PART_GROUP_CAP
+    runs = record_searches(monkeypatch)
+    for cap in (0, listed):
+        monkeypatch.setattr(engine, "PART_GROUP_CAP", cap)
+        search_star_sets(ctx, require_regular=require, max_x=max_x)
+    (cands, cell), (same, finds) = runs
+    assert same == cands
+    table = image_table(cands, part_symmetries(t, s))
+    least = {least_image(F, table) for F in cell}
+    assert len(finds) == len(least) == orbits
+    assert set(finds) == least
+
+
+def test_large_max_x_takes_the_cell_test(monkeypatch):
+    # at mu = -1 the listed route packs max_x slots per candidate into each
+    # of its |G| fields; past PACKED_BITS_CAP it must not list the group
+    # (permutations runs only to list it), whatever max_x asks for
+    ctx = make_context(make_kts(3, 5), qnum(-1), bipartite_tag=(3, 5))
+    cands = [m for m in enumerate_candidates(ctx) if m]
+    calls = []
+    real = engine.permutations
+    monkeypatch.setattr(engine, "permutations", lambda *args: calls.append(args) or real(*args))
+    for max_x, listed in ((5, True), (10 ** 6, False)):
+        calls.clear()
+        root, extend = engine._orderly_test(ctx, cands, True, max_x)
+        assert bool(calls) == listed
+        assert extend(root, [0]) is not None
 
 
 def _count_orderly_tests(monkeypatch) -> list[int]:
@@ -870,8 +971,8 @@ def _count_orderly_tests(monkeypatch) -> list[int]:
     calls = [0]
     real_test = engine._orderly_test
 
-    def test(ctx, cands, symmetry):
-        root, extend = real_test(ctx, cands, symmetry)
+    def test(*args):
+        root, extend = real_test(*args)
 
         def counted(*args):
             calls[0] += 1
@@ -885,9 +986,11 @@ def _count_orderly_tests(monkeypatch) -> list[int]:
 # the orderly test only on nodes that pass its degree checks, so a test
 # placed earlier, or run twice, moves these counts.  The raw finds of
 # test_search_modes_pinned show that the placement prunes nothing the
-# degree checks would keep.
+# degree checks would keep.  The K_{2,5} sweep took 1,272 calls when the
+# test followed one tie branch; the complete test prunes more nodes before
+# they are tested.  K_{6,6} runs the cell test.
 @pytest.mark.parametrize("t,s,mu,require,tests", [
-    (2, 5, 1, "sweep", 1272),
+    (2, 5, 1, "sweep", 361),
     (6, 6, -2, 10, 358),
 ])
 def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
@@ -919,11 +1022,13 @@ def test_sweep_builds_tables_once(monkeypatch, t, s, mu, builds):
     assert [calls[name] for name in names] == [builds, builds]
 
 
-# _dedupe refines each find once (119 seed colourings; 127 when each
+# _dedupe refines each find once (13 seed colourings, one per orbit; 119
+# when the orderly test followed one tie branch, 127 before that when each
 # canonical() call refined its class again) and calls canonical() once per
 # class of order <= CANONICAL_CAP (8 of the 12 here; 68 calls before the
-# colouring buckets), and are_isomorphic once per repeat find (107 of 119),
-# each against the one representative in its bucket.
+# colouring buckets), and are_isomorphic once per repeat find (1 of 13:
+# two orbits are isomorphic; 107 of 119 before), each against the one
+# representative in its bucket.
 def test_dedupe_calls_pinned(monkeypatch):
     calls = Counter()
     for module, name in ((engine, "canonical"), (engine, "are_isomorphic"),
@@ -934,7 +1039,7 @@ def test_dedupe_calls_pinned(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
     assert len(search_star_sets(ctx, require_regular="sweep")) == 12
-    assert calls == {"canonical": 8, "are_isomorphic": 107, "_initial_colors": 119}
+    assert calls == {"canonical": 8, "are_isomorphic": 1, "_initial_colors": 13}
 
 
 # One candidate scan per search: a sweep through mu = r, where the

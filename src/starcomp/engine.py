@@ -33,7 +33,7 @@ roots; those oracles live in the tests.
 One function, _search, runs the whole search: every degree r of a sweep,
 one r, or maximal families (r None).  Labels, cover masks and least
 images do not depend on r, so it builds one pool, its pair-label tables
-and one orderly-test root per call, and a degree only masks the
+and one orderly test per call, and a degree only masks the
 candidates it may use.  Only the recursion depends on the mode: a DFS
 that prunes by the degree equations, or a walk over maximal cliques of
 the compatibility relation.  On a tagged context both drop the choices
@@ -401,15 +401,14 @@ def _effective_cap(ctx: StarContext, max_x: Optional[int], n_cands: int) -> int:
 def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Optional[int]):
     """The orderly-generation test (Read, "Every one a winner", 1978;
     Faradzev, 1978) under the part permutations of K_{t,s}: S_t x S_s,
-    plus the part swap when t = s.  Returns (root, extend); with symmetry
-    off, or on an untagged context, extend passes every prefix.
-
-    extend(state, prefix, k) takes the state of prefix[:-k], a
-    non-decreasing tuple of candidate indices, and returns the state of
-    prefix, or None when it finds a symmetry g that maps prefix to a set
-    whose sorted tuple is lexicographically smaller; root is the state of
-    ().  Every prefix of the lex-least member of an orbit passes, so
-    pruning on the test keeps the first find of each isomorphism class.
+    plus the part swap when t = s.  Returns is_least(prefix), which takes
+    a non-decreasing list of candidate indices and returns False when it
+    finds a symmetry g that maps prefix to a set whose sorted tuple is
+    lexicographically smaller; with symmetry off, or on an untagged
+    context, every prefix passes.  Every prefix of the lex-least member of
+    an orbit passes, so pruning on the test keeps the first find of each
+    isomorphism class.  A verdict depends on the prefix alone, not on
+    which prefixes were tested before it.
 
     A group of at most PART_GROUP_CAP elements is listed, and then the
     test is complete: a prefix passes iff it is the least of its images,
@@ -420,12 +419,12 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
     their least difference.  Slot x is bit W-1-x of a W-bit field, so the
     lex-smaller set has the larger field.  Candidate i packs its image
     under the j-th group element into field j of one int (Knuth, TAOCP 4A,
-    7.1.3), and copy c is that int shifted right c places.  A state is the
-    OR of its prefix's packed images, and the prefix's own field in every
-    field plus one; one subtraction leaves the guard bit above a field set
-    exactly where the image beats the prefix.  A packed int takes
-    |G| (W + 1) bits; past PACKED_BITS_CAP (a large max_x), the cell test
-    runs instead.
+    7.1.3), and copy c is that int shifted right c places.  The test ORs
+    the prefix's packed images, and one product puts the prefix's own
+    field plus one in every field; one subtraction leaves the guard bit
+    above a field set exactly where the image beats the prefix.  A packed
+    int takes |G| (W + 1) bits; past PACKED_BITS_CAP (a large max_x), the
+    cell test runs instead.
 
     Larger groups (K_{6,6} has 1,036,800 elements) take the cell test.
     The symmetries that map the sources matched so far onto P[:depth]
@@ -436,18 +435,17 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
     unused source has a least image below P[depth], P is not minimal.
     Otherwise only the first source that maps onto P[depth] is followed,
     which keeps the test sound and one branch deep; it may miss a smaller
-    image down another tie, and _dedupe catches that.  A state keeps, per
-    start coset, a level (cells, memo) for each matched depth and the
-    sources left unused, so extending a prefix by one index replays the
-    new source through the stored cells instead of starting over.  The
-    cells of a level never change, and memo maps a source's candidate index
-    to the index of its least image under them, filled on first use.
-    extend copies the list of levels, not the levels, so a level and its
-    memo are shared by every state built on it: each least image is
-    computed once per level.
+    image down another tie, and _dedupe catches that.  Each start coset
+    keeps the levels of the last prefix it tested: the (source, target)
+    pair matched into a level, its cells, and a memo from a source's
+    candidate index to the index of its least image under those cells.
+    A level is reused while its pair is the one the prefix matches, and
+    the path is cut at the first pair that differs, so a depth-first walk
+    computes each least image about once per level and the cache holds
+    at most one path per start coset.
     """
     if not symmetry or ctx.tag is None:
-        return [], lambda state, prefix, k=1: state
+        return lambda prefix: True
     t, s = ctx.tag
     A, B = (1 << t) - 1, ((1 << s) - 1) << t
     index = {m: i for i, m in enumerate(masks)}
@@ -472,19 +470,19 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
         ones = int(("0" * W + "1") * order, 2)
         guards = ones << W
 
-        def listed(state, prefix: list[int], k: int = 1):
-            image, rep = state
-            for pos in range(len(prefix) - k, len(prefix)):
-                p = prefix[pos]
+        def is_least(prefix: list[int]) -> bool:
+            image = field = 0
+            for pos, p in enumerate(prefix):
                 c = pos - prefix.index(p)
                 image |= packed[p] >> c
-                rep += ones << W - 1 - p * copies - c
-            return None if ((image | guards) - rep) & guards else (image, rep)
-        return (0, ones), listed
+                field |= 1 << W - 1 - p * copies - c
+            return not ((image | guards) - ones * (field + 1)) & guards
+        return is_least
 
     starts = [((A, A), (B, B))]
     if t == s:
         starts.append(((A, B), (B, A)))
+    paths = [[(None, cells, {})] for cells in starts]
 
     def least(S: int, cells) -> int:
         image = 0
@@ -494,23 +492,11 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
             image |= b
         return index[image]
 
-    def extend(state, prefix: list[int], k: int = 1):
-        added = prefix[-k:]
-        out = []
-        for levels, unused in state:
-            depth = len(levels) - 1
-            for d in range(depth):
-                cells, memo = levels[d]
-                for p in added:
-                    i = memo.get(p)
-                    if i is None:
-                        i = memo[p] = least(masks[p], cells)
-                    if i < prefix[d]:
-                        return None
-            levels, unused = levels[:], unused + added
-            cells, memo = levels[-1]
-            for target in prefix[depth:]:
-                T = masks[target]
+    def is_least(prefix: list[int]) -> bool:
+        for levels in paths:
+            unused = list(prefix)
+            for depth, target in enumerate(prefix):
+                _, cells, memo = levels[depth]
                 fit = None
                 for pos, p in enumerate(unused):
                     if pos and unused[pos - 1] == p:
@@ -519,20 +505,22 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
                     if i is None:
                         i = memo[p] = least(masks[p], cells)
                     if i < target:
-                        return None
+                        return False
                     if i == target and fit is None:
                         fit = pos
                 if fit is None:
                     break      # every image of the rest lies above P[depth]
-                S = masks[unused.pop(fit)]
+                source = unused.pop(fit)
+                if depth + 1 < len(levels) and levels[depth + 1][0] == (source, target):
+                    continue
+                del levels[depth + 1:]
+                S, T = masks[source], masks[target]
                 cells = [cell for a, b in cells
                          for cell in ((a & S, b & T), (a & ~S, b & ~T)) if cell[0]]
-                memo = {}
-                levels.append((cells, memo))
-            out.append((levels, unused))
-        return out
+                levels.append(((source, target), cells, {}))
+        return True
 
-    return [([(cells, {})], []) for cells in starts], extend
+    return is_least
 
 
 def _dedupe(found: list[Graph]) -> list[tuple[Graph, tuple]]:
@@ -681,7 +669,7 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
     full = (1 << len(pool)) - 1
     non_main = sum(1 << i for i, m in enumerate(pool) if _non_main(ctx, m)) if main else full
     special = ctx.mu_special
-    extend = None
+    is_least = None
 
     def emit(chosen_idx: list[int]):
         chosen = [pool[i] for i in chosen_idx]
@@ -690,12 +678,11 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
         if len(found) == max_solutions:
             raise _BudgetSpent
 
-    def maximal(chosen_idx: list[int], allowed_all: int, pick_from: int, state):
+    def maximal(chosen_idx: list[int], allowed_all: int, pick_from: int):
         # maximal: nothing anywhere (even below the ascending floor)
         # extends X; the cap also closes a branch
         if chosen_idx and (not allowed_all or len(chosen_idx) >= cap):
-            # state is None once the walk has stopped testing prefixes
-            if state is not None or extend(root, chosen_idx, len(chosen_idx)) is not None:
+            if is_least(chosen_idx):
                 emit(chosen_idx)
             return
         m = pick_from
@@ -706,31 +693,27 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
             nxt = chosen_idx + [i]
             nxt_all = allowed_all & compat_mask[i]
             nxt_pick = nxt_all & ge_mask[i]
-            nxt_state = None
-            # a test costs at most one least image per chosen index and may cut
-            # up to 2^|nxt_pick| nodes, so the walk tests only while more
-            # candidates are pickable than chosen.  On K_{2,5} mu=1 (20
-            # mutually compatible candidates; median of five in-process
+            # a test ORs one packed image per chosen index (the cell route
+            # reads a memo per unused index and level) and may cut up to
+            # 2^|nxt_pick| nodes, so the walk tests only while more
+            # candidates are pickable than chosen; pickable only shrinks,
+            # so below that it tests only what it emits.  On K_{2,5} mu=1
+            # (20 mutually compatible candidates; median of five in-process
             # runs, Python 3.11, shared 2-vCPU Xeon, memoised least images)
             # testing every node took 1.5 s, first choices and emissions only
             # 0.33 s, this rule 0.13 s.
-            if state is not None and nxt_pick.bit_count() > len(nxt):
-                nxt_state = extend(state, nxt)
-                if nxt_state is None:
-                    continue
-            maximal(nxt, nxt_all, nxt_pick, nxt_state)
+            if nxt_pick.bit_count() > len(nxt) and not is_least(nxt):
+                continue
+            maximal(nxt, nxt_all, nxt_pick)
 
-    def regular(chosen_idx: list[int], cov: list[int], adeg: list[int],
-                allowed: int, state):
+    def regular(chosen_idx: list[int], cov: list[int], adeg: list[int], allowed: int):
         # the orderly test of chosen_idx runs last, once the cheaper degree
-        # checks (which most nodes fail) have passed.  Below depth 1 state
-        # is that of chosen_idx[:-1]; the root tests each of its picks once
-        # and hands a depth-1 node its own state.
-        tested = len(chosen_idx) < 2
+        # checks (which most nodes fail) have passed; the top of the walk
+        # tests each pick before that pick's walk, so depth 1 is tested
         if cov == need:
             # H-side degrees are saturated; X-side must match exactly
             if (all(adeg[p] == room[i] for p, i in enumerate(chosen_idx))
-                    and (tested or extend(state, chosen_idx) is not None)):
+                    and (len(chosen_idx) < 2 or is_least(chosen_idx))):
                 emit(chosen_idx)
             return
         if len(chosen_idx) >= cap:
@@ -743,18 +726,15 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
                     return
                 if not special and avail.bit_count() < deficit:
                     return
-        if not tested:
-            state = extend(state, chosen_idx)
-            if state is None:
-                return
-        m, firsts = allowed, None
-        if not chosen_idx:
-            firsts = {i: extend(root, [i]) for i in _ones(allowed)}
-            m = sum(1 << i for i, st in firsts.items() if st is not None)
+        if len(chosen_idx) > 1 and not is_least(chosen_idx):
+            return
+        m = allowed
         while m:
             low = m & -m
             i = low.bit_length() - 1
             m ^= low
+            if not chosen_idx and not is_least([i]):
+                continue
             # no pick overfills a vertex v of H or pushes a chosen p past
             # degree r: the pick that filled v (p) took cover_mask[v]
             # (adj_mask[p]) out of allowed, below, and allowed only shrinks.
@@ -776,7 +756,7 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
             for p, pi in enumerate(nxt):
                 if new_adeg[p] == room[pi]:
                     pruned &= ~adj_mask[pi]
-            regular(nxt, new_cov, new_adeg, pruned, state if firsts is None else firsts[i])
+            regular(nxt, new_cov, new_adeg, pruned)
 
     # the walks read need, room and cap of the degree in hand.  Each holds
     # itself in a cell, emptied on the way out to free the tables on return
@@ -799,16 +779,16 @@ def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[
             max_size = max(pool[i].bit_count() for i in _ones(usable))
             if cap < 1 or (sum(need) + max_size - 1) // max_size > cap:
                 continue
-            if extend is None:
+            if is_least is None:
                 adj_mask, compat_mask = _build_label_tables(ctx, pool)
                 ge_mask = [(full >> i) << i for i in range(len(pool))]
                 cover_mask = [sum(1 << i for i, m in enumerate(pool) if m >> v & 1)
                               for v in range(q)]
-                root, extend = _orderly_test(ctx, pool, symmetry, max_x)
+                is_least = _orderly_test(ctx, pool, symmetry, max_x)
             if r is None:
-                maximal([], usable, usable, root)
+                maximal([], usable, usable)
             else:
                 room = [r - m.bit_count() for m in pool]   # the X-degree each pick must reach
-                regular([], [0] * q, [], usable, root)
+                regular([], [0] * q, [], usable)
     finally:
         del maximal, regular

@@ -647,7 +647,7 @@ def test_regular_searches_return_regular_graphs(t, s, mu, tag, max_x):
         assert all(sol.cert.regular_degree == r for sol in sols), r
         lines += solution_lines(sols).splitlines()
     # graphs of different degrees are never isomorphic, and the degrees of a
-    # sweep share one pool, its tables and the orderly test's root and
+    # sweep share one pool, its tables and the orderly test with its
     # memos, so each degree must find what a search of that degree alone finds
     assert sorted(solution_lines(sweep).splitlines()) == sorted(lines)
 
@@ -883,43 +883,23 @@ def test_orderly_test_matches_brute_force(monkeypatch, t, s, mu, require, max_x)
         monkeypatch.setattr(engine, "PART_GROUP_CAP", cap)
         rejected[cap] = set()
         for run, (cands, finds) in enumerate(runs):
-            root, extend = engine._orderly_test(ctx, cands, True, max_x)
-
-            def passes(P):
-                whole = extend(root, list(P), len(P)) is not None
-                state = root
-                for n in range(1, len(P) + 1):
-                    state = extend(state, list(P[:n]))
-                    if state is None:
-                        break
-                # one index at a time is the from-scratch test of every prefix
-                assert (state is not None) == all(
-                    extend(root, list(P[:n]), n) is not None for n in range(1, len(P) + 1))
-                return whole
-
+            is_least = engine._orderly_test(ctx, cands, True, max_x)
             prefixes = {F[:n] for F in finds for n in range(1, len(F) + 1)}
             prefixes.update(P for n in (1, 2, 3) for P in tuples(range(len(cands)), n))
-            # as in the DFS, each child of a passing prefix extends that
-            # prefix's one state, so siblings and descendants share it (and,
-            # on the cell route, its levels and memos); each verdict must be
-            # that of a fresh test from the root
-            states = {(): root}
-            for P in sorted(prefixes):
-                if not passes(P):
+            verdicts = {P: is_least(list(P)) for P in sorted(prefixes)}
+            for P, passes in verdicts.items():
+                if not passes:
                     rejected[cap].add((run, P))
                     assert least(run, P) < P, P
                 elif cap:
                     assert least(run, P) == P, P
-                if P[:-1] in states:
-                    state = extend(states[P[:-1]], list(P))
-                    fresh_root, fresh = engine._orderly_test(ctx, cands, True, max_x)
-                    assert (state is not None) == \
-                        (fresh(fresh_root, list(P), len(P)) is not None), P
-                    if state is not None:
-                        states[P] = state
+            # a verdict is the prefix's own, whatever was tested before it:
+            # the cell route keeps the levels of the last prefix it tested
+            backwards = engine._orderly_test(ctx, cands, True, max_x)
+            assert {P: backwards(list(P)) for P in sorted(prefixes, reverse=True)} == verdicts
             for L in {least(run, F) for F in finds}:
                 assert L in finds
-                assert all(passes(L[:n]) for n in range(1, len(L) + 1)), L
+                assert all(is_least(list(L[:n])) for n in range(1, len(L) + 1)), L
     assert rejected[0] and rejected[0] <= rejected[listed]
 
 
@@ -961,37 +941,39 @@ def test_large_max_x_takes_the_cell_test(monkeypatch):
     monkeypatch.setattr(engine, "permutations", lambda *args: calls.append(args) or real(*args))
     for max_x, listed in ((5, True), (10 ** 6, False)):
         calls.clear()
-        root, extend = engine._orderly_test(ctx, cands, True, max_x)
+        is_least = engine._orderly_test(ctx, cands, True, max_x)
         assert bool(calls) == listed
-        assert extend(root, [0]) is not None
+        assert is_least([0])
 
 
 def _count_orderly_tests(monkeypatch) -> list[int]:
-    """Count the calls of the orderly test's extend."""
+    """Count the calls of the orderly test's predicate."""
     calls = [0]
     real_test = engine._orderly_test
 
     def test(*args):
-        root, extend = real_test(*args)
+        is_least = real_test(*args)
 
-        def counted(*args):
+        def counted(prefix):
             calls[0] += 1
-            return extend(*args)
-        return root, counted
+            return is_least(prefix)
+        return counted
     monkeypatch.setattr(engine, "_orderly_test", test)
     return calls
 
 
-# The regular DFS tests each pick of its root once, and below depth 1 runs
-# the orderly test only on nodes that pass its degree checks, so a test
-# placed earlier, or run twice, moves these counts.  The raw finds of
-# test_search_modes_pinned show that the placement prunes nothing the
-# degree checks would keep.  The K_{2,5} sweep took 1,272 calls when the
-# test followed one tie branch; the complete test prunes more nodes before
-# they are tested.  K_{6,6} runs the cell test.
+# The regular DFS tests each pick at its top once, before that pick's
+# walk, and below depth 1 runs the orderly test only on nodes that pass
+# its degree checks, so a test placed earlier, or later, or run twice,
+# moves these counts.  The raw finds of test_search_modes_pinned show that
+# the placement prunes nothing the degree checks would keep.  The K_{2,5}
+# sweep took 1,272 calls when the test followed one tie branch; the
+# complete test prunes more nodes before they are tested.  K_{6,6} runs
+# the cell test.
 @pytest.mark.parametrize("t,s,mu,require,tests", [
     (2, 5, 1, "sweep", 361),
     (6, 6, -2, 10, 358),
+    (6, 6, -2, "sweep", 11836),
 ])
 def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
     calls = _count_orderly_tests(monkeypatch)
@@ -1000,7 +982,7 @@ def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
     assert calls[0] == tests
 
 
-# A sweep builds the pair-label tables and the orderly test's root once,
+# A sweep builds the pair-label tables and the orderly test once,
 # on the first degree that reaches the walk (once per degree before: 42 on
 # K_{6,6} mu=-2, 7 on K_{2,5} mu=1), and not at all when every degree
 # closes before it: K_{2,3} has no candidate at mu = -2.
@@ -1074,7 +1056,7 @@ def _k_ctx(t, s, mu):
 
 # The recursive walks (_search's regular and maximal, canonical's walk,
 # are_isomorphic's extend) each hold themselves in a closure cell.  Left
-# there, that cycle keeps a search's pool, label tables and orderly states
+# there, that cycle keeps a search's pool, label tables and orderly levels
 # alive until the cyclic collector runs: 767 objects after one K_{6,6}
 # mu=-2 r=8 search, 951 at r=10, about 30 after canonical(Petersen).
 @pytest.mark.parametrize("call", [

@@ -25,10 +25,8 @@ b^T N j = -mval of a regular graph (j the all-ones vector), filters the
 pool for every degree other than r = mu, and for maximal families too.
 The pair relation (_build_label_tables) forms B^T N B a row at a time,
 each row packed into one int and labelled by word-parallel compares.
-The tests check it against the QNum resolvent and read one pair's label
-off it (classify_pair), and they check the types (vertex_types, which
-`starcomp analyze` prints) against their closed form and the K_{s,s}
-roots; those oracles live in the tests.
+Test oracles check it, a pair's label (classify_pair) and the types
+(vertex_types) against the QNum resolvent, closed forms and K_{s,s} roots.
 
 One function, _search, runs the whole search: every degree r of a sweep,
 one r, or maximal families (r None).  Labels, cover masks and least
@@ -45,12 +43,14 @@ refining each find once and handing that colouring to canonical().
 
 make_context and verify_star_pair check their identities on integer
 matrices; the certificate builds everything from G - X, never from a
-search context.
+search context, and search_star_sets computes its complement half once
+per distinct G - X per call, keyed by content.
 """
 
 from __future__ import annotations
 
 import contextlib
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from operator import mul
@@ -60,8 +60,8 @@ from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
 from .errors import BadTag, HypothesisViolated, InternalInconsistency, TooLarge, Unbounded
 from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
-from .linalg import (combination_vanishes, minimal_polynomial_powers, multiplicity,
-                     resolvent_coefficients, scaled_parts, weighted_sum)
+from .linalg import (minimal_polynomial_powers, multiplicity, numerators, resolvent_parts,
+                     weighted_sum)
 
 # The untagged scan costs 0.33-0.6 us per subset at q = 16..24 (C_q at mu=3,
 # Python 3.11, one core of a shared 2-vCPU Xeon): q = 20 takes 0.34-0.37 s and
@@ -132,20 +132,22 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
     """
     mu = qnum(mu)
     m, powers = minimal_polynomial_powers(H.matrix())
-    a, mval = resolvent_coefficients(m, mu)
-    d = len(a)
+    D, ps, rs = resolvent_parts(m, mu)
+    d = len(m) - 1
     if bipartite_tag is not None:
         t, s = bipartite_tag
         if not (1 <= t <= s) or H != make_kts(t, s):
             raise BadTag(f"graph is not K_{{{t},{s}}} with parts in order")
-    # resolvent identity N (mu I - C) = mval I, entrywise, with N = sum_j a_j C^j:
-    # sum_j a_j (mu C^j - C^(j+1)) - mval I = 0
-    if not combination_vanishes([mu * x for x in a] + [-x for x in a] + [-mval],
-                                powers[:d] + powers[1:] + [powers[0]]):
-        raise InternalInconsistency("resolvent identity N (mu I - C) = mval I fails")
-    # D N = P + R sqrt(d), then D Nj (the row sums) and the two targets
+    # N (mu I - C) = mval I: sum_k (mu a_k - a_(k-1)) C^k = 0, a_(-1) = mval and
+    # a_d = 0, times D z for mu = (x + y sqrt(e)) / z, in rational and sqrt(e) parts
+    (x, y, z), e = numerators(mu), mu.d
+    a_p, a_r = ([-c[d + 1]] + c[:d] + [0] for c in (ps, rs))
+    for own, other, f in ((a_p, a_r, e), (a_r, a_p, 1)):
+        if any(weighted_sum([x * own[k + 1] + f * y * other[k + 1] - z * own[k]
+                             for k in range(d + 1)], powers)):
+            raise InternalInconsistency("resolvent identity N (mu I - C) = mval I fails")
+    # D N = P + R sqrt(e), then D Nj (the row sums) and the two targets
     q = H.n
-    D, ps, rs = scaled_parts(a + [mval * mu, -mval])
     sums = [[[sum(row)] for row in M] for M in powers[:d]]
     P, R = (weighted_sum(c, powers[:d]) + weighted_sum(c, sums) + c[d:]
             for c in (ps, rs))
@@ -154,6 +156,7 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
     kernel = IntKernel(N=tuple(tuple(packed[i * q:(i + 1) * q]) for i in range(q)),
                        ones=tuple(packed[q * q:q * q + q]), self_target=packed[-2],
                        adjacent=packed[-1], D=D, K=K)
+    mval = QNum(Fraction(-ps[-1], D), Fraction(-rs[-1], D), e)
     return StarContext(H=H, mu=mu, mval=mval, kernel=kernel, tag=bipartite_tag)
 
 
@@ -297,17 +300,29 @@ class StarSolution(NamedTuple):
         return self.graph.n
 
 
-def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
+def _complement_half(C: list[list[int]], mu: QNum):
+    """None when mu is an eigenvalue of C = A(G - X), else, for each
+    non-zero part of D N, its rows and its parts of D mval mu and -D mval."""
+    if multiplicity(C, mu):
+        return None
+    m, powers = minimal_polynomial_powers(C)
+    _, ps, rs = resolvent_parts(m, mu)
+    d, q = len(m) - 1, len(C)
+    return [(list(zip(*[iter(weighted_sum(c[:d], powers[:d]))] * q)), c[d], c[d + 1])
+            for c in (ps, rs) if any(c)]
+
+
+def verify_star_pair(G: Graph, X: Sequence[int], mu, halves: Optional[dict] = None) -> Certificate:
     """Exact certificate that X is a star set for mu in G.
 
     Three independent checks: (i) mu is not an eigenvalue of G - X
     (its multiplicity there, an integer rank, is 0), (ii) the multiplicity
     of mu in G equals |X| (a fraction-free integer rank), (iii) the scaled
     reconstruction identity mval (mu I - A_X) = B^T N B entry by entry.
-    For (iii), C, its minimal polynomial m and the coefficients a_j of
-    N = sum_j a_j C^j come from G - X itself.  Over one common denominator
-    D, D N = P + R sqrt(d) is summed on the q x q side from the powers C^j
-    that the minimal polynomial has already built, and B^T P B and
+    Check (i) and D N = P + R sqrt(e), summed over one common denominator
+    D from the powers of C = A(G - X) that its minimal polynomial built,
+    are the complement half: they depend on G - X and mu alone, and
+    halves, a dict keyed by both, keeps them across calls.  B^T P B and
     B^T R B, one product for each non-zero part, are compared with the
     matching parts of D mval (mu I - A_X) in integers.  Failures land in
     the certificate flags; nothing is raised.
@@ -316,37 +331,31 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu) -> Certificate:
     X = list(X)
     xset = set(X)
     rest = [v for v in range(G.n) if v not in xset]
-    C = induced_subgraph(G, rest).matrix()
-    mu_ok = multiplicity(C, mu) == 0
+    key = (induced_subgraph(G, rest), mu)          # G - X by its rows, and mu
+    halves = {} if halves is None else halves
+    if key not in halves:
+        halves[key] = _complement_half(key[0].matrix(), mu)
+    parts = halves[key]
 
     A = G.matrix()
     mult = multiplicity(A, mu)
 
     recon = False
-    if mu_ok:
-        m, powers = minimal_polynomial_powers(C)
-        a, mval = resolvent_coefficients(m, mu)
-        d, q = len(a), len(rest)
+    if parts is not None:
         # b_x, column x of B: the H-neighbourhood of x
         bs = [[A[x][h] for h in rest] for x in X]
 
-        def part_vanishes(c: list[int]) -> bool:
-            # B^T (sum_j c_j C^j) B + c_d I + c_(d+1) A_X = 0, entry by entry
-            if not any(c):
-                return True
-            DN = weighted_sum(c[:d], powers[:d])
-            rows = [DN[u * q:(u + 1) * q] for u in range(q)]
+        def part_holds(rows: list[list[int]], own: int, adjacent: int) -> bool:
+            # B^T (D N part) B = (D mval part) (mu I - A_X), entry by entry
             NB = [[sum(map(mul, row, b)) for row in rows] for b in bs]
-            return all(sum(map(mul, bi, nbj)) + c[d] * (x == y) + c[d + 1] * A[x][y] == 0
+            return all(sum(map(mul, bi, nbj)) == (own if x == y else adjacent * A[x][y])
                        for x, bi in zip(X, bs) for y, nbj in zip(X, NB))
 
-        # D N = sum_j D a_j C^j splits into a rational and a sqrt(d) part
-        _, ps, rs = scaled_parts(a + [-mval * mu, mval])
-        recon = part_vanishes(ps) and part_vanishes(rs)
+        recon = all(part_holds(*part) for part in parts)
 
     return Certificate(mu=mu, x_size=len(X), multiplicity=mult,
                        regular_degree=regular_degree(G),
-                       mu_not_in_complement=mu_ok,
+                       mu_not_in_complement=parts is not None,
                        multiplicity_matches=(mult == len(X)),
                        reconstruction_ok=recon)
 
@@ -366,12 +375,13 @@ def _assemble(ctx: StarContext, chosen: list[int], adjacency: list[list[int]]) -
     return Graph(q + k, tuple(rows + xrows))
 
 
-def solution_from_assembled(ctx: StarContext, G: Graph) -> StarSolution:
+def solution_from_assembled(ctx: StarContext, G: Graph,
+                            halves: Optional[dict] = None) -> StarSolution:
     """Wrap an already-built graph (H on vertices 0..q-1, the star set
-    q..n-1) as a certified solution; raises InternalInconsistency when its
-    certificate fails."""
+    q..n-1) as a certified solution, its certificate given halves; raises
+    InternalInconsistency when the certificate fails."""
     xs = tuple(range(ctx.q, G.n))
-    cert = verify_star_pair(G, xs, ctx.mu)
+    cert = verify_star_pair(G, xs, ctx.mu, halves)
     if not cert.passed:
         raise InternalInconsistency("assembled solution failed certification")
     return StarSolution(graph=G, x_vertices=xs, cert=cert)
@@ -610,7 +620,8 @@ def search_star_sets(ctx: StarContext,
     found: list[Graph] = []
     with contextlib.suppress(_BudgetSpent):
         _search(ctx, degrees, max_x, max_solutions, symmetry, found)
-    return [solution_from_assembled(ctx, g) for g, _key in _dedupe(found)]
+    halves = {}
+    return [solution_from_assembled(ctx, g, halves) for g, _key in _dedupe(found)]
 
 
 def _build_label_tables(ctx: StarContext, masks: list[int]):

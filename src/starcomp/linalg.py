@@ -10,18 +10,17 @@ on its coefficients, and the multiplicity of an eigenvalue, rational or
 quadratic, is an integer rank.  Polynomials are tuples of integer
 coefficients, lowest degree first; their integer roots are found by
 synthetic division at each integer in [-bound, bound], a bound the
-caller knows (for a graph, its maximum degree).  Scalars from
-Q(sqrt(d)) enter only as coefficients of integer matrices: a combination
-sum_j c_j M_j is summed over one common denominator, split into its
-rational and sqrt(d) parts, so testing it for zero is pure int.  No QNum
-matrix is built: the engine takes the scaled resolvent N as those integer
-parts.
+caller knows (for a graph, its maximum degree).  The resolvent
+coefficients at mu in Q(sqrt(e)) come from Horner's rule on the integer
+numerators of mu, as rational and sqrt(e) parts over one denominator
+(resolvent_parts): no QNum arithmetic runs, and the engine sums N from
+them once per context and once per distinct G - X per search call.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -73,28 +72,28 @@ def int_rank(M: Matrix) -> int:
     return len(pivots)
 
 
-def multiplicity(A: Matrix, mu) -> int:
-    """Multiplicity of mu as an eigenvalue of a symmetric integer matrix A.
+def numerators(mu: QNum) -> tuple[int, int, int]:
+    """Integers x, y, z, z > 0 the least, with mu = (x + y sqrt(mu.d)) / z."""
+    z = lcm(mu.a.denominator, mu.b.denominator)
+    return int(mu.a * z), int(mu.b * z), z
 
-    For rational mu = a/b it is n - rank(bA - aI).  An irrational mu has a
-    minimal polynomial x^2 + c1 x + c0 over Q, and its conjugate has the
-    same multiplicity (the characteristic polynomial is rational), while A
-    symmetric is diagonalizable; so with L clearing the denominators of c1
-    and c0 it is (n - rank(L (A^2 + c1 A + c0 I))) / 2.  Both ranks are
-    integer ranks.
+
+def multiplicity(A: Matrix, mu) -> int:
+    """Multiplicity of mu = (x + y sqrt(e)) / z as an eigenvalue of a
+    symmetric integer matrix A: n - rank(zA - xI) for rational mu.  An
+    irrational mu is a root of z^2 t^2 - 2xz t + x^2 - e y^2, its conjugate
+    has the same multiplicity (the characteristic polynomial is rational)
+    and A is diagonalizable, so it is half of
+    n - rank(z^2 A^2 - 2xz A + (x^2 - e y^2) I).  Both are integer ranks.
     """
     mu = qnum(mu)
     n = len(A)
+    x, y, z = numerators(mu)
     if mu.is_rational:
-        a, b = mu.a.numerator, mu.a.denominator
-        M = [[b * x - (a if i == j else 0) for j, x in enumerate(row)]
-             for i, row in enumerate(A)]
-        return n - int_rank(M)
-    c1 = -2 * mu.a
-    c0 = mu.a * mu.a - mu.b * mu.b * mu.d
-    L = lcm(c1.denominator, c0.denominator)
-    k1, k0 = (c1 * L).numerator, (c0 * L).numerator
-    M = [[L * x + k1 * y + (k0 if i == j else 0) for j, (x, y) in enumerate(zip(row2, row))]
+        return n - int_rank([[z * a - (x if i == j else 0) for j, a in enumerate(row)]
+                             for i, row in enumerate(A)])
+    c2, c1, c0 = z * z, -2 * x * z, x * x - mu.d * y * y
+    M = [[c2 * a2 + c1 * a + (c0 if i == j else 0) for j, (a2, a) in enumerate(zip(row2, row))]
          for i, (row2, row) in enumerate(zip(mat_mul(A, A), A))]
     null = n - int_rank(M)
     if null % 2:
@@ -228,30 +227,31 @@ def minimal_polynomial_powers(A: Matrix) -> tuple[tuple[int, ...], list[Matrix]]
         powers.append(mat_mul(powers[-1], A))
 
 
-def resolvent_coefficients(m: Sequence[int], mu: QNum) -> tuple[list[QNum], QNum]:
-    """The coefficients a_0..a_{d-1} of q, where m(x) - m(mu) = (x - mu) q(x),
-    and mval = m(mu), by Horner's rule.
+def resolvent_parts(m: Sequence[int], mu: QNum) -> tuple[int, list[int], list[int]]:
+    """The least common denominator D of a_0..a_{d-1}, mval * mu and -mval,
+    and the parts p and r of each D*c = p + r sqrt(e), where
+    m(x) - m(mu) = (x - mu) sum_j a_j x^j and mval = m(mu): for m the
+    minimal polynomial of C, N = sum_j a_j C^j has N (mu I - C) = mval I.
 
-    For m the minimal polynomial of C, N = q(C) = sum_j a_j C^j satisfies
-    N (mu I - C) = mval I.  Raises MuIsEigenvalue when m(mu) = 0.
+    Horner's rule runs on the integer numerators of mu = (x + y sqrt(e))/z,
+    its k-th value over z^k, and one gcd against z^(d+1) gives D.  Raises
+    MuIsEigenvalue when m(mu) = 0.
     """
+    (x, y, z), e = numerators(mu), mu.d
     d = len(m) - 1
-    a = [qnum(0)] * d
-    acc = qnum(1)
+    u, v, zk = 1, 0, 1        # the Horner value (u + v sqrt(e)) / zk
+    a = []
     for j in range(d - 1, -1, -1):
-        a[j] = acc
-        acc = mu * acc + m[j]
-    if not acc:
+        a.append((u, v, zk))
+        zk *= z
+        u, v = x * u + y * e * v + m[j] * zk, x * v + y * u
+    if not (u or v):
         raise MuIsEigenvalue(f"mu = {mu} is an eigenvalue of the complement")
-    return a, acc
-
-
-def scaled_parts(coeffs: Sequence[QNum]) -> tuple[int, list[int], list[int]]:
-    """A common denominator D of the scalars, and each D*c split as p + r sqrt(d)."""
-    coeffs = [qnum(c) for c in coeffs]
-    D = lcm(*(f.denominator for c in coeffs for f in (c.a, c.b)))
-    return (D, [(c.a * D).numerator for c in coeffs],
-            [(c.b * D).numerator for c in coeffs])
+    top = zk * z
+    ps = [p * (top // w) for p, _, w in reversed(a)] + [x * u + y * e * v, -z * u]
+    rs = [r * (top // w) for _, r, w in reversed(a)] + [x * v + y * u, -z * v]
+    g = gcd(top, *ps, *rs)
+    return top // g, [p // g for p in ps], [r // g for r in rs]
 
 
 def weighted_sum(coeffs: Sequence[int], mats: Sequence[Matrix]) -> list[int]:
@@ -261,15 +261,3 @@ def weighted_sum(coeffs: Sequence[int], mats: Sequence[Matrix]) -> list[int]:
         if c:
             acc = [x + c * y for x, y in zip(acc, (y for row in M for y in row))]
     return acc
-
-
-def combination_vanishes(coeffs: Sequence, mats: Sequence[Matrix]) -> bool:
-    """Whether sum_j c_j M_j is the zero matrix, for scalars c_j of one field
-    and integer matrices M_j of one shape.
-
-    The scalars are scaled to one common denominator and split into their
-    rational and sqrt(d) parts; as sqrt(d) is irrational, the sum vanishes
-    iff both integer sums do.
-    """
-    _, ps, rs = scaled_parts(coeffs)
-    return not any(weighted_sum(ps, mats)) and not any(weighted_sum(rs, mats))

@@ -2,8 +2,11 @@
 
 They are the exact-field routes the package used before its certificate,
 context checks and scaled resolvent moved to integer matrices: Gaussian
-elimination over QNum, the scaled resolvent N summed in QNum, its pairing
-x^T N y, and the reconstruction product B^T N B; the characteristic
+elimination over QNum, the resolvent coefficients by Horner's rule in
+QNum, split into integer parts over one common denominator, and a
+combination of integer matrices with QNum scalars tested for zero that
+way; the scaled resolvent N summed in QNum, its pairing x^T N y, and the
+reconstruction product B^T N B; the characteristic
 polynomial by Berkowitz's division-free algorithm, and by interpolation
 through n + 1 determinants, each by elimination over Q; the minimal
 polynomial by elimination over Q on the powers of the matrix; the
@@ -34,7 +37,7 @@ Also here, as the package has no caller for them:
 
 import enum
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -44,7 +47,7 @@ from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
 from starcomp.engine import VertexType
 from starcomp.errors import HypothesisViolated, MuIsEigenvalue, StarCompError
 from starcomp.graphs import Graph, SrgParams, graph6_encode, induced_subgraph
-from starcomp.linalg import mat_mul, minimal_polynomial_powers
+from starcomp.linalg import mat_mul, minimal_polynomial_powers, weighted_sum
 
 
 def det_over_q(M):
@@ -225,24 +228,50 @@ def minimal_polynomial_over_q(A):
         k += 1
 
 
-def qnum_resolvent(C, mu):
-    """N = sum_j a_j C^j and mval = m(mu), accumulated entry by entry in QNum."""
-    m = minimal_polynomial_powers(C)[0]
+def resolvent_coefficients(m, mu):
+    """The coefficients a_0..a_{d-1} of q, where m(x) - m(mu) = (x - mu) q(x),
+    and mval = m(mu), by Horner's rule in QNum.  Raises MuIsEigenvalue
+    when m(mu) = 0."""
     d = len(m) - 1
     a = [qnum(0)] * d
     acc = qnum(1)
     for j in range(d - 1, -1, -1):
         a[j] = acc
         acc = mu * acc + m[j]
+    if not acc:
+        raise MuIsEigenvalue(f"mu = {mu} is an eigenvalue of the complement")
+    return a, acc
+
+
+def scaled_parts(coeffs):
+    """The least common denominator D of the scalars, and each D*c split
+    as p + r sqrt(d): D, the list of p and the list of r."""
+    coeffs = [qnum(c) for c in coeffs]
+    D = lcm(*(f.denominator for c in coeffs for f in (c.a, c.b)))
+    return (D, [(c.a * D).numerator for c in coeffs],
+            [(c.b * D).numerator for c in coeffs])
+
+
+def combination_vanishes(coeffs, mats):
+    """Whether sum_j c_j M_j is the zero matrix, for QNum scalars c_j of one
+    field and integer matrices M_j of one shape: over one common
+    denominator both integer parts vanish, as sqrt(d) is irrational."""
+    _, ps, rs = scaled_parts(coeffs)
+    return not any(weighted_sum(ps, mats)) and not any(weighted_sum(rs, mats))
+
+
+def qnum_resolvent(C, mu):
+    """N = sum_j a_j C^j and mval = m(mu), accumulated entry by entry in QNum."""
+    a, mval = resolvent_coefficients(minimal_polynomial_powers(C)[0], mu)
     n = len(C)
     N = [[qnum(0)] * n for _ in range(n)]
     power = [[int(i == j) for j in range(n)] for i in range(n)]
-    for j in range(d):
+    for j in range(len(a)):
         for i in range(n):
             for c in range(n):
                 N[i][c] = N[i][c] + a[j] * power[i][c]
         power = mat_mul(power, C)
-    return N, acc
+    return N, mval
 
 
 def pairing(N, x, y):

@@ -11,6 +11,7 @@ import ast
 import gc
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -30,11 +31,12 @@ from oracles import (Compat, DuplicateNeighbourhood, classify_pair, complete,
 from starcomp.algebra import QNum, qnum
 from starcomp.canon import are_isomorphic, canonical, stable_colouring
 from starcomp.catalog import named_graph, petersen
-from starcomp import canon, engine, linalg
+from starcomp import canon, cli, engine, linalg
 from starcomp.engine import (make_context, enumerate_candidates, multiplicity_cap,
                              search_star_sets, solution_from_assembled,
                              verify_star_pair, vertex_types)
-from starcomp.errors import BadTag, HypothesisViolated, MuIsEigenvalue, TooLarge, Unbounded
+from starcomp.errors import (BadTag, HypothesisViolated, InternalInconsistency, MuIsEigenvalue,
+                             TooLarge, Unbounded)
 import starcomp
 from starcomp.graphs import Graph, cycle, graph6_encode, induced_subgraph
 from starcomp.kts import make_kts
@@ -361,6 +363,42 @@ def test_context_builds_each_power_once(monkeypatch, H, mu, products):
     monkeypatch.setattr(linalg, "mat_mul", counting)
     make_context(H, mu)
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("H, mu, tag", [(make_kts(6, 6), -2, (6, 6)), (cycle(12), 3, None)],
+                         ids=["K66", "C12"])
+def test_context_builds_only_mu_and_mval_as_qnum(monkeypatch, H, mu, tag):
+    # the resolvent is derived in integers: the only QNums a context builds
+    # are mu (handed in as an int) and mval, which analyze prints
+    built = []
+    init = QNum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QNum, "__init__", counting_init)
+    ctx = make_context(H, mu, bipartite_tag=tag)
+    assert len(built) == 2 and built[0] is ctx.mu and built[1] is ctx.mval
+
+
+@pytest.mark.parametrize("H, mu, part", [(make_kts(3, 3), qnum(1), 1),
+                                         (cycle(10), QNum(0, 1, 3), 1),
+                                         (cycle(10), QNum(0, 1, 3), 2)],
+                         ids=["K33-rational", "C10-rational", "C10-sqrt"])
+def test_context_checks_the_resolvent_identity(monkeypatch, H, mu, part):
+    # the integer identity check is live on both parts: a_0 off by 1/D in
+    # its rational or its sqrt(e) part breaks N (mu I - C) = mval I
+    real = engine.resolvent_parts
+
+    def off_by_one(m, mu):
+        parts = real(m, mu)
+        parts[part][0] += 1
+        return parts
+
+    monkeypatch.setattr(engine, "resolvent_parts", off_by_one)
+    with pytest.raises(InternalInconsistency, match="resolvent identity"):
+        make_context(H, mu)
 
 
 def test_candidates_mu_zero_includes_empty_vector():
@@ -1230,6 +1268,87 @@ def test_certificate_matches_qnum_oracle(g, xmask, mu):
 ])
 def test_certificate_quadratic_and_petersen(G, X, mu, passed):
     assert check_certificate(G, X, mu).passed is passed
+
+
+# the non-integer rationals whose denominators z^(d+1) the integer
+# resolvent has to reduce, on top of CERT_MUS
+RESOLVENT_MUS = CERT_MUS + [qnum(Fraction(1, 3)), qnum(Fraction(3, 2)), qnum(Fraction(-5, 2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs, st.sampled_from(RESOLVENT_MUS))
+@example((0, 0), qnum(Fraction(3, 2)))        # the 0 x 0 matrix: m = 1
+@example((0, 0), -1 - GOLDEN)
+def test_resolvent_parts_match_qnum_oracle(g, mu):
+    # the integer Horner route against the QNum one: the same least common
+    # denominator D, the same rational and sqrt parts, the same refusals
+    m = linalg.minimal_polynomial_powers(graph_from_mask(*g).matrix())[0]
+    try:
+        a, mval = oracles.resolvent_coefficients(m, mu)
+    except MuIsEigenvalue:
+        with pytest.raises(MuIsEigenvalue):
+            linalg.resolvent_parts(m, mu)
+        return
+    assert linalg.resolvent_parts(m, mu) == oracles.scaled_parts(a + [mval * mu, -mval])
+
+
+def test_certificate_batch_keys_the_half_by_content():
+    # one dict of complement halves for a batch, as a search uses it: a find
+    # whose G - X differs from the others by one edge (inside the t-part of
+    # K_{2,5}) gets its own half, so its certificate still fails.  The half
+    # of K_{2,5} itself would pass its reconstruction identity, as B is
+    # unchanged
+    ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
+    sols = search_star_sets(ctx, require_regular="sweep")
+    first = sols[0].graph
+    rows = list(first.adj)
+    rows[0] |= 1 << 1
+    rows[1] |= 1 << 0
+    odd = Graph(first.n, tuple(rows))
+    batch = [(s.graph, s.x_vertices) for s in sols[:6]] + [(odd, sols[0].x_vertices)] + \
+        [(s.graph, s.x_vertices) for s in sols[6:]]
+    halves = {}
+    certs = [verify_star_pair(G, X, qnum(1), halves) for G, X in batch]
+    assert certs == [verify_star_pair(G, X, qnum(1)) for G, X in batch]
+    assert [c.passed for c in certs] == [True] * 6 + [False] + [True] * 6
+    assert certs[6].mu_not_in_complement and not certs[6].reconstruction_ok
+    assert len(halves) == 2
+
+
+def test_search_builds_one_complement_half(monkeypatch):
+    # the 12 certificates of the K_{2,5} mu=1 sweep share G - X = K_{2,5}:
+    # one minimal polynomial, resolvent and D N for all of them
+    ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
+    builds, certs = [], []
+    powers, real = engine.minimal_polynomial_powers, engine.verify_star_pair
+    monkeypatch.setattr(engine, "minimal_polynomial_powers",
+                        lambda C: builds.append(C) or powers(C))
+    monkeypatch.setattr(engine, "verify_star_pair", lambda *a: certs.append(a) or real(*a))
+    sols = search_star_sets(ctx, require_regular="sweep")
+    assert (len(sols), len(certs), len(builds)) == (12, 12, 1)
+    assert builds == [ctx.H.matrix()]
+
+
+# the searches of the python -O loop in .github/workflows/tests.yml
+CI_SEARCHES = ["3 3 1 --sweep", "2 5 1 --sweep", "6 6 -2 --r 10",
+               "1 2 root(-1,1):pos --sweep", "1 2 root(-1,-1):pos --sweep", "2 5 1",
+               "6 6 -2 --sweep", "2 3 -1 --max-x 8", "3 5 -1 --max-x 5",
+               "4 4 -1 --max-x 5", "2 3 -1 --max-x 12"]
+
+
+@pytest.mark.parametrize("args", CI_SEARCHES)
+def test_search_certificates_match_standalone(monkeypatch, capsys, args):
+    # every certificate a search emits, from a complement half shared over
+    # the call, equals a stand-alone certificate field for field
+    seen = []
+    real = engine.verify_star_pair
+    monkeypatch.setattr(engine, "verify_star_pair",
+                        lambda *a: seen.append((a[:3], real(*a))) or seen[-1][1])
+    cli.main(["search"] + args.split())
+    count = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["count"]
+    assert len(seen) == count
+    for (G, X, mu), cert in seen:
+        assert cert._asdict() == real(G, X, mu)._asdict()
 
 
 def run_fresh(script, *flags):

@@ -1,9 +1,9 @@
 """Exact linear algebra: determinants, characteristic and minimal
 polynomials, the resolvent coefficients, integer rank and eigenvalue
-multiplicity.  The oracles (elimination over QNum, the QNum scaled
-resolvent, the characteristic polynomial by Berkowitz's algorithm and by
-interpolation, the minimal polynomial over Q, the determinant over Q and
-polynomial division over Q) live in oracles.py.
+multiplicity.  The oracles (elimination over QNum, the QNum resolvent
+coefficients and scaled resolvent, the characteristic polynomial by
+Berkowitz's algorithm and by interpolation, the minimal polynomial over Q,
+the determinant over Q and polynomial division over Q) live in oracles.py.
 
 Characteristic polynomial oracles below are classical values (cycles,
 complete bipartite graphs, the Petersen graph) checked against closed-form
@@ -17,19 +17,19 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (assert_deflation, berkowitz_char_polynomial, det_over_q, divides,
-                     field_rank, interpolated_char_polynomial, minimal_polynomial_over_q,
-                     qnum_resolvent)
+from oracles import (assert_deflation, berkowitz_char_polynomial, combination_vanishes,
+                     det_over_q, divides, field_rank, interpolated_char_polynomial,
+                     minimal_polynomial_over_q, qnum_resolvent, resolvent_coefficients,
+                     scaled_parts)
 from starcomp.algebra import QNum, qnum
 from starcomp.catalog import petersen
 from starcomp.engine import make_context, search_star_sets
 from starcomp.errors import MuIsEigenvalue, TooLarge
 from starcomp.graphs import cycle
 from starcomp.kts import make_kts
-from starcomp.linalg import (_bareiss_step, char_polynomial, combination_vanishes,
-                             identity, int_rank, integer_roots, mat_mul,
-                             minimal_polynomial_powers, multiplicity,
-                             resolvent_coefficients, scaled_parts, weighted_sum)
+from starcomp.linalg import (_bareiss_step, char_polynomial, identity, int_rank,
+                             integer_roots, mat_mul, minimal_polynomial_powers,
+                             multiplicity, resolvent_parts, weighted_sum)
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -243,6 +243,8 @@ def test_scaled_resolvent_empty_matrix():
     assert minimal_polynomial_powers([])[0] == (1,)
     assert resolvent_coefficients(minimal_polynomial_powers([])[0], qnum(5)) == ([], qnum(1))
     assert qnum_resolvent([], qnum(5)) == ([], qnum(1))
+    # the parts of mval * mu = 5 and -mval = -1, over D = 1
+    assert resolvent_parts((1,), qnum(5)) == (1, [5, -1], [0, 0])
 
 
 def test_combination_over_common_denominator():
@@ -266,8 +268,11 @@ def test_combination_over_common_denominator():
     (petersen(), qnum(-2)),
 ])
 def test_resolvent_rejects_eigenvalues(g, mu):
+    m = minimal_polynomial_powers(g.matrix())[0]
     with pytest.raises(MuIsEigenvalue):
-        resolvent_coefficients(minimal_polynomial_powers(g.matrix())[0], mu)
+        resolvent_coefficients(m, mu)
+    with pytest.raises(MuIsEigenvalue):
+        resolvent_parts(m, mu)
 
 
 # ------------------------------------------------------------------ rank

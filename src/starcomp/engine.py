@@ -41,10 +41,10 @@ assembled once (about once for a part group too large to list);
 _dedupe merges orbits that are isomorphic and whatever else is left,
 refining each find once and handing that colouring to canonical().
 
-make_context and verify_star_pair check their identities on integer
-matrices; the certificate builds everything from G - X, never from a
-search context, and search_star_sets computes its complement half once
-per distinct G - X per call, keyed by content.
+make_context checks the resolvent identity on integer matrices.  The
+certificate reads nothing from a search context: its complement half is
+check (i) and the IntKernel of make_context(G - X, mu), built once per
+distinct G - X per search call, and _assemble lays out every H + X graph.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ class IntKernel(NamedTuple):
     int A + B * 2^K (just A when mu is rational), so a pairing of 0/1
     vectors is a plain int sum (an entry of B^T N B, which the pair-label
     tables pack a row per int) and a test against a target is one int
-    comparison.  Every sum the engine forms has at most q^2 terms, so its A
-    stays within q^2 * max|A| < 2^(K-1), and two packed sums are equal iff
-    both their parts are.
+    comparison.  Every sum the engine forms, a target included, has at most
+    max(q^2, 1) terms (q = 0 leaves just the targets), so its A stays within
+    max(q^2, 1) * max|A| < 2^(K-1), and two packed sums are equal iff both
+    their parts are.
     """
     N: tuple[tuple[int, ...], ...]   # D * N
     ones: tuple[int, ...]            # D * N j
@@ -151,7 +152,7 @@ def make_context(H: Graph, mu, bipartite_tag: Optional[tuple[int, int]] = None) 
     sums = [[[sum(row)] for row in M] for M in powers[:d]]
     P, R = (weighted_sum(c, powers[:d]) + weighted_sum(c, sums) + c[d:]
             for c in (ps, rs))
-    K = (q * q * max(map(abs, P))).bit_length() + 1
+    K = (max(q * q, 1) * max(map(abs, P))).bit_length() + 1
     packed = [p + (r << K) for p, r in zip(P, R)]
     kernel = IntKernel(N=tuple(tuple(packed[i * q:(i + 1) * q]) for i in range(q)),
                        ones=tuple(packed[q * q:q * q + q]), self_target=packed[-2],
@@ -300,18 +301,6 @@ class StarSolution(NamedTuple):
         return self.graph.n
 
 
-def _complement_half(C: list[list[int]], mu: QNum):
-    """None when mu is an eigenvalue of C = A(G - X), else, for each
-    non-zero part of D N, its rows and its parts of D mval mu and -D mval."""
-    if multiplicity(C, mu):
-        return None
-    m, powers = minimal_polynomial_powers(C)
-    _, ps, rs = resolvent_parts(m, mu)
-    d, q = len(m) - 1, len(C)
-    return [(list(zip(*[iter(weighted_sum(c[:d], powers[:d]))] * q)), c[d], c[d + 1])
-            for c in (ps, rs) if any(c)]
-
-
 def verify_star_pair(G: Graph, X: Sequence[int], mu, halves: Optional[dict] = None) -> Certificate:
     """Exact certificate that X is a star set for mu in G.
 
@@ -319,43 +308,39 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu, halves: Optional[dict] = No
     (its multiplicity there, an integer rank, is 0), (ii) the multiplicity
     of mu in G equals |X| (a fraction-free integer rank), (iii) the scaled
     reconstruction identity mval (mu I - A_X) = B^T N B entry by entry.
-    Check (i) and D N = P + R sqrt(e), summed over one common denominator
-    D from the powers of C = A(G - X) that its minimal polynomial built,
-    are the complement half: they depend on G - X and mu alone, and
-    halves, a dict keyed by both, keeps them across calls.  B^T P B and
-    B^T R B, one product for each non-zero part, are compared with the
-    matching parts of D mval (mu I - A_X) in integers.  Failures land in
-    the certificate flags; nothing is raised.
+    (i) and (ii), rank tests without N, prove X a star set by themselves.
+    The complement half, check (i) and the IntKernel of make_context(G - X,
+    mu), depends on G - X and mu alone; halves, a dict keyed by both, keeps
+    it across calls.  One packed product B^T (D N) B, for any mu, meets the
+    kernel's self_target on the diagonal and adjacent * A_X off it.
+    Failures land in the certificate flags; an exception from make_context
+    (whose resolvent identity guards this N) is a bug in linalg.
     """
     mu = qnum(mu)
     X = list(X)
     xset = set(X)
     rest = [v for v in range(G.n) if v not in xset]
-    key = (induced_subgraph(G, rest), mu)          # G - X by its rows, and mu
+    H = induced_subgraph(G, rest)                  # G - X by its rows
     halves = {} if halves is None else halves
-    if key not in halves:
-        halves[key] = _complement_half(key[0].matrix(), mu)
-    parts = halves[key]
+    if (H, mu) not in halves:
+        halves[H, mu] = None if multiplicity(H.matrix(), mu) else make_context(H, mu).kernel
+    kernel = halves[H, mu]
 
     A = G.matrix()
     mult = multiplicity(A, mu)
 
     recon = False
-    if parts is not None:
+    if kernel is not None:
         # b_x, column x of B: the H-neighbourhood of x
         bs = [[A[x][h] for h in rest] for x in X]
-
-        def part_holds(rows: list[list[int]], own: int, adjacent: int) -> bool:
-            # B^T (D N part) B = (D mval part) (mu I - A_X), entry by entry
-            NB = [[sum(map(mul, row, b)) for row in rows] for b in bs]
-            return all(sum(map(mul, bi, nbj)) == (own if x == y else adjacent * A[x][y])
-                       for x, bi in zip(X, bs) for y, nbj in zip(X, NB))
-
-        recon = all(part_holds(*part) for part in parts)
+        NB = [[sum(map(mul, row, b)) for row in kernel.N] for b in bs]
+        target, adjacent = kernel.self_target, kernel.adjacent
+        recon = all(sum(map(mul, bi, nbj)) == (target if x == y else adjacent * A[x][y])
+                    for x, bi in zip(X, bs) for y, nbj in zip(X, NB))
 
     return Certificate(mu=mu, x_size=len(X), multiplicity=mult,
                        regular_degree=regular_degree(G),
-                       mu_not_in_complement=parts is not None,
+                       mu_not_in_complement=kernel is not None,
                        multiplicity_matches=(mult == len(X)),
                        reconstruction_ok=recon)
 

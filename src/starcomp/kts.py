@@ -26,9 +26,9 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .algebra import QNum, qnum
-from .engine import make_context, solution_from_assembled
+from .engine import _assemble, make_context, solution_from_assembled
 from .errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
-from .graphs import Graph, make_kts
+from .graphs import make_kts
 
 
 class ParamRow(NamedTuple):
@@ -119,42 +119,27 @@ def gr_params(t: int, s: int, r: int) -> GrParams:
             raise DivisibilityViolation(
                 f"{name} = {val} is not a nonnegative integer at r={r}"
                 f" (r must be -1 mod {(t * s - 1) // gcd(s - 1, t - 1)})")
+    if not (vi or wi):
+        raise HypothesisViolated(f"|V_i| = |W_i| = 0 at r = t = s = {r}: the star set is empty")
     return GrParams(t, s, r, int(vi), int(wi))
 
 
 def build_Gr(t: int, s: int, r: int):
     """The r-regular graph with K_{t,s} star complement for -1: cliques V_i of
     type-(1,s) vertices on each v_i, cliques W_j of type-(t,1) vertices on
-    each w_j, and all V_i x W_j edges.  Returns a certified StarSolution
-    and raises InternalInconsistency when the certificate fails."""
+    each w_j, and all V_i x W_j edges, laid out by engine._assemble.  Returns
+    a certified StarSolution; InternalInconsistency if the certificate fails."""
     p = gr_params(t, s, r)
-    n = t + s + t * p.vi_size + s * p.wi_size
-    edges = [(i, t + j) for i in range(t) for j in range(s)]
-    v_blocks = []
-    pos = t + s
-    for i in range(t):
-        block = list(range(pos, pos + p.vi_size))
-        pos += p.vi_size
-        v_blocks.append(block)
-        for x, u in enumerate(block):
-            edges.append((i, u))
-            edges.extend((u, t + j) for j in range(s))
-            edges.extend((u, w) for w in block[x + 1:])
-    w_blocks = []
-    for j in range(s):
-        block = list(range(pos, pos + p.wi_size))
-        pos += p.wi_size
-        w_blocks.append(block)
-        for x, u in enumerate(block):
-            edges.append((t + j, u))
-            edges.extend((u, i) for i in range(t))
-            edges.extend((u, w) for w in block[x + 1:])
-    for vb in v_blocks:
-        for wb in w_blocks:
-            edges.extend((u, w) for u in vb for w in wb)
-    g = Graph.from_edges(n, edges)
     # degree equations are definitive: r = s + |V_1| + s|W_1| = t + t|V_1| + |W_1|
     if not (s + p.vi_size + s * p.wi_size == r and t + t * p.vi_size + p.wi_size == r):
         raise InternalInconsistency(f"G({t},{s},{r}) fails its degree equations")
     ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
-    return solution_from_assembled(ctx, g)
+    T, S = (1 << t) - 1, ((1 << s) - 1) << t
+    # X: V_1..V_t (v_i plus the s-part), then W_1..W_s (w_j plus the t-part)
+    chosen = ([1 << i | S for i in range(t) for _ in range(p.vi_size)]
+              + [1 << t + j | T for j in range(s) for _ in range(p.wi_size)])
+    k = t * p.vi_size
+    # one clique per block (equal masks), and every V x W pair
+    adjacency = [[int(a == b or (x < k) != (y < k)) for y, b in enumerate(chosen)]
+                 for x, a in enumerate(chosen)]
+    return solution_from_assembled(ctx, _assemble(ctx, chosen, adjacency))

@@ -1265,6 +1265,8 @@ def test_certificate_matches_qnum_oracle(g, xmask, mu):
     (petersen(), [0], -GOLDEN, False),
     (petersen(), [5, 6, 7, 8, 9], qnum(1), True),
     (petersen(), [0, 1, 2, 3], qnum(-2), True),
+    # at q = 0 the packed target -2 + 1 * 2^K must not read as 0 (K = 1 would)
+    (Graph.from_edges(1, []), [0], QNum.sqrt(5) - 2, False),
 ])
 def test_certificate_quadratic_and_petersen(G, X, mu, passed):
     assert check_certificate(G, X, mu).passed is passed

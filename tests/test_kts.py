@@ -182,12 +182,17 @@ def test_gr_params_divisibility():
     assert gr_params(2, 3, 9).vi_size == 3
     with pytest.raises(DivisibilityViolation):
         gr_params(2, 3, 6)
+    # r = t = s leaves both blocks empty: K_{t,t} has no eigenvalue -1
+    for t in (2, 3):
+        with pytest.raises(HypothesisViolated, match="star set is empty"):
+            gr_params(t, t, t)
 
 
 @pytest.mark.parametrize("t,s,r,order,mult", [
     (2, 3, 4, 7, 2),
     (3, 3, 7, 12, 6),
     (2, 2, 5, 8, 4),
+    (2, 3, 9, 14, 9),     # blocks of three: a clique with inner edges
 ])
 def test_build_gr_certified(t, s, r, order, mult):
     sol = build_Gr(t, s, r)
@@ -203,12 +208,20 @@ def test_build_gr_deterministic():
     assert a.graph.adj == b.graph.adj
 
 
-def test_build_gr_raises_on_failed_certificate(monkeypatch):
+def k25_mu1_sweep():
+    ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
+    return engine.search_star_sets(ctx, require_regular="sweep")
+
+
+@pytest.mark.parametrize("build", [lambda: build_Gr(2, 3, 4), k25_mu1_sweep],
+                         ids=["build_Gr", "search"])
+def test_failed_certificate_raises_in_process(monkeypatch, build):
+    # both routes to a StarSolution, G(r) and a search's finds, pass the gate
     real = engine.verify_star_pair
     monkeypatch.setattr(engine, "verify_star_pair", lambda *a: real(*a)._replace(
         reconstruction_ok=False))
     with pytest.raises(InternalInconsistency, match="failed certification"):
-        build_Gr(2, 3, 4)
+        build()
 
 
 # --------------------------------------------------- family and gap reports

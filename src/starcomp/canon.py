@@ -7,21 +7,24 @@ encoding over all leaves, its perm that of the first leaf, in depth-first
 order, to reach it.  Sound and complete for the enforced n <= 20 cap.
 are_isomorphic has no cap: it maps the vertices of one graph onto those of
 the same stable colour in the other.  The engine refines each find once and
-hands that colouring to both; canonical forms only key the output order.
+hands that colouring to both; canonical forms only key the output order, and
+only for classes whose order another class shares.
 
 The search tree is pruned with automorphisms, after McKay and Piperno,
 "Practical graph isomorphism, II" (J. Symbolic Comput. 60, 2014).  Twins
-(vertices with equal rows away from each other) give transpositions for free;
-more automorphisms come from leaves whose encoding equals that of the first
-leaf or of the best leaf so far.  At each node only one child per orbit of
-the known automorphisms fixing the individualised vertices is explored, and a
-leaf that yields an automorphism abandons the rest of its subtree back to
-where its path left the reference leaf's.  Refinement and individualisation
-never look at vertex labels, so an automorphism fixing a node's path carries
-each skipped subtree onto an explored earlier one with the same leaf
-encodings.  The first leaf to reach the minimum therefore lies in no skipped
-subtree: the pruned search returns the same bytes and the same perm as the
-full one.
+(vertices with equal rows away from each other) give transpositions for free,
+and a target cell that is one class of k twins is individualised in one
+step: its members take consecutive colours in cell order, where the k - 1
+one-child levels of the plain tree end.  More automorphisms come from leaves
+whose encoding equals that of the first leaf or of the best leaf so far.  At
+each node only one child per orbit of the known automorphisms fixing the
+individualised vertices is explored, and a leaf that yields an automorphism
+abandons the rest of its subtree back to where its path left the reference
+leaf's.  Refinement and individualisation never look at vertex labels, so an
+automorphism fixing a node's path carries each skipped subtree onto an
+explored earlier one with the same leaf encodings.  The first leaf to reach
+the minimum therefore lies in no skipped subtree: the pruned search returns
+the same bytes and the same perm as the full one.
 """
 
 from __future__ import annotations
@@ -157,13 +160,30 @@ def canonical(g: Graph, colouring: Optional[tuple] = None) -> CanonicalForm:
             while ref[2][k] == fixed[k]:
                 k += 1
             return k
+        cell = cells[target]
+        head = cell[0]
+        if all((adj[head] ^ adj[v]) & ~((1 << head) | (1 << v)) == 0 for v in cell[1:]):
+            # The cell is one twin class (twins form an equivalence).  Its
+            # first member is the one child that twin pruning keeps, and
+            # individualising it splits nothing else: every other vertex
+            # meets all of the class or none of it, and the colouring is
+            # equitable.  So the k - 1 one-child levels below give the
+            # members consecutive colours in cell order; take them at once
+            # and return what that chain would.
+            branched = [c + (len(cell) - 1 if c > target else 0) for c in colors]
+            for i, v in enumerate(cell):
+                branched[v] += i
+            fixed.extend(cell[:-1])
+            resume = walk(branched, cell, fixed)
+            del fixed[depth:]
+            return min(resume, depth)
         # An automorphism fixing every individualised vertex maps this node
         # to itself and child v onto child gamma(v), with the same leaf
         # encodings below; so one child per orbit suffices, and the pruned
         # children all come after their orbit's explored one.  Swapping two
         # twins in the target cell is such an automorphism.
         done: list[int] = []
-        for v in cells[target]:
+        for v in cell:
             if done:
                 if any((adj[u] ^ adj[v]) & ~((1 << u) | (1 << v)) == 0 for u in done):
                     continue
@@ -172,11 +192,11 @@ def canonical(g: Graph, colouring: Optional[tuple] = None) -> CanonicalForm:
                     continue
             done.append(v)
             branched = [c + (1 if c > target else 0) for c in colors]
-            for u in cells[target]:
+            for u in cell:
                 if u != v:
                     branched[u] += 1
             fixed.append(v)
-            resume = walk(branched, cells[target], fixed)
+            resume = walk(branched, cell, fixed)
             fixed.pop()
             if resume < depth:
                 return resume

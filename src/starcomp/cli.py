@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("name")
     sp.add_argument("--format", choices=("json", "graph6"), default="json")
 
-    sp = sub.add_parser("bound", help="multiplicity cap and star-set size bound")
+    sp = sub.add_parser("bound", help="multiplicity cap (G connected) and star-set size bound")
     sp.add_argument("--q", type=int, required=True, help="order of the complement")
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)

@@ -39,7 +39,8 @@ that a part permutation of K_{t,s} maps to a lexicographically smaller
 one (orderly generation, _orderly_test), so each orbit of finds is
 assembled once (about once for a part group too large to list);
 _dedupe merges orbits that are isomorphic and whatever else is left,
-refining each find once and handing that colouring to canonical().
+refining each find once, and orders the classes by order n, handing the
+colouring to canonical() only for classes whose n another class shares.
 
 make_context checks the resolvent identity on integer matrices.  The
 certificate reads nothing from a search context: its complement half is
@@ -50,6 +51,7 @@ distinct G - X per search call, and _assemble lays out every H + X graph.
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -59,7 +61,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
 from .errors import BadTag, HypothesisViolated, InternalInconsistency, TooLarge, Unbounded
-from .graphs import Graph, graph6_encode, induced_subgraph, make_kts, regular_degree
+from .graphs import (Graph, graph6_encode, induced_subgraph, is_connected, make_kts,
+                     regular_degree)
 from .linalg import (minimal_polynomial_powers, multiplicity, numerators, resolvent_parts,
                      weighted_sum)
 
@@ -377,7 +380,7 @@ def solution_from_assembled(ctx: StarContext, G: Graph,
 
 def multiplicity_cap(q: int) -> int:
     """(q+1)(q-2)/2: the multiplicity bound from a complement of order
-    q >= 3 when mu is outside {-1, 0}."""
+    q >= 3 when mu is outside {-1, 0} and G is connected."""
     if q < HALF_CAP_MIN_Q:
         raise HypothesisViolated(f"the multiplicity cap needs q >= {HALF_CAP_MIN_Q}, got {q}")
     return (q + 1) * (q - 2) // 2
@@ -387,8 +390,11 @@ def _effective_cap(ctx: StarContext, max_x: Optional[int], n_cands: int) -> int:
     if ctx.mu_special:
         # repeats allowed, only the explicit cap bounds |X|
         return max_x
+    # candidates do not repeat, so the pool bounds |X|.  The multiplicity
+    # cap bounds it for G connected, and outside {-1, 0} every X-vertex has
+    # an H-neighbour (b^T N b = mval mu is not 0), so G is connected iff H is
     cap = n_cands if max_x is None else min(max_x, n_cands)
-    if ctx.q >= HALF_CAP_MIN_Q:
+    if ctx.q >= HALF_CAP_MIN_Q and is_connected(ctx.H):
         cap = min(cap, multiplicity_cap(ctx.q))
     return cap
 
@@ -518,15 +524,17 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
     return is_least
 
 
-def _dedupe(found: list[Graph]) -> list[tuple[Graph, tuple]]:
+def _dedupe(found: list[Graph]) -> list[Graph]:
     """One representative per isomorphism class, the first find of each,
-    keyed for deterministic order.
+    in output order: by order n, then by canonical bytes.
 
     Each find is refined once and bucketed by its order and the signature
     of its stable colouring, both isomorphism invariants; it is tested only
     against the representatives in its bucket, with the colourings already
-    at hand.  The key of a new class is (n, canonical bytes), its form
-    searched from that colouring, or (n, graph6) above CANONICAL_CAP.
+    at hand.  A class whose order no other class shares is placed by n
+    alone, so canonical() runs only for classes that tie on n, its form
+    searched from that colouring; above CANONICAL_CAP ties are broken by
+    graph6 instead.
     """
     reps: list[tuple[Graph, tuple]] = []
     buckets: dict[tuple, list[tuple[Graph, tuple]]] = {}
@@ -536,11 +544,17 @@ def _dedupe(found: list[Graph]) -> list[tuple[Graph, tuple]]:
         if any(are_isomorphic(h, g, (ch, colouring)) for h, ch in bucket):
             continue
         bucket.append((g, colouring))
-        form = (canonical(g, colouring).bytes if g.n <= CANONICAL_CAP
-                else graph6_encode(g).encode())
-        reps.append((g, (g.n, form)))
-    reps.sort(key=lambda item: item[1])
-    return reps
+        reps.append((g, colouring))
+    classes = Counter(g.n for g, _ in reps)
+
+    def key(rep: tuple[Graph, tuple]) -> tuple[int, bytes]:
+        g, colouring = rep
+        if classes[g.n] == 1:
+            return g.n, b""
+        return g.n, (canonical(g, colouring).bytes if g.n <= CANONICAL_CAP
+                     else graph6_encode(g).encode())
+    reps.sort(key=key)
+    return [g for g, _ in reps]
 
 
 def search_star_sets(ctx: StarContext,
@@ -561,7 +575,9 @@ def search_star_sets(ctx: StarContext,
 
     max_x bounds |X|; it is mandatory for mu in {-1, 0}, where co-duplicate
     vertices make the families infinite (Unbounded otherwise).  For other
-    mu the bound (q+1)(q-2)/2 applies on top whenever q >= 3.
+    mu no candidate repeats, so |X| is at most the pool's size, and the
+    bound (q+1)(q-2)/2 applies on top whenever q >= 3 and G is connected
+    (G is connected iff H is, for such mu).
     max_solutions is a work limit on raw finds: graphs the search assembles
     after orderly pruning and before isomorphism reduction, counted across
     the whole call (all the degrees of a sweep together).  On a tagged
@@ -580,9 +596,11 @@ def search_star_sets(ctx: StarContext,
     find and is the slower reference.
 
     Results are deduplicated up to isomorphism, certified (every returned
-    solution passes verify_star_pair) and sorted by order then canonical
-    bytes (graph6 above CANONICAL_CAP), so repeated runs produce identical
-    output.
+    solution passes verify_star_pair, and with an integer r is r-regular;
+    a sweep's are regular; InternalInconsistency otherwise) and sorted by
+    order then canonical bytes (graph6 above CANONICAL_CAP), so repeated
+    runs produce identical output.  Canonical forms are computed only for
+    classes whose order another class shares.
     """
     for name, limit in (("max_x", max_x), ("max_solutions", max_solutions)):
         if isinstance(limit, bool):
@@ -591,22 +609,22 @@ def search_star_sets(ctx: StarContext,
             raise ValueError(f"{name} must be non-negative, got {limit}")
     if ctx.mu_special and max_x is None:
         raise Unbounded("mu in {-1, 0}: co-duplicates make families infinite, set max_x")
-    if require_regular == "sweep":
-        # an X-vertex has degree at most q + |X| - 1, and no pool holds more
-        # than 2^q distinct vectors
-        lo = max(ctx.H.degrees(), default=0)
-        degrees = range(lo, ctx.q + _effective_cap(ctx, max_x, 1 << ctx.q) + 1)
-    elif require_regular is None or (isinstance(require_regular, int)
-                                     and not isinstance(require_regular, bool)):
-        degrees = [require_regular]
-    else:
+    if require_regular not in (None, "sweep") and (isinstance(require_regular, bool)
+                                                 or not isinstance(require_regular, int)):
         raise ValueError("require_regular must be None, an integer, or 'sweep'")
 
     found: list[Graph] = []
     with contextlib.suppress(_BudgetSpent):
-        _search(ctx, degrees, max_x, max_solutions, symmetry, found)
+        _search(ctx, require_regular, max_x, max_solutions, symmetry, found)
     halves = {}
-    return [solution_from_assembled(ctx, g, halves) for g, _key in _dedupe(found)]
+    sols = [solution_from_assembled(ctx, g, halves) for g in _dedupe(found)]
+    if require_regular is not None:
+        for sol in sols:
+            degree = sol.cert.regular_degree
+            if degree is None or require_regular not in ("sweep", degree):
+                raise InternalInconsistency(
+                    f"a search for degree {require_regular} returned a graph of degree {degree}")
+    return sols
 
 
 def _build_label_tables(ctx: StarContext, masks: list[int]):
@@ -649,19 +667,27 @@ class _BudgetSpent(Exception):
     """Unwinds a search once it holds max_solutions raw finds."""
 
 
-def _search(ctx: StarContext, degrees: Sequence[Optional[int]], max_x: Optional[int],
+def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Optional[int],
             max_solutions: Optional[int], symmetry: bool, found: list[Graph]) -> None:
-    """Append to found the r-regular star sets of each r in degrees
-    (maximal families for r None); raises _BudgetSpent once found holds
-    max_solutions raw finds.  The tables are built over the pool of
-    candidates of size > 0 when a degree first reaches the walk.  A degree
+    """Append to found the r-regular star sets of r = require_regular, of
+    each r of a sweep, or the maximal families (None); raises _BudgetSpent
+    once found holds max_solutions raw finds.  The tables are built over
+    the pool of candidates of size > 0 when a degree first reaches the
+    walk, and the pool bounds a sweep's top degree.  A degree
     keeps need, room, cap and usable: the candidates that pass the
     non-main test (unless r = mu), have size <= r and support inside the
     needy vertices.  usable is closed under the part permutations and keeps
     the pool's order, so the walk is the one a pool of usable would take."""
     q = ctx.q
-    main = ctx.mu in degrees
+    sweep = require_regular == "sweep"
+    lo = max(ctx.H.degrees(), default=0)
+    # a degree r = mu takes the candidates that fail the non-main test too,
+    # and a sweep may reach any integer r >= lo
+    main = ctx.mu == require_regular or (sweep and ctx.mu.is_integer and ctx.mu >= lo)
     pool = [m for m in enumerate_candidates(ctx, non_main=not main) if m]
+    # an X-vertex has degree at most q + |X| - 1
+    degrees = (range(lo, q + _effective_cap(ctx, max_x, len(pool)) + 1) if sweep
+               else [require_regular])
     full = (1 << len(pool)) - 1
     non_main = sum(1 << i for i, m in enumerate(pool) if _non_main(ctx, m)) if main else full
     special = ctx.mu_special

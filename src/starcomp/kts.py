@@ -128,11 +128,9 @@ def build_Gr(t: int, s: int, r: int):
     """The r-regular graph with K_{t,s} star complement for -1: cliques V_i of
     type-(1,s) vertices on each v_i, cliques W_j of type-(t,1) vertices on
     each w_j, and all V_i x W_j edges, laid out by engine._assemble.  Returns
-    a certified StarSolution; InternalInconsistency if the certificate fails."""
+    a certified StarSolution; InternalInconsistency if the certificate fails
+    or the built graph is not r-regular."""
     p = gr_params(t, s, r)
-    # degree equations are definitive: r = s + |V_1| + s|W_1| = t + t|V_1| + |W_1|
-    if not (s + p.vi_size + s * p.wi_size == r and t + t * p.vi_size + p.wi_size == r):
-        raise InternalInconsistency(f"G({t},{s},{r}) fails its degree equations")
     ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
     T, S = (1 << t) - 1, ((1 << s) - 1) << t
     # X: V_1..V_t (v_i plus the s-part), then W_1..W_s (w_j plus the t-part)
@@ -142,4 +140,7 @@ def build_Gr(t: int, s: int, r: int):
     # one clique per block (equal masks), and every V x W pair
     adjacency = [[int(a == b or (x < k) != (y < k)) for y, b in enumerate(chosen)]
                  for x, a in enumerate(chosen)]
-    return solution_from_assembled(ctx, _assemble(ctx, chosen, adjacency))
+    sol = solution_from_assembled(ctx, _assemble(ctx, chosen, adjacency))
+    if sol.cert.regular_degree != r:
+        raise InternalInconsistency(f"G({t},{s},{r}) is not {r}-regular")
+    return sol

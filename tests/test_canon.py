@@ -135,6 +135,29 @@ def _cyclic_lift(rng, k, m):
     return Graph.from_edges(k * m, edges)
 
 
+def _planted_twins(rng, sizes):
+    """A random graph with a planted class of k twins for each k in sizes:
+    a clique (true twins) or an independent set (false twins), every member
+    joined to the same random base vertices, two classes joined completely
+    or not at all.  canonical() individualises a target cell that is one
+    twin class in one step."""
+    m = rng.randint(1, 6)
+    edges = [e for e in itertools.combinations(range(m), 2) if rng.random() < 0.5]
+    classes = []
+    for k in sizes:
+        n = m + sum(map(len, classes))
+        members = range(n, n + k)
+        base = [u for u in range(m) if rng.random() < 0.5]
+        edges += [(u, v) for v in members for u in base]
+        if rng.random() < 0.5:
+            edges += itertools.combinations(members, 2)
+        for other in classes:
+            if rng.random() < 0.5:
+                edges += [(u, v) for u in other for v in members]
+        classes.append(members)
+    return Graph.from_edges(m + sum(sizes), edges)
+
+
 def _full_search_canonical(g, max_leaves=500):
     """The same search tree walked in full, with the plain refinement that
     re-sorts every vertex each round: bytes and perm must come out equal.
@@ -183,6 +206,8 @@ def test_pruned_search_equals_full_search():
         n = rng.randint(1, 9)
         graphs.append(Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
                                            if rng.random() < 0.5]))
+    graphs += [_planted_twins(rng, sizes) for sizes in ([2], [3], [4], [5], [2, 2], [2, 3],
+                                                         [3, 3], [2, 4]) for _ in range(25)]
     checked = 0
     for g in graphs:
         h = _relabelled(g, rng)
@@ -190,7 +215,7 @@ def test_pruned_search_equals_full_search():
         if full is not None:
             assert canonical(h) == full, h
             checked += 1
-    assert checked >= 200
+    assert checked >= 430
 
 
 def test_canonical_invariant_on_cyclic_lifts():

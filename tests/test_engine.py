@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -690,6 +691,18 @@ def test_regular_searches_return_regular_graphs(t, s, mu, tag, max_x):
     assert sorted(solution_lines(sweep).splitlines()) == sorted(lines)
 
 
+# The search checks each answer's degree against the one asked for: an
+# integer r wants r, a sweep any degree; maximal mode wants none.
+@pytest.mark.parametrize("require,degree", [(6, 5), (6, None), ("sweep", None)])
+def test_search_refuses_answers_of_the_wrong_degree(monkeypatch, k33_ctx, require, degree):
+    real = engine.verify_star_pair
+    monkeypatch.setattr(engine, "verify_star_pair",
+                        lambda *args: real(*args)._replace(regular_degree=degree))
+    with pytest.raises(InternalInconsistency, match=f"returned a graph of degree {degree}"):
+        search_star_sets(k33_ctx, require_regular=require)
+    assert search_star_sets(k33_ctx)
+
+
 def test_search_max_solutions_budget(k33_ctx):
     some = search_star_sets(k33_ctx, require_regular=6, max_solutions=1)
     assert len(some) == 1
@@ -806,7 +819,18 @@ def test_dedupe_matches_oracle(monkeypatch, H, mu, tag, require, max_x, raw, cla
     search_star_sets(_mode_context(H, mu, tag), require_regular=require, max_x=max_x)
     (found,) = runs
     assert len(found) == raw
-    assert real(found) == oracles.dedupe(found)
+    assert_same_representatives(real(found), found)
+
+
+def assert_same_representatives(reps, found):
+    """reps, as _dedupe returns them, are the oracle's representatives, the
+    same objects in its order, and that order sorts by the full key
+    (n, canonical bytes), which _dedupe computes only for orders that tie."""
+    keyed = oracles.dedupe(found)
+    assert len(reps) == len(keyed)
+    assert all(g is h for g, (h, _) in zip(reps, keyed))
+    keys = [key for _, key in keyed]
+    assert keys == sorted(keys)
 
 
 def rook_4x4():
@@ -835,9 +859,9 @@ def test_dedupe_bucket_collisions(a, b):
     rng.shuffle(perm)
     found = [b, a, b.relabel(perm), a.relabel(perm)]
     reps = engine._dedupe(found)
-    assert reps == oracles.dedupe(found)
+    assert_same_representatives(reps, found)
     # one class each, represented by its first find
-    assert sorted(next(i for i, f in enumerate(found) if f is g) for g, _ in reps) == [0, 1]
+    assert sorted(next(i for i, f in enumerate(found) if f is g) for g in reps) == [0, 1]
 
 
 def part_symmetries(t, s):
@@ -1044,11 +1068,13 @@ def test_sweep_builds_tables_once(monkeypatch, t, s, mu, builds):
 
 # _dedupe refines each find once (13 seed colourings, one per orbit; 119
 # when the orderly test followed one tie branch, 127 before that when each
-# canonical() call refined its class again) and calls canonical() once per
-# class of order <= CANONICAL_CAP (8 of the 12 here; 68 calls before the
-# colouring buckets), and are_isomorphic once per repeat find (1 of 13:
-# two orbits are isomorphic; 107 of 119 before), each against the one
-# representative in its bucket.
+# canonical() call refined its class again), calls are_isomorphic once per
+# repeat find (1 of 13: two orbits are isomorphic; 107 of 119 before), each
+# against the one representative in its bucket, and canonical() once per
+# class of order <= CANONICAL_CAP whose order another class shares.  The
+# 12 classes have orders 12, 15 (3), 18 (4), 21 (2), 24 and 27, so that is
+# the 7 classes of orders 15 and 18; 8 when every class of order <= 20 was
+# keyed (the one of order 12 too), 68 before the colouring buckets.
 def test_dedupe_calls_pinned(monkeypatch):
     calls = Counter()
     for module, name in ((engine, "canonical"), (engine, "are_isomorphic"),
@@ -1059,7 +1085,27 @@ def test_dedupe_calls_pinned(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
     assert len(search_star_sets(ctx, require_regular="sweep")) == 12
-    assert calls == {"canonical": 8, "are_isomorphic": 1, "_initial_colors": 13}
+    assert calls == {"canonical": 7, "are_isomorphic": 1, "_initial_colors": 13}
+
+
+# canonical() runs only where it decides the output order, for classes
+# whose order another class shares; raw finds that repeat a class do not
+# count.  The K_{3,3} sweeps find one class each of orders 9, 12 and 15
+# (13 raw finds untagged), K_{6,6} r=8 one class, and r=10 three classes of
+# order 18.  Before, every class of order <= CANONICAL_CAP took one call.
+@pytest.mark.parametrize("H,mu,tag,require,classes,calls", [
+    (make_kts(3, 3), 1, (3, 3), "sweep", 3, 0),
+    (make_kts(3, 3), 1, None, "sweep", 3, 0),
+    (make_kts(6, 6), -2, (6, 6), 8, 1, 0),
+    (make_kts(6, 6), -2, (6, 6), 10, 3, 3),
+])
+def test_canonical_calls_pinned(monkeypatch, H, mu, tag, require, classes, calls):
+    counted = []
+    real = engine.canonical
+    monkeypatch.setattr(engine, "canonical", lambda *args: counted.append(args) or real(*args))
+    ctx = make_context(H, qnum(mu), bipartite_tag=tag)
+    assert len(search_star_sets(ctx, require_regular=require)) == classes
+    assert len(counted) == calls
 
 
 # One candidate scan per search: a sweep through mu = r, where the
@@ -1439,3 +1485,21 @@ def test_sweep_respects_multiplicity_cap(k33_sweep):
     for sol in k33_sweep:
         q = 6
         assert len(sol.x_vertices) <= (q + 1) * (q - 2) // 2
+
+
+@pytest.mark.parametrize("require,max_x", [(1, 3), ("sweep", None)])
+def test_multiplicity_cap_needs_a_connected_complement(require, max_x):
+    # 3K_2, X one end of each edge, has mult(1) = 3 = |X| over H = 3K_1,
+    # past the cap (3 + 1)(3 - 2)/2 = 2, which holds for G connected only
+    ctx = make_context(Graph(3, [0, 0, 0]), qnum(1))
+    sols = search_star_sets(ctx, require_regular=require, max_x=max_x)
+    assert [graph6_encode(sol.graph) for sol in sols] == ["E@Q?"]
+
+
+def test_uncapped_sweep_stops_at_the_pool():
+    # without the cap, a sweep over a disconnected H runs up to degree
+    # q + |pool|; up to q + 2^q, 2C_8 at mu = 3 took about 5 s
+    ctx = make_context(disjoint_union(cycle(8), cycle(8)), qnum(3))
+    start = time.perf_counter()
+    assert search_star_sets(ctx, require_regular="sweep") == []
+    assert time.perf_counter() - start < 1

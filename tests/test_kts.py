@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from oracles import (edge_count, family_type0b, kss_analysis, non_main_holds,
                      self_pairing_holds, solve_types_fixed, srg_gap, type_of)
-from starcomp import engine
+from starcomp import engine, kts
 from starcomp.algebra import QNum, qnum
 from starcomp.engine import VertexType, make_context, vertex_types
 from starcomp.cli import main
@@ -206,6 +206,17 @@ def test_build_gr_certified(t, s, r, order, mult):
 def test_build_gr_deterministic():
     a, b = build_Gr(3, 3, 7), build_Gr(3, 3, 7)
     assert a.graph.adj == b.graph.adj
+
+
+@pytest.mark.parametrize("t,s,r", [(2, 3, 4), (3, 3, 7), (2, 3, 9)])
+def test_build_gr_checks_the_built_degree(monkeypatch, t, s, r):
+    # one vertex more in each V_i still gives a star set for -1 (a bigger
+    # clique of type-(1, s) vertices), so only the degree check refuses it
+    real = kts.gr_params
+    monkeypatch.setattr(kts, "gr_params",
+                        lambda *args: real(*args)._replace(vi_size=real(*args).vi_size + 1))
+    with pytest.raises(InternalInconsistency, match=f"is not {r}-regular"):
+        build_Gr(t, s, r)
 
 
 def k25_mu1_sweep():

@@ -31,21 +31,24 @@ Test oracles check it, a pair's label (classify_pair) and the types
 One function, _search, runs the whole search: every degree r of a sweep,
 one r, or maximal families (r None).  Labels, cover masks and least
 images do not depend on r, so it builds one pool, its pair-label tables
-and one orderly test per call, and a degree only masks the
-candidates it may use.  Only the recursion depends on the mode: a DFS
-that prunes by the degree equations, or a walk over maximal cliques of
-the compatibility relation.  On a tagged context both drop the choices
-that a part permutation of K_{t,s} maps to a lexicographically smaller
-one (orderly generation, _orderly_test), so each orbit of finds is
-assembled once (about once for a part group too large to list);
-_dedupe merges orbits that are isomorphic and whatever else is left,
-refining each find once, and orders the classes by order n, handing the
-colouring to canonical() only for classes whose n another class shares.
+and one orderly test per call, and a degree only masks the candidates
+it may use.  Only the recursion depends on the mode: a DFS that prunes
+by the degree equations, or a walk over maximal cliques of the
+compatibility relation.  Both keep their state as bit rows over the
+pool, and the DFS keeps its degree budgets as counts that run down to 0.
+On a tagged context both drop the choices that a part permutation of
+K_{t,s} maps to a lexicographically smaller one (orderly generation,
+_orderly_test), so each orbit of finds is assembled once (about once
+for a part group too large to list); _dedupe merges orbits that are
+isomorphic and whatever else is left, refining each find once, and
+orders the classes by order n, handing the colouring to canonical()
+only for classes whose n another class shares.
 
 make_context checks the resolvent identity on integer matrices.  The
 certificate reads nothing from a search context: its complement half is
 check (i) and the IntKernel of make_context(G - X, mu), built once per
-distinct G - X per search call, and _assemble lays out every H + X graph.
+distinct G - X per search call, and _assemble lays out every H + X graph
+from the picks' H-neighbourhoods and X-rows.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .algebra import QNum, qnum
 from .canon import CANONICAL_CAP, are_isomorphic, canonical, stable_colouring
 from .errors import BadTag, HypothesisViolated, InternalInconsistency, TooLarge, Unbounded
 from .graphs import (Graph, graph6_encode, induced_subgraph, is_connected, make_kts,
-                     regular_degree)
+                     regular_degree, set_bits)
 from .linalg import (minimal_polynomial_powers, multiplicity, numerators, resolvent_parts,
                      weighted_sum)
 
@@ -181,17 +184,9 @@ def _candidate(ctx: StarContext, mask: int) -> tuple[int, ...]:
     return ((mask & (1 << t) - 1).bit_count(), (mask >> t).bit_count()) + key
 
 
-def _ones(mask: int):
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _non_main(ctx: StarContext, mask: int) -> bool:
     """b^T N j = -mval for the 0/1 vector b with support mask (j all ones)."""
-    return sum(ctx.kernel.ones[i] for i in _ones(mask)) == ctx.kernel.adjacent
+    return sum(ctx.kernel.ones[i] for i in set_bits(mask)) == ctx.kernel.adjacent
 
 
 def vertex_types(ctx: StarContext, non_main: bool = True) -> list[VertexType]:
@@ -207,7 +202,7 @@ def vertex_types(ctx: StarContext, non_main: bool = True) -> list[VertexType]:
     out = []
     for a, b in product(range(t + 1), range(s + 1)):
         rep = (1 << a) - 1 | ((1 << b) - 1) << t
-        if sum(N[i][j] for i in _ones(rep) for j in _ones(rep)) == target and \
+        if sum(N[i][j] for i in set_bits(rep) for j in set_bits(rep)) == target and \
                 (not non_main or _non_main(ctx, rep)):
             out.append(VertexType(a, b))
     return out
@@ -348,19 +343,15 @@ def verify_star_pair(G: Graph, X: Sequence[int], mu, halves: Optional[dict] = No
                        reconstruction_ok=recon)
 
 
-def _assemble(ctx: StarContext, chosen: list[int], adjacency: list[list[int]]) -> Graph:
-    """Graph with H on vertices 0..q-1 and the star set after, in choice order."""
-    q, k = ctx.q, len(chosen)
+def _assemble(ctx: StarContext, chosen: list[int], xadj: list[int]) -> Graph:
+    """Graph with H on vertices 0..q-1 and the star set after, in choice
+    order: pick j has H-row chosen[j] and X-row xadj[j], as in Graph.adj."""
+    q = ctx.q
     rows = list(ctx.H.adj)
-    xrows = list(chosen)
     for j, mask in enumerate(chosen):
-        for v in _ones(mask):
+        for v in set_bits(mask):
             rows[v] |= 1 << (q + j)
-    for i in range(k):
-        for j in range(k):
-            if i != j and adjacency[i][j]:
-                xrows[i] |= 1 << (q + j)
-    return Graph(q + k, tuple(rows + xrows))
+    return Graph(q + len(chosen), tuple(rows + [m | x << q for m, x in zip(chosen, xadj)]))
 
 
 def solution_from_assembled(ctx: StarContext, G: Graph,
@@ -456,7 +447,7 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
     if order <= PART_GROUP_CAP and order * (W + 1) <= PACKED_BITS_CAP:
         def images(part: int, shift: int, n: int) -> list[int]:
             # the images of one part's bits under each permutation of the part
-            bits = list(_ones(part >> shift))
+            bits = list(set_bits(part >> shift))
             return [sum(1 << g[v] for v in bits) << shift for g in permutations(range(n))]
         # field[x], in binary, is a field (guard bit 0) for an image x; the
         # fields of (sigma, tau) for every tau are joined once per candidate
@@ -657,7 +648,7 @@ def _build_label_tables(ctx: StarContext, masks: list[int]):
 
     adj_mask, compat_mask = [], []
     for mask in masks:
-        P = bias + sum(rows[u] for u in _ones(mask))
+        P = bias + sum(rows[u] for u in set_bits(mask))
         adj_mask.append(zero_fields(P ^ hit))
         compat_mask.append(adj_mask[-1] | zero_fields(P ^ bias))
     return adj_mask, compat_mask
@@ -673,11 +664,13 @@ def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Opt
     each r of a sweep, or the maximal families (None); raises _BudgetSpent
     once found holds max_solutions raw finds.  The tables are built over
     the pool of candidates of size > 0 when a degree first reaches the
-    walk, and the pool bounds a sweep's top degree.  A degree
-    keeps need, room, cap and usable: the candidates that pass the
-    non-main test (unless r = mu), have size <= r and support inside the
-    needy vertices.  usable is closed under the part permutations and keeps
-    the pool's order, so the walk is the one a pool of usable would take."""
+    walk, and the pool bounds a sweep's top degree.  A degree keeps need,
+    room, cap and usable: the candidates that pass the non-main test
+    (unless r = mu), have size <= r and support inside the needy vertices.
+    usable is closed under the part permutations and keeps the pool's
+    order, so the walk is the one a pool of usable would take.  The regular
+    walk counts down deficit[v] (H-vertex v) and slack[p] (pick p) from need
+    and room; one at 0 takes cover_mask[v] (adj_mask[p]) out of allowed."""
     q = ctx.q
     sweep = require_regular == "sweep"
     lo = max(ctx.H.degrees(), default=0)
@@ -694,9 +687,10 @@ def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Opt
     is_least = None
 
     def emit(chosen_idx: list[int]):
-        chosen = [pool[i] for i in chosen_idx]
-        adjacency = [[adj_mask[a] >> b & 1 for b in chosen_idx] for a in chosen_idx]
-        found.append(_assemble(ctx, chosen, adjacency))
+        # the diagonal bit of adj_mask concerns a repeat: X-row j drops bit j
+        xadj = [sum((adj_mask[a] >> b & 1) << i for i, b in enumerate(chosen_idx)) & ~(1 << j)
+                for j, a in enumerate(chosen_idx)]
+        found.append(_assemble(ctx, [pool[i] for i in chosen_idx], xadj))
         if len(found) == max_solutions:
             raise _BudgetSpent
 
@@ -728,26 +722,24 @@ def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Opt
                 continue
             maximal(nxt, nxt_all, nxt_pick)
 
-    def regular(chosen_idx: list[int], cov: list[int], adeg: list[int], allowed: int):
+    def regular(chosen_idx: list[int], deficit: list[int], slack: list[int], allowed: int):
         # the orderly test of chosen_idx runs last, once the cheaper degree
         # checks (which most nodes fail) have passed; the top of the walk
         # tests each pick before that pick's walk, so depth 1 is tested
-        if cov == need:
-            # H-side degrees are saturated; X-side must match exactly
-            if (all(adeg[p] == room[i] for p, i in enumerate(chosen_idx))
-                    and (len(chosen_idx) < 2 or is_least(chosen_idx))):
+        if not any(deficit):
+            # every H-vertex has degree r, so z = (A - rI)j lives on X.  For
+            # an eigenvector e of mu, z.e = (mu - r) j.e: 0 at r = mu, and by
+            # the non-main test otherwise.  On a star set, z orthogonal to
+            # the eigenspace is 0, so every pick has degree r too
+            # (search_star_sets checks each answer's degree)
+            if len(chosen_idx) < 2 or is_least(chosen_idx):
                 emit(chosen_idx)
             return
         if len(chosen_idx) >= cap:
             return
-        for v in range(q):
-            deficit = need[v] - cov[v]
-            if deficit > 0:
-                avail = allowed & cover_mask[v]
-                if not avail:
-                    return
-                if not special and avail.bit_count() < deficit:
-                    return
+        for v, d in enumerate(deficit):
+            if d and (allowed & cover_mask[v]).bit_count() < (1 if special else d):
+                return
         if len(chosen_idx) > 1 and not is_least(chosen_idx):
             return
         m = allowed
@@ -758,29 +750,31 @@ def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Opt
             if not chosen_idx and not is_least([i]):
                 continue
             # no pick overfills a vertex v of H or pushes a chosen p past
-            # degree r: the pick that filled v (p) took cover_mask[v]
-            # (adj_mask[p]) out of allowed, below, and allowed only shrinks.
-            # No mask bounds the new candidate's own X-degree.
-            hit = [adj_mask[p] >> i & 1 for p in chosen_idx]
-            acount = sum(hit)
-            if acount > room[i]:
-                continue
-            nxt = chosen_idx + [i]
-            new_adeg = [d + h for d, h in zip(adeg, hit)] + [acount]
+            # degree r: the pick that brought v's deficit (p's slack) to 0
+            # took cover_mask[v] (adj_mask[p]) out of allowed, below, and
+            # allowed only shrinks.  No mask bounds the new pick's own slack.
             # ge_mask keeps choices ascending; the diagonal bit of
             # compat_mask decides whether i itself may repeat
             pruned = allowed & compat_mask[i] & ge_mask[i]
-            new_cov = cov[:]
-            for v in _ones(pool[i]):
-                new_cov[v] += 1
-                if new_cov[v] == need[v]:
+            nxt_slack = slack + [room[i]]
+            for p, pi in enumerate(chosen_idx):
+                if adj_mask[pi] >> i & 1:
+                    nxt_slack[-1] -= 1
+                    nxt_slack[p] -= 1
+                    if not nxt_slack[p]:
+                        pruned &= ~adj_mask[pi]
+            if nxt_slack[-1] < 0:
+                continue
+            if not nxt_slack[-1]:
+                pruned &= ~adj_mask[i]
+            nxt_deficit = deficit[:]
+            for v in support[i]:
+                nxt_deficit[v] -= 1
+                if not nxt_deficit[v]:
                     pruned &= ~cover_mask[v]
-            for p, pi in enumerate(nxt):
-                if new_adeg[p] == room[pi]:
-                    pruned &= ~adj_mask[pi]
-            regular(nxt, new_cov, new_adeg, pruned)
+            regular(chosen_idx + [i], nxt_deficit, nxt_slack, pruned)
 
-    # the walks read need, room and cap of the degree in hand.  Each holds
+    # the walks read room and cap of the degree in hand.  Each holds
     # itself in a cell, emptied on the way out to free the tables on return
     try:
         for r in degrees:
@@ -798,12 +792,13 @@ def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Opt
             if not usable:
                 continue
             cap = _effective_cap(ctx, max_x, usable.bit_count())
-            max_size = max(pool[i].bit_count() for i in _ones(usable))
+            max_size = max(pool[i].bit_count() for i in set_bits(usable))
             if cap < 1 or (sum(need) + max_size - 1) // max_size > cap:
                 continue
             if is_least is None:
                 adj_mask, compat_mask = _build_label_tables(ctx, pool)
                 ge_mask = [(full >> i) << i for i in range(len(pool))]
+                support = [tuple(set_bits(m)) for m in pool]
                 cover_mask = [sum(1 << i for i, m in enumerate(pool) if m >> v & 1)
                               for v in range(q)]
                 is_least = _orderly_test(ctx, pool, symmetry, max_x)
@@ -811,6 +806,6 @@ def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Opt
                 maximal([], usable, usable)
             else:
                 room = [r - m.bit_count() for m in pool]   # the X-degree each pick must reach
-                regular([], [0] * q, [], usable)
+                regular([], need, [], usable)
     finally:
         del maximal, regular

@@ -1,7 +1,8 @@
 """Simple graphs as immutable bit-row adjacency, plus graph6 I/O and regularity checks.
 
 Vertices are 0..n-1.  Row v is an int whose bit u is set iff u ~ v; popcount
-gives degrees and common-neighbour counts without any per-pair loops.
+gives degrees and common-neighbour counts without any per-pair loops, and
+set_bits lists the set bits of a row (or of any bitmask), lowest first.
 """
 
 from __future__ import annotations
@@ -68,10 +69,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            row = self.adj[v] >> (v + 1) << (v + 1)
-            for u in range(v + 1, self.n):
-                if row >> u & 1:
-                    yield (v, u)
+            for u in set_bits(self.adj[v] >> (v + 1) << (v + 1)):
+                yield (v, u)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph with old vertex v renamed to perm[v]."""
@@ -109,20 +108,22 @@ def regular_degree(g: Graph) -> Optional[int]:
     return ds[0] if all(d == ds[0] for d in ds) else None
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    seen = 1
-    frontier = 1
+    seen = frontier = 1
     while frontier:
         nxt = 0
-        v = 0
-        f = frontier
-        while f:
-            if f & 1:
-                nxt |= g.adj[v]
-            f >>= 1
-            v += 1
+        for v in set_bits(frontier):
+            nxt |= g.adj[v]
         frontier = nxt & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1

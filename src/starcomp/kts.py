@@ -137,10 +137,10 @@ def build_Gr(t: int, s: int, r: int):
     chosen = ([1 << i | S for i in range(t) for _ in range(p.vi_size)]
               + [1 << t + j | T for j in range(s) for _ in range(p.wi_size)])
     k = t * p.vi_size
-    # one clique per block (equal masks), and every V x W pair
-    adjacency = [[int(a == b or (x < k) != (y < k)) for y, b in enumerate(chosen)]
-                 for x, a in enumerate(chosen)]
-    sol = solution_from_assembled(ctx, _assemble(ctx, chosen, adjacency))
+    # X-row x: one clique per block (equal masks), and every V x W pair
+    xadj = [sum(1 << y for y, b in enumerate(chosen) if y != x and (a == b or (x < k) != (y < k)))
+            for x, a in enumerate(chosen)]
+    sol = solution_from_assembled(ctx, _assemble(ctx, chosen, xadj))
     if sol.cert.regular_degree != r:
         raise InternalInconsistency(f"G({t},{s},{r}) is not {r}-regular")
     return sol

@@ -1031,16 +1031,22 @@ def _count_orderly_tests(monkeypatch) -> list[int]:
 # the placement prunes nothing the degree checks would keep.  The K_{2,5}
 # sweep took 1,272 calls when the test followed one tie branch; the
 # complete test prunes more nodes before they are tested.  K_{6,6} runs
-# the cell test.
-@pytest.mark.parametrize("t,s,mu,require,tests", [
-    (2, 5, 1, "sweep", 361),
-    (6, 6, -2, 10, 358),
-    (6, 6, -2, "sweep", 11836),
+# the cell test.  The mu = -1 maximal walks test their first choices and
+# emissions, and otherwise only while more candidates are pickable than
+# chosen; K_{2,3} lists its part group and K_{4,4} takes the cell route.
+# Explicit ids keep the first three names free of the max_x column.
+@pytest.mark.parametrize("t,s,mu,require,max_x,tests", [
+    pytest.param(2, 5, 1, "sweep", None, 361, id="2-5-1-sweep-361"),
+    pytest.param(6, 6, -2, 10, None, 358, id="6-6--2-10-358"),
+    pytest.param(6, 6, -2, "sweep", None, 11836, id="6-6--2-sweep-11836"),
+    (2, 3, -1, None, 12, 1236),
+    (4, 4, -1, None, 5, 194),
+    (6, 6, -2, 8, None, 244),
 ])
-def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, tests):
+def test_orderly_test_calls_pinned(monkeypatch, t, s, mu, require, max_x, tests):
     calls = _count_orderly_tests(monkeypatch)
     ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
-    assert search_star_sets(ctx, require_regular=require)
+    assert search_star_sets(ctx, require_regular=require, max_x=max_x)
     assert calls[0] == tests
 
 
@@ -1169,6 +1175,30 @@ def test_search_max_x_restricts(k33_ctx):
     assert [s.order for s in sols] == [9]
 
 
+# Over P_3 + K_1 at mu = -1 the one 3-regular answer has |X| = 4.  The
+# H-side bound (the degree needed over the largest candidate) lets
+# max_x = 3 reach the walk, so only the walk's |X| cap keeps that answer out.
+def test_regular_walk_caps_x_at_max_x():
+    ctx = make_context(Graph.from_edges(4, [(0, 1), (0, 2)]), qnum(-1))
+    assert search_star_sets(ctx, require_regular=3, max_x=3) == []
+    sizes = [len(s.x_vertices) for s in search_star_sets(ctx, require_regular=3, max_x=4)]
+    assert sizes == [4]
+    sizes = [len(s.x_vertices) for s in search_star_sets(ctx, require_regular="sweep", max_x=3)]
+    assert sizes == [2]
+
+
+# At mu in {-1, 0}, where picks repeat, a new pick can meet more chosen
+# picks than its room allows, and the walk drops it before its subtree:
+# without that check this search makes 19 orderly-test calls, not 17.
+# Untagged, every prefix passes, so the calls count nodes that pass the
+# degree checks.
+def test_own_slack_check_calls_pinned(monkeypatch):
+    calls = _count_orderly_tests(monkeypatch)
+    ctx = make_context(Graph.from_edges(4, [(0, 1), (0, 2)]), qnum(-1))
+    assert len(search_star_sets(ctx, require_regular=3, max_x=4)) == 1
+    assert calls[0] == 17
+
+
 def test_search_special_mu_requires_max_x():
     ctx = make_context(make_kts(2, 2), qnum(-1), bipartite_tag=(2, 2))
     with pytest.raises(Unbounded):
@@ -1222,6 +1252,41 @@ def test_assembled_vertex_order(k33_sweep):
         h = induced_subgraph(sol.graph, range(6))
         assert h.adj == make_kts(3, 3).adj
         assert list(sol.x_vertices) == list(range(6, sol.order))
+
+
+# At mu = -1 two copies of a candidate are adjacent, so the diagonal bit of
+# its adj_mask row is set; the X-rows _assemble receives must drop it.
+@pytest.mark.parametrize("t,s,require,max_x", [
+    (2, 2, "sweep", 8),    # the regular walk
+    (2, 3, None, 5),       # the maximal walk
+])
+def test_assembled_x_rows_match_labels(monkeypatch, t, s, require, max_x):
+    tables, finds = [], []
+    real_tables, real_assemble = engine._build_label_tables, engine._assemble
+
+    def labels(ctx, masks):
+        tables.append((masks, real_tables(ctx, masks)[0]))
+        return real_tables(ctx, masks)
+
+    def assemble(ctx, chosen, xadj):
+        finds.append((chosen, xadj, real_assemble(ctx, chosen, xadj)))
+        return finds[-1][2]
+    monkeypatch.setattr(engine, "_build_label_tables", labels)
+    monkeypatch.setattr(engine, "_assemble", assemble)
+    ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
+    assert search_star_sets(ctx, require_regular=require, max_x=max_x)
+    [(masks, adj_mask)] = tables
+    index = {m: i for i, m in enumerate(masks)}
+    q = t + s
+    assert any(len(set(chosen)) < len(chosen) for chosen, _, _ in finds)
+    for chosen, xadj, g in finds:
+        picks = [index[m] for m in chosen]
+        for j, a in enumerate(picks):
+            assert not xadj[j] >> j & 1 and not g.adjacent(q + j, q + j)
+            assert g.adj[q + j] & (1 << q) - 1 == chosen[j]
+            for i, b in enumerate(picks):
+                if i != j:
+                    assert g.adjacent(q + i, q + j) == bool(adj_mask[a] >> b & 1)
 
 
 def test_solution_from_assembled_fixture():

@@ -4,13 +4,16 @@ graph6 oracle strings were produced independently (by hand-packing bits
 per the format definition) before the codec existed; "Dhc" is the 5-cycle.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import complement, complete, disjoint_union, edge_count
 from starcomp.errors import MalformedGraph6, TooLarge
 from starcomp.graphs import (Graph, SrgParams, cycle, graph6_decode, graph6_encode,
-                             induced_subgraph, is_connected, regular_degree, srg_check)
+                             induced_subgraph, is_connected, regular_degree, set_bits,
+                             srg_check)
 from starcomp.kts import make_kts
 
 
@@ -88,6 +91,31 @@ def test_builders():
     assert k.degrees() == [3, 3, 2, 2, 2]
     assert edge_count(k) == 6
     assert not k.adjacent(0, 1) and k.adjacent(0, 2)
+
+
+@given(st.integers(min_value=0, max_value=1 << 200))
+def test_set_bits_matches_a_bit_scan(m):
+    assert list(set_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_is_connected_and_edges_match_brute_force():
+    # sparse and dense random graphs, so both verdicts occur often
+    rng = random.Random(11)
+    verdicts = []
+    assert is_connected(Graph(0, [])) and list(Graph(0, []).edges()) == []
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        p = rng.uniform(0.05, 0.5)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < p])
+        A = g.matrix()
+        assert list(g.edges()) == [(u, v) for u in range(n) for v in range(u + 1, n) if A[u][v]]
+        reached = [0]
+        for v in reached:
+            reached += [u for u in range(n) if A[v][u] and u not in reached]
+        verdicts.append(len(reached) == n)
+        assert is_connected(g) == verdicts[-1]
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
 
 def test_regular_degree():

@@ -83,7 +83,7 @@ HALF_CAP_MIN_Q = 3
 # packing the images takes 0.2-0.7 us per element and candidate (1.8 ms for
 # the 20 candidates of K_{2,5} mu=1), under 1 ms per candidate at the cap.
 # That lists K_{t,s} for t <= 3 and s <= 5, and K_{1,6}; not K_{4,4} (1,152).
-# A packed int, |G| (|pool| max_x + 1) bits at mu in {-1, 0}, is capped too.
+# A packed int, |G| (|pool| w + 1) bits for w-bit counts, is capped too.
 PART_GROUP_CAP = 1000
 PACKED_BITS_CAP = 1 << 18
 
@@ -405,18 +405,18 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
     A group of at most PART_GROUP_CAP elements is listed, and then the
     test is complete: a prefix passes iff it is the least of its images,
     so the search emits one find per orbit (the minimal-image problem;
-    Linton, ISSAC 2004).  A prefix is a set of slots, x = i * copies + c
-    for copy c of candidate i (copies = max_x when repeats are legal, else
-    1); for sets of equal size, sorted tuples compare as the sets do at
-    their least difference.  Slot x is bit W-1-x of a W-bit field, so the
-    lex-smaller set has the larger field.  Candidate i packs its image
-    under the j-th group element into field j of one int (Knuth, TAOCP 4A,
-    7.1.3), and copy c is that int shifted right c places.  The test ORs
-    the prefix's packed images, and one product puts the prefix's own
-    field plus one in every field; one subtraction leaves the guard bit
-    above a field set exactly where the image beats the prefix.  A packed
-    int takes |G| (W + 1) bits; past PACKED_BITS_CAP (a large max_x), the
-    cell test runs instead.
+    Linton, ISSAC 2004).  A prefix, a multiset, is read as its count
+    vector: a W-bit field holds candidate i's count in its i-th w-bit
+    subfield, candidate 0 on top (w = max_x.bit_length() when repeats are
+    legal, else 1: no count, at most max_x, carries).  For equal sizes, the lex-smaller
+    sorted tuple has the larger count where the two first differ, so the
+    larger field.  Candidate i packs its image under group element j,
+    counted once, into field j of one int (Knuth, TAOCP 4A, 7.1.3), the
+    identity's on top, so the prefix's packed ints sum to its images'
+    count vectors, its own on top.  One product puts that plus one in
+    every field; one subtraction leaves the guard bit above a field set
+    exactly where the image beats the prefix.  A packed int takes |G|
+    (W + 1) bits; past PACKED_BITS_CAP the cell test runs instead.
 
     Larger groups (K_{6,6} has 1,036,800 elements) take the cell test.
     The symmetries that map the sources matched so far onto P[:depth]
@@ -434,41 +434,37 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
     A level is reused while its pair is the one the prefix matches, and
     the path is cut at the first pair that differs, so a depth-first walk
     computes each least image about once per level and the cache holds
-    at most one path per start coset.
+    at most one path per start coset.  A repeat needs no skip: its memo
+    entry is its first copy's, which has already returned or set fit.
     """
     if not symmetry or ctx.tag is None:
         return lambda prefix: True
     t, s = ctx.tag
     A, B = (1 << t) - 1, ((1 << s) - 1) << t
     index = {m: i for i, m in enumerate(masks)}
-    copies = max_x if ctx.mu_special else 1
-    W = len(masks) * copies
+    w = max(max_x, 1).bit_length() if ctx.mu_special else 1
+    W = len(masks) * w
     order = factorial(t) * factorial(s) * (1 + (t == s))
     if order <= PART_GROUP_CAP and order * (W + 1) <= PACKED_BITS_CAP:
         def images(part: int, shift: int, n: int) -> list[int]:
             # the images of one part's bits under each permutation of the part
             bits = list(set_bits(part >> shift))
             return [sum(1 << g[v] for v in bits) << shift for g in permutations(range(n))]
-        # field[x], in binary, is a field (guard bit 0) for an image x; the
-        # fields of (sigma, tau) for every tau are joined once per candidate
-        field = ["0" * (x * copies + 1) + "1" + "0" * (W - 1 - x * copies)
-                 for x in range(len(masks))]
-        block = ["".join(field[index[m & A | w]] for w in images(m & B, t, s)) for m in masks]
-        packed = [int("".join(block[index[w | m & B]] for w in images(m & A, 0, t)), 2)
+        # field[x], in binary, is a field (guard bit 0) counting image x once;
+        # the fields of (sigma, tau) for every tau are joined once per candidate
+        field = ["0" * (x * w + w) + "1" + "0" * (W - w - x * w) for x in range(len(masks))]
+        block = ["".join(field[index[m & A | y]] for y in images(m & B, t, s)) for m in masks]
+        packed = [int("".join(block[index[y | m & B]] for y in images(m & A, 0, t)), 2)
                   for m in masks]
-        if t == s:   # then each element after the part swap
-            packed = [p | packed[index[m >> t | (m & A) << t]] << order // 2 * (W + 1)
+        if t == s:   # then, below, each element after the part swap
+            packed = [p << order // 2 * (W + 1) | packed[index[m >> t | (m & A) << t]]
                       for p, m in zip(packed, masks)]
         ones = int(("0" * W + "1") * order, 2)
-        guards = ones << W
+        guards, top = ones << W, (order - 1) * (W + 1)
 
         def is_least(prefix: list[int]) -> bool:
-            image = field = 0
-            for pos, p in enumerate(prefix):
-                c = pos - prefix.index(p)
-                image |= packed[p] >> c
-                field |= 1 << W - 1 - p * copies - c
-            return not ((image | guards) - ones * (field + 1)) & guards
+            image = sum(map(packed.__getitem__, prefix))
+            return not ((image | guards) - ones * ((image >> top) + 1)) & guards
         return is_least
 
     starts = [((A, A), (B, B))]
@@ -491,8 +487,6 @@ def _orderly_test(ctx: StarContext, masks: list[int], symmetry: bool, max_x: Opt
                 _, cells, memo = levels[depth]
                 fit = None
                 for pos, p in enumerate(unused):
-                    if pos and unused[pos - 1] == p:
-                        continue   # a repeat (mu in {-1, 0}) has the same images
                     i = memo.get(p)
                     if i is None:
                         i = memo[p] = least(masks[p], cells)
@@ -564,6 +558,9 @@ def search_star_sets(ctx: StarContext,
     other degree, and maximal families too, only those that pass the
     non-main test.
 
+    H must have a vertex (q >= 1), or HypothesisViolated: over K_0 the
+    star sets are the edgeless graphs at mu = 0, which the walk cannot emit.
+
     max_x bounds |X|; it is mandatory for mu in {-1, 0}, where co-duplicate
     vertices make the families infinite (Unbounded otherwise).  For other
     mu no candidate repeats, so |X| is at most the pool's size, and the
@@ -598,6 +595,8 @@ def search_star_sets(ctx: StarContext,
             raise ValueError(f"{name} must be an integer or None, got {limit}")
         if limit is not None and limit < 0:
             raise ValueError(f"{name} must be non-negative, got {limit}")
+    if not ctx.q:
+        raise HypothesisViolated("q = 0: over K_0 the star sets are the edgeless graphs, mu = 0")
     if ctx.mu_special and max_x is None:
         raise Unbounded("mu in {-1, 0}: co-duplicates make families infinite, set max_x")
     if require_regular not in (None, "sweep") and (isinstance(require_regular, bool)

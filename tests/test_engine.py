@@ -904,10 +904,13 @@ def record_searches(monkeypatch):
     return runs
 
 
-# K_{2,3} has no candidate at mu = 1, so it is taken at mu = -1
+# K_{2,3} has no candidate at mu = 1, so it is taken at mu = -1.  At
+# mu = -1 each candidate is also tested max_x times over: with max_x a
+# power of two, a count field one bit short carries there
 @pytest.mark.parametrize("t,s,mu,require,max_x", [
     (2, 2, -1, None, 4),
     (2, 2, -1, "sweep", 4),
+    (2, 2, -1, "sweep", 8),
     (2, 3, -1, None, 5),
     (3, 3, 1, None, 4),
     (3, 3, 1, "sweep", None),
@@ -948,6 +951,8 @@ def test_orderly_test_matches_brute_force(monkeypatch, t, s, mu, require, max_x)
             is_least = engine._orderly_test(ctx, cands, True, max_x)
             prefixes = {F[:n] for F in finds for n in range(1, len(F) + 1)}
             prefixes.update(P for n in (1, 2, 3) for P in tuples(range(len(cands)), n))
+            if ctx.mu_special:
+                prefixes.update((i,) * max_x for i in range(len(cands)))
             verdicts = {P: is_least(list(P)) for P in sorted(prefixes)}
             for P, passes in verdicts.items():
                 if not passes:
@@ -993,15 +998,18 @@ def test_raw_finds_are_orbits(monkeypatch, t, s, mu, require, max_x, orbits):
 
 
 def test_large_max_x_takes_the_cell_test(monkeypatch):
-    # at mu = -1 the listed route packs max_x slots per candidate into each
-    # of its |G| fields; past PACKED_BITS_CAP it must not list the group
-    # (permutations runs only to list it), whatever max_x asks for
+    # at mu = -1 the listed route packs a count of max_x.bit_length() bits
+    # per candidate into each of its |G| fields; past PACKED_BITS_CAP it
+    # must not list the group (permutations runs only to list it), whatever
+    # max_x asks for.  K_{3,5} has 8 candidates and 720 elements: 10^6 takes
+    # 720 (8 * 20 + 1) bits, under the cap, and 2^200 720 (8 * 201 + 1)
     ctx = make_context(make_kts(3, 5), qnum(-1), bipartite_tag=(3, 5))
     cands = [m for m in enumerate_candidates(ctx) if m]
+    assert len(cands) == 8
     calls = []
     real = engine.permutations
     monkeypatch.setattr(engine, "permutations", lambda *args: calls.append(args) or real(*args))
-    for max_x, listed in ((5, True), (10 ** 6, False)):
+    for max_x, listed in ((5, True), (10 ** 6, True), (2 ** 200, False)):
         calls.clear()
         is_least = engine._orderly_test(ctx, cands, True, max_x)
         assert bool(calls) == listed

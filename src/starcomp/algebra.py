@@ -151,15 +151,9 @@ class QNum:
         norm = o.a * o.a - o.b * o.b * o.d  # nonzero: d is not a square
         return (self * o.conjugate()) / QNum(norm)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __pow__(self, k: int):
         if k < 0:
-            return QNum(1) / self ** (-k)
+            raise ValueError(f"negative exponent {k}")
         out, base = QNum(1), self
         while k:
             if k & 1:

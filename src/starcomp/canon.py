@@ -211,10 +211,6 @@ def canonical(g: Graph, colouring: Optional[tuple] = None) -> CanonicalForm:
                          perm=tuple(perm))
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return g.relabel(canonical(g).perm)
-
-
 def stable_colouring(g: Graph) -> tuple[list[int], tuple]:
     """The stable colouring canonical() starts from, and its signature.
 

@@ -1,21 +1,18 @@
 """Named ground-truth graphs with pinned spectra and star data.
 
-Two kinds of entries.  C3, C5, Petersen, G4 and G5 have explicit
-constructions (G4/G5 from hand-written neighbourhood lists over K_{6,6}).
-G1, G2, G3 and Clebsch are defined as search results -- the unique regular
-extensions of K_{3,3} at mu=1 with orders 9/12/15, and of K_{1,5} at mu=1 --
-so the search is the constructor; their assembled forms are pinned as graph6
-fixtures with canonical forms in data/named_graphs.json, regenerated by
-scripts/build_fixtures.py.  Parametrized names Knn(n), Kts(t,s) and
-Gr(t,s,r) are built on demand.
+FIXTURES pins each of the paper's named graphs.  C3, C5, Petersen, G4 and
+G5 have explicit constructions (G4/G5 from hand-written neighbourhood lists
+over K_{6,6}).  G1, G2, G3 and Clebsch are defined as search results -- the
+unique regular extensions of K_{3,3} at mu=1 with orders 9/12/15, and of
+K_{1,5} at mu=1 -- so the search is the constructor, and their entries hold
+the graph6 of the graph it assembles; tests/test_catalog.py reruns both
+searches against them.  Parametrized names Knn(n), Kts(t,s) and Gr(t,s,r)
+are built on demand.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from functools import lru_cache
-from importlib import resources
 from typing import Optional
 
 from .algebra import QNum, parse_scalar, qnum
@@ -23,28 +20,42 @@ from .errors import UnknownName
 from .graphs import (Graph, cycle, graph6_decode, graph6_encode, make_kts,
                      regular_degree, srg_check)
 from .kts import build_Gr
-from .linalg import multiplicity
 
-FIXTURE_NAMES = ("C3", "C5", "Clebsch", "G1", "G2", "G3", "G4", "G5", "Petersen")
+# spectrum: (eigenvalue, multiplicity) pairs, ascending, in parse_scalar's
+# syntax; starData: an eigenvalue mu and a star set x for it; srg: the
+# strongly-regular parameters (n, k, lambda, mu), absent when there are none
+FIXTURES = {
+    "C3": {"spectrum": [["-1", 2], ["2", 1]],
+           "starData": {"mu": "2", "x": [2]}},
+    "C5": {"spectrum": [["root(-1,1):neg", 2], ["root(-1,1):pos", 2], ["2", 1]],
+           "starData": {"mu": "root(-1,1):pos", "x": [3, 4]},
+           "srg": [5, 2, 0, 1]},
+    "Clebsch": {"graph6": "Osa?WgWHHQEOPJQTIRBF?",  # the K_{1,5} mu=1 sweep's one graph
+                "spectrum": [["-3", 5], ["1", 10], ["5", 1]],
+                "starData": {"mu": "1", "x": [6, 7, 8, 9, 10, 11, 12, 13, 14, 15]},
+                "srg": [16, 5, 0, 2]},
+    "G1": {"graph6": "HFz`IUR",  # the K_{3,3} mu=1 sweep's graph of order 9
+           "spectrum": [["-3", 1], ["-2", 2], ["0", 2], ["1", 3], ["4", 1]],
+           "starData": {"mu": "1", "x": [6, 7, 8]}},
+    "G2": {"graph6": "KFz`HPDSsTq[",  # the K_{3,3} mu=1 sweep's graph of order 12
+           "spectrum": [["-3", 3], ["-1", 2], ["1", 6], ["5", 1]],
+           "starData": {"mu": "1", "x": [6, 7, 8, 9, 10, 11]}},
+    "G3": {"graph6": "NFz`HOoPYTIW`ZalQZ?",  # the K_{3,3} mu=1 sweep's graph of order 15
+           "spectrum": [["-3", 5], ["1", 9], ["6", 1]],
+           "starData": {"mu": "1", "x": [6, 7, 8, 9, 10, 11, 12, 13, 14]},
+           "srg": [15, 6, 1, 3]},
+    "G4": {"spectrum": [["-6", 1], ["-2", 3], ["0", 8], ["2", 2], ["8", 1]],
+           "starData": {"mu": "-2", "x": [12, 13, 14]}},
+    "G5": {"spectrum": [["-6", 1], ["-2", 6], ["0", 6], ["1", 2], ["3", 2], ["10", 1]],
+           "starData": {"mu": "-2", "x": [12, 13, 14, 15, 16, 17]}},
+    "Petersen": {"spectrum": [["-2", 4], ["1", 5], ["3", 1]],
+                 "starData": {"mu": "1", "x": [5, 6, 7, 8, 9]},
+                 "srg": [10, 3, 0, 1]},
+}
 
-# these are decoded straight from the fixture file; the others have code
-# constructors and the fixture is a cross-check
-SEARCH_DERIVED = ("G1", "G2", "G3", "Clebsch")
+FIXTURE_NAMES = tuple(FIXTURES)
 
 _PARAM_RE = re.compile(r"^(Knn|Kts|Gr)\((\d+(?:,\d+)*)\)$")
-
-
-@lru_cache(maxsize=1)
-def _fixtures() -> dict:
-    text = resources.files("starcomp").joinpath("data/named_graphs.json").read_text()
-    return json.loads(text)
-
-
-def fixture_entry(name: str) -> dict:
-    try:
-        return _fixtures()["entries"][name]
-    except KeyError:
-        raise UnknownName(f"no fixture for {name!r}") from None
 
 
 def petersen() -> Graph:
@@ -109,8 +120,8 @@ def named_graph(name: str) -> Graph:
     """Build a named graph; UnknownName for anything not catalogued."""
     if name in _CONSTRUCTORS:
         return _CONSTRUCTORS[name]()
-    if name in SEARCH_DERIVED:
-        return graph6_decode(fixture_entry(name)["graph6"])
+    if name in FIXTURE_NAMES:
+        return graph6_decode(FIXTURES[name]["graph6"])
     parsed = _parse_params(name)
     if parsed is not None:
         kind, args = parsed
@@ -126,14 +137,13 @@ def named_graph(name: str) -> Graph:
 def expected_spectrum(name: str) -> list[tuple[QNum, int]]:
     """Pinned spectrum as (eigenvalue, multiplicity) pairs, ascending.
 
-    Fixture entries carry their stated spectra; Knn(n) and Kts(t,s) have
+    FIXTURES entries carry their stated spectra; Knn(n) and Kts(t,s) have
     spectrum {-sqrt(ts), 0^(t+s-2), sqrt(ts)}.  Gr(t,s,r) spectra are not
     catalogued (only the mu=-1 multiplicity is pinned), so they raise
     UnknownName like unknown names do.
     """
     if name in FIXTURE_NAMES:
-        entry = fixture_entry(name)
-        return [(parse_scalar(ev), mult) for ev, mult in entry["spectrum"]]
+        return [(parse_scalar(ev), mult) for ev, mult in FIXTURES[name]["spectrum"]]
     parsed = _parse_params(name)
     if parsed is not None:
         kind, args = parsed
@@ -149,22 +159,6 @@ def expected_spectrum(name: str) -> list[tuple[QNum, int]]:
     raise UnknownName(f"no catalogued spectrum for {name!r}")
 
 
-def spectrum_matches(g: Graph, spectrum: list[tuple[QNum, int]]) -> bool:
-    """Exact check that char(A(g)) = prod (x - ev)^mult.
-
-    A(g) is symmetric, so its spectrum is the listed one exactly when the
-    multiplicities, those of a repeated eigenvalue added up, sum to n and
-    each equals the rank-based linalg.multiplicity of its eigenvalue.
-    """
-    merged: dict[QNum, int] = {}
-    for ev, mult in spectrum:
-        merged[ev] = merged.get(ev, 0) + mult
-    if sum(merged.values()) != g.n:
-        return False
-    A = g.matrix()
-    return all(multiplicity(A, ev) == mult for ev, mult in merged.items())
-
-
 def catalog_entry(name: str) -> dict:
     """JSON-ready record for a named graph (used by the command line)."""
     g = named_graph(name)
@@ -175,9 +169,9 @@ def catalog_entry(name: str) -> dict:
         "degree": regular_degree(g),
     }
     if name in FIXTURE_NAMES:
-        entry = fixture_entry(name)
+        entry = FIXTURES[name]
         record["spectrum"] = entry["spectrum"]
-        record["starData"] = entry.get("starData")
+        record["starData"] = entry["starData"]
         record["srg"] = entry.get("srg")
     else:
         try:

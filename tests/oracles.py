@@ -32,7 +32,10 @@ Also here, as the package has no caller for them:
     strong-regularity gap (srg_gap), and the K_{s,s} type roots and
     multiplicity bound s(r-s) (kss_analysis, KssReport);
   * small graphs only the tests build: complete, disjoint_union,
-    complement and edge_count.
+    complement and edge_count;
+  * canonical_graph, a graph relabelled into its canonical form, and
+    spectrum_matches, the exact check of a graph against a listed
+    spectrum, which the catalogue's pins are held to.
 """
 
 import enum
@@ -47,7 +50,7 @@ from starcomp.canon import CANONICAL_CAP, are_isomorphic, canonical
 from starcomp.engine import VertexType
 from starcomp.errors import HypothesisViolated, MuIsEigenvalue, StarCompError
 from starcomp.graphs import Graph, SrgParams, graph6_encode, induced_subgraph
-from starcomp.linalg import mat_mul, minimal_polynomial_powers, weighted_sum
+from starcomp.linalg import mat_mul, minimal_polynomial_powers, multiplicity, weighted_sum
 
 
 def det_over_q(M):
@@ -551,3 +554,23 @@ def complement(g: Graph) -> Graph:
 
 def edge_count(g: Graph) -> int:
     return sum(g.degrees()) // 2
+
+
+def canonical_graph(g: Graph) -> Graph:
+    return g.relabel(canonical(g).perm)
+
+
+def spectrum_matches(g: Graph, spectrum: list[tuple[QNum, int]]) -> bool:
+    """Exact check that char(A(g)) = prod (x - ev)^mult.
+
+    A(g) is symmetric, so its spectrum is the listed one exactly when the
+    multiplicities, those of a repeated eigenvalue added up, sum to n and
+    each equals the rank-based linalg.multiplicity of its eigenvalue.
+    """
+    merged: dict[QNum, int] = {}
+    for ev, mult in spectrum:
+        merged[ev] = merged.get(ev, 0) + mult
+    if sum(merged.values()) != g.n:
+        return False
+    A = g.matrix()
+    return all(multiplicity(A, ev) == mult for ev, mult in merged.items())

@@ -31,6 +31,9 @@ def test_qnum_basics():
     assert x.as_fraction() == Fraction(3, 4)
     assert qnum(5).as_int() == 5
     assert bool(qnum(0)) is False and bool(qnum(-1)) is True
+    assert QNum.sqrt(2) ** 3 == qnum(2) * QNum.sqrt(2) and x ** 0 == qnum(1)
+    with pytest.raises(ValueError):
+        x ** -1
 
 
 def test_sqrt_collapses_squares():

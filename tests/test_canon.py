@@ -12,9 +12,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import complement, complete, disjoint_union
+from oracles import canonical_graph, complement, complete, disjoint_union
 from starcomp.canon import (CANONICAL_CAP, CanonicalForm, are_isomorphic,
-                            canonical, canonical_graph, stable_colouring)
+                            canonical, stable_colouring)
 from starcomp.errors import TooLarge
 from starcomp.graphs import Graph, cycle, graph6_encode
 from starcomp.catalog import named_graph, petersen

@@ -1,21 +1,50 @@
-"""Named graphs, pinned spectra, and the fixture file.
+"""Named graphs and their pinned spectra, star data and forms.
 
 Every named entry is re-verified from scratch: spectrum against the exact
-eigenvalue multiplicities, star data through the full certificate, and
-constructor output against the frozen graph6 material.
+eigenvalue multiplicities, star data through the full certificate, the
+graph against its pinned canonical form, and the search-derived graph6
+against the searches that define it.
 """
 
 import pytest
 
+from oracles import canonical_graph, spectrum_matches
 from starcomp.algebra import QNum, parse_scalar, qnum
-from starcomp.canon import are_isomorphic, canonical_graph
-from starcomp.catalog import (FIXTURE_NAMES, SEARCH_DERIVED, catalog_entry,
-                              expected_spectrum, fixture_entry, named_graph,
-                              petersen, spectrum_matches)
+from starcomp.catalog import (FIXTURE_NAMES, FIXTURES, catalog_entry,
+                              expected_spectrum, named_graph, petersen)
 from starcomp.engine import verify_star_pair
 from starcomp.errors import UnknownName
-from starcomp.graphs import graph6_decode, graph6_encode, srg_check
+from starcomp.graphs import graph6_encode, srg_check
 from starcomp.kts import make_kts
+
+# graph6 of each named graph relabelled into its canonical form
+CANONICAL = {
+    "C3": "Bw",
+    "C5": "DqK",
+    "Clebsch": "OsaBA`GP@`dIHWEcas_]O",
+    "G1": r"Hs\u@SV",
+    "G2": "K{eAiglJaTEJ",
+    "G3": "N{eCIhSQqTEXKkJQde_",
+    "G4": "NsaCB|}^b{No}[xrBv_",
+    "G5": "QsaCB|}^b{No}[|Y|YulYJvG]{W",
+    "Petersen": "IsP@PGXD_",
+}
+
+
+def test_fixture_table_shape():
+    # perfbench times catalog_entry over these names, in this order
+    assert FIXTURE_NAMES == ("C3", "C5", "Clebsch", "G1", "G2", "G3", "G4", "G5",
+                             "Petersen")
+    for entry in FIXTURES.values():
+        assert {"spectrum", "starData"} <= set(entry) <= {"graph6", "spectrum",
+                                                         "starData", "srg"}
+        assert set(entry["starData"]) == {"mu", "x"}
+        eigenvalues = [parse_scalar(ev) for ev, _ in entry["spectrum"]]
+        assert eigenvalues == sorted(set(eigenvalues))
+        assert all(type(mult) is int and mult > 0 for _, mult in entry["spectrum"])
+    # the search-derived names are the ones whose graph6 is pinned
+    assert {name for name, entry in FIXTURES.items() if "graph6" in entry} == {
+        "Clebsch", "G1", "G2", "G3"}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -27,7 +56,7 @@ def test_fixture_spectrum_reverifies(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_star_data_certifies(name):
     g = named_graph(name)
-    star = fixture_entry(name)["starData"]
+    star = FIXTURES[name]["starData"]
     cert = verify_star_pair(g, star["x"], parse_scalar(star["mu"]))
     assert cert.passed
     assert cert.multiplicity == len(star["x"])
@@ -35,27 +64,28 @@ def test_fixture_star_data_certifies(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_graph6_and_canonical_pins(name):
-    entry = fixture_entry(name)
-    g = graph6_decode(entry["graph6"])
-    assert are_isomorphic(g, named_graph(name))
-    assert graph6_encode(canonical_graph(g)) == entry["canonical"]
+    assert graph6_encode(canonical_graph(named_graph(name))) == CANONICAL[name]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_srg_pins(name):
-    entry = fixture_entry(name)
     params = srg_check(named_graph(name))
-    if "srg" in entry:
+    if "srg" in FIXTURES[name]:
         assert params is not None
-        assert [params.n, params.r, params.e, params.f] == entry["srg"]
+        assert [params.n, params.r, params.e, params.f] == FIXTURES[name]["srg"]
     else:
         assert params is None
 
 
-def test_search_derived_decode_from_fixtures():
-    for name in SEARCH_DERIVED:
-        g = named_graph(name)
-        assert graph6_encode(g) == fixture_entry(name)["graph6"]
+def test_search_derived_graphs_are_the_searches_finds(k33_sweep, k15_sweep):
+    # G1, G2 and G3 are the K_{3,3} mu=1 sweep's graphs of orders 9, 12 and
+    # 15, and Clebsch is the one graph of the K_{1,5} mu=1 sweep, each pinned
+    # as the search assembles it
+    by_order = {sol.order: graph6_encode(sol.graph) for sol in k33_sweep}
+    assert sorted(sol.order for sol in k33_sweep) == [9, 12, 15]
+    assert [by_order[n] for n in (9, 12, 15)] == [FIXTURES[name]["graph6"]
+                                                   for name in ("G1", "G2", "G3")]
+    assert [graph6_encode(sol.graph) for sol in k15_sweep] == [FIXTURES["Clebsch"]["graph6"]]
 
 
 def test_petersen_constructor():
@@ -110,15 +140,3 @@ def test_catalog_entry_records():
     assert rec["srg"] == [6, 3, 0, 3]
     rec = catalog_entry("Gr(2,3,4)")
     assert rec["spectrum"] is None and rec["degree"] == 4
-
-
-def test_fixture_schema_pin():
-    import json
-    from importlib import resources
-    data = json.loads(resources.files("starcomp")
-                      .joinpath("data/named_graphs.json").read_text())
-    assert data["schemaVersion"] == 1
-    assert sorted(data["entries"]) == sorted(FIXTURE_NAMES)
-    for entry in data["entries"].values():
-        assert {"graph6", "canonical", "order", "degree",
-                "spectrum", "starData"} <= set(entry)

@@ -99,6 +99,23 @@ def test_solve_types_parametric_t1():
     assert rows[0].feasible
 
 
+@pytest.mark.parametrize("t,mu,expected", [
+    # a = 1 has mu + a = 0 and no row
+    (2, -1, [(0, -1, 0, "b is not a nonnegative integer")]),
+    (3, 1, [(0, 4, Fraction(17, 3), "s is not an integer with s >= t"),
+            (1, 1, 3, ""),
+            (2, Fraction(2, 3), Fraction(17, 3), "b is not a nonnegative integer")]),
+    (3, -4, [(0, 4, 4, ""),
+             (1, 6, 3, "b exceeds s"),
+             (2, 9, -1, "s is not an integer with s >= t")]),
+])
+def test_solve_types_parametric_rows(t, mu, expected):
+    rows = solve_types_parametric(t, qnum(mu))
+    assert [(r.a, r.b, r.s, r.reason) for r in rows] == [
+        (a, qnum(b), qnum(s), reason) for a, b, s, reason in expected]
+    assert all(r.feasible == (r.reason == "") for r in rows)
+
+
 # ------------------------------------------------------------ pair relation
 
 def test_rho_values_mu_minus_one():

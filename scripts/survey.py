@@ -56,36 +56,23 @@ def done(t0) -> None:
     print(f"   ({time.perf_counter() - t0:.2f}s)", file=sys.stderr)
 
 
-def block_k33() -> None:
-    t0 = timed("K_{3,3}, mu=1, sweep over all regular degrees")
-    ctx = make_context(make_kts(3, 3), qnum(1), bipartite_tag=(3, 3))
-    for sol in search_star_sets(ctx, require_regular="sweep"):
-        print("   " + describe(sol))
-    done(t0)
+# (header, t, s, mu, degree, named graph each answer is checked against)
+SEARCHES = [
+    ("K_{3,3}, mu=1, sweep over all regular degrees", 3, 3, 1, "sweep", None),
+    ("K_{1,5}, mu=1, sweep", 1, 5, 1, "sweep", "Clebsch"),
+    ("K_{6,6}, mu=-2, degree 8", 6, 6, -2, 8, "G4"),
+    ("K_{6,6}, mu=-2, degree 10", 6, 6, -2, 10, "G5"),
+]
 
 
-def block_k15() -> None:
-    t0 = timed("K_{1,5}, mu=1, sweep")
-    ctx = make_context(make_kts(1, 5), qnum(1), bipartite_tag=(1, 5))
-    sols = search_star_sets(ctx, require_regular="sweep")
-    for sol in sols:
-        iso = are_isomorphic(sol.graph, named_graph("Clebsch"))
-        print("   " + describe(sol) + ("  = Clebsch" if iso else ""))
-    done(t0)
-
-
-def block_k66() -> None:
-    ctx = make_context(make_kts(6, 6), qnum(-2), bipartite_tag=(6, 6))
-    t0 = timed("K_{6,6}, mu=-2, degree 8")
-    for sol in search_star_sets(ctx, require_regular=8):
-        iso = are_isomorphic(sol.graph, named_graph("G4"))
-        print("   " + describe(sol) + ("  = G4" if iso else ""))
-    done(t0)
-    t0 = timed("K_{6,6}, mu=-2, degree 10")
-    for sol in search_star_sets(ctx, require_regular=10):
-        iso = are_isomorphic(sol.graph, named_graph("G5"))
-        print("   " + describe(sol) + ("  = G5" if iso else ""))
-    done(t0)
+def block_searches() -> None:
+    for header, t, s, mu, degree, name in SEARCHES:
+        t0 = timed(header)
+        ctx = make_context(make_kts(t, s), qnum(mu), bipartite_tag=(t, s))
+        for sol in search_star_sets(ctx, require_regular=degree):
+            iso = name and are_isomorphic(sol.graph, named_graph(name))
+            print("   " + describe(sol) + (f"  = {name}" if iso else ""))
+        done(t0)
 
 
 def block_empty() -> None:
@@ -124,9 +111,7 @@ def block_gr() -> bool:
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
-    block_k33()
-    block_k15()
-    block_k66()
+    block_searches()
     block_empty()
     # the searches and build_Gr raise on an uncertified graph; the G(r)
     # block reports it and goes on

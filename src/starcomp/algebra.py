@@ -2,14 +2,14 @@
 
 Every number in this package is either a rational (carried by
 ``fractions.Fraction``) or an element a + b*sqrt(d) of a real quadratic field,
-held in the normal form where d is a squarefree integer > 1.  Zero tests,
-equality and ordering are all exact; no floating point anywhere.
+held in the normal form where d is a squarefree integer > 1.  Arithmetic and
+equality are exact, with no floating point; QNum has no order, so callers
+compare the ints or Fractions they take out of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -30,7 +30,6 @@ def _squarefree_part(n: int) -> tuple[int, int]:
     return k, m * n
 
 
-@total_ordering
 class QNum:
     """a + b*sqrt(d) with a, b rational and d squarefree (d = 0 iff b = 0)."""
 
@@ -162,7 +161,7 @@ class QNum:
             k >>= 1
         return out
 
-    # -- comparison ------------------------------------------------------
+    # -- equality --------------------------------------------------------
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -174,29 +173,6 @@ class QNum:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 * d
-        lead_rational = a * a > b * b * self.d
-        if lead_rational:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

@@ -46,9 +46,11 @@ only for classes whose n another class shares.
 
 make_context checks the resolvent identity on integer matrices.  The
 certificate reads nothing from a search context: its complement half is
-check (i) and the IntKernel of make_context(G - X, mu), built once per
-distinct G - X per search call, and _assemble lays out every H + X graph
-from the picks' H-neighbourhoods and X-rows.
+check (i) and the IntKernel of make_context(G - X, mu).  _assemble lays
+out every H + X graph from the picks' H-neighbourhoods and X-rows, and
+_certified is the one gate from assembled graphs to answers, for a search
+and for kts.build_Gr alike: it certifies each graph, building the half
+once per distinct G - X per call, and checks the degree asked for.
 """
 
 from __future__ import annotations
@@ -354,16 +356,24 @@ def _assemble(ctx: StarContext, chosen: list[int], xadj: list[int]) -> Graph:
     return Graph(q + len(chosen), tuple(rows + [m | x << q for m, x in zip(chosen, xadj)]))
 
 
-def solution_from_assembled(ctx: StarContext, G: Graph,
-                            halves: Optional[dict] = None) -> StarSolution:
-    """Wrap an already-built graph (H on vertices 0..q-1, the star set
-    q..n-1) as a certified solution, its certificate given halves; raises
-    InternalInconsistency when the certificate fails."""
-    xs = tuple(range(ctx.q, G.n))
-    cert = verify_star_pair(G, xs, ctx.mu, halves)
-    if not cert.passed:
-        raise InternalInconsistency("assembled solution failed certification")
-    return StarSolution(graph=G, x_vertices=xs, cert=cert)
+def _certified(ctx: StarContext, graphs: list[Graph],
+               degree: Union[None, int, str]) -> list[StarSolution]:
+    """The one gate between assembled graphs (H on vertices 0..q-1, the
+    star set q..n-1) and answers: each must pass verify_star_pair, and be
+    r-regular for an integer degree r, or regular for "sweep" (None asks
+    nothing of the degree).  The complement halves are shared within the
+    call.  Raises InternalInconsistency at the first graph that fails."""
+    halves, sols = {}, []
+    for G in graphs:
+        xs = tuple(range(ctx.q, G.n))
+        cert = verify_star_pair(G, xs, ctx.mu, halves)
+        if not cert.passed:
+            raise InternalInconsistency("assembled solution failed certification")
+        got = cert.regular_degree
+        if degree is not None and (got is None or degree not in ("sweep", got)):
+            raise InternalInconsistency(f"a graph built for degree {degree} has degree {got}")
+        sols.append(StarSolution(graph=G, x_vertices=xs, cert=cert))
+    return sols
 
 
 # --------------------------------------------------------------------------
@@ -606,15 +616,7 @@ def search_star_sets(ctx: StarContext,
     found: list[Graph] = []
     with contextlib.suppress(_BudgetSpent):
         _search(ctx, require_regular, max_x, max_solutions, symmetry, found)
-    halves = {}
-    sols = [solution_from_assembled(ctx, g, halves) for g in _dedupe(found)]
-    if require_regular is not None:
-        for sol in sols:
-            degree = sol.cert.regular_degree
-            if degree is None or require_regular not in ("sweep", degree):
-                raise InternalInconsistency(
-                    f"a search for degree {require_regular} returned a graph of degree {degree}")
-    return sols
+    return _certified(ctx, _dedupe(found), require_regular)
 
 
 def _build_label_tables(ctx: StarContext, masks: list[int]):
@@ -675,7 +677,7 @@ def _search(ctx: StarContext, require_regular: Union[None, int, str], max_x: Opt
     lo = max(ctx.H.degrees(), default=0)
     # a degree r = mu takes the candidates that fail the non-main test too,
     # and a sweep may reach any integer r >= lo
-    main = ctx.mu == require_regular or (sweep and ctx.mu.is_integer and ctx.mu >= lo)
+    main = ctx.mu == require_regular or (sweep and ctx.mu.is_integer and ctx.mu.as_int() >= lo)
     pool = [m for m in enumerate_candidates(ctx, non_main=not main) if m]
     # an X-vertex has degree at most q + |X| - 1
     degrees = (range(lo, q + _effective_cap(ctx, max_x, len(pool)) + 1) if sweep

@@ -26,8 +26,8 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .algebra import QNum, qnum
-from .engine import _assemble, make_context, solution_from_assembled
-from .errors import DivisibilityViolation, HypothesisViolated, InternalInconsistency
+from .engine import _assemble, _certified, make_context
+from .errors import DivisibilityViolation, HypothesisViolated
 from .graphs import make_kts
 
 
@@ -63,7 +63,7 @@ def solve_types_parametric(t: int, mu) -> list[ParamRow]:
             reason = "type (0,0) is empty"
         elif not (s.is_integer and s.as_fraction() >= max(t, 1)):
             reason = "s is not an integer with s >= t"
-        elif b > s:
+        elif b.as_int() > s.as_int():
             reason = "b exceeds s"
         rows.append(ParamRow(a=a, b=b, s=s, feasible=(reason == ""), reason=reason))
     return rows
@@ -128,8 +128,8 @@ def build_Gr(t: int, s: int, r: int):
     """The r-regular graph with K_{t,s} star complement for -1: cliques V_i of
     type-(1,s) vertices on each v_i, cliques W_j of type-(t,1) vertices on
     each w_j, and all V_i x W_j edges, laid out by engine._assemble.  Returns
-    a certified StarSolution; InternalInconsistency if the certificate fails
-    or the built graph is not r-regular."""
+    it as a StarSolution through engine._certified, the gate a search's
+    answers pass: InternalInconsistency unless it certifies and is r-regular."""
     p = gr_params(t, s, r)
     ctx = make_context(make_kts(t, s), qnum(-1), bipartite_tag=(t, s))
     T, S = (1 << t) - 1, ((1 << s) - 1) << t
@@ -140,7 +140,4 @@ def build_Gr(t: int, s: int, r: int):
     # X-row x: one clique per block (equal masks), and every V x W pair
     xadj = [sum(1 << y for y, b in enumerate(chosen) if y != x and (a == b or (x < k) != (y < k)))
             for x, a in enumerate(chosen)]
-    sol = solution_from_assembled(ctx, _assemble(ctx, chosen, xadj))
-    if sol.cert.regular_degree != r:
-        raise InternalInconsistency(f"G({t},{s},{r}) is not {r}-regular")
-    return sol
+    return _certified(ctx, [_assemble(ctx, chosen, xadj)], r)[0]

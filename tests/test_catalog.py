@@ -39,12 +39,17 @@ def test_fixture_table_shape():
         assert {"spectrum", "starData"} <= set(entry) <= {"graph6", "spectrum",
                                                          "starData", "srg"}
         assert set(entry["starData"]) == {"mu", "x"}
-        eigenvalues = [parse_scalar(ev) for ev, _ in entry["spectrum"]]
-        assert eigenvalues == sorted(set(eigenvalues))
         assert all(type(mult) is int and mult > 0 for _, mult in entry["spectrum"])
     # the search-derived names are the ones whose graph6 is pinned
     assert {name for name, entry in FIXTURES.items() if "graph6" in entry} == {
         "Clebsch", "G1", "G2", "G3"}
+    # each spectrum strictly ascends; QNum has no order, so sympy compares
+    sympy = pytest.importorskip("sympy")
+    for entry in FIXTURES.values():
+        values = [sympy.Rational(x.a.numerator, x.a.denominator)
+                  + sympy.Rational(x.b.numerator, x.b.denominator) * sympy.sqrt(x.d)
+                  for x in (parse_scalar(ev) for ev, _ in entry["spectrum"])]
+        assert all(x < y for x, y in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

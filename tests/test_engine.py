@@ -34,8 +34,7 @@ from starcomp.canon import are_isomorphic, canonical, stable_colouring
 from starcomp.catalog import named_graph, petersen
 from starcomp import canon, cli, engine, linalg
 from starcomp.engine import (make_context, enumerate_candidates, multiplicity_cap,
-                             search_star_sets, solution_from_assembled,
-                             verify_star_pair, vertex_types)
+                             search_star_sets, verify_star_pair, vertex_types)
 from starcomp.errors import (BadTag, HypothesisViolated, InternalInconsistency, MuIsEigenvalue,
                              TooLarge, Unbounded)
 import starcomp
@@ -698,7 +697,7 @@ def test_search_refuses_answers_of_the_wrong_degree(monkeypatch, k33_ctx, requir
     real = engine.verify_star_pair
     monkeypatch.setattr(engine, "verify_star_pair",
                         lambda *args: real(*args)._replace(regular_degree=degree))
-    with pytest.raises(InternalInconsistency, match=f"returned a graph of degree {degree}"):
+    with pytest.raises(InternalInconsistency, match=f"for degree {require} has degree {degree}$"):
         search_star_sets(k33_ctx, require_regular=require)
     assert search_star_sets(k33_ctx)
 
@@ -1297,10 +1296,10 @@ def test_assembled_x_rows_match_labels(monkeypatch, t, s, require, max_x):
                     assert g.adjacent(q + i, q + j) == bool(adj_mask[a] >> b & 1)
 
 
-def test_solution_from_assembled_fixture():
+def test_certified_gate_fixture():
     g5 = named_graph("G5")
     ctx = make_context(make_kts(6, 6), qnum(-2), bipartite_tag=(6, 6))
-    sol = solution_from_assembled(ctx, g5)
+    [sol] = engine._certified(ctx, [g5], 10)
     assert sol.x_vertices == tuple(range(12, 18))
     assert sol.cert.passed and sol.cert.multiplicity == 6
     assert {type_of(g5.adj[x] & ((1 << 12) - 1), 6) for x in sol.x_vertices} == {(4, 4)}
@@ -1438,7 +1437,8 @@ def test_certificate_batch_keys_the_half_by_content():
 
 def test_search_builds_one_complement_half(monkeypatch):
     # the 12 certificates of the K_{2,5} mu=1 sweep share G - X = K_{2,5}:
-    # one minimal polynomial, resolvent and D N for all of them
+    # one minimal polynomial, resolvent and D N for all of them.  The halves
+    # live as long as one call, so a second search builds its own
     ctx = make_context(make_kts(2, 5), qnum(1), bipartite_tag=(2, 5))
     builds, certs = [], []
     powers, real = engine.minimal_polynomial_powers, engine.verify_star_pair
@@ -1448,6 +1448,8 @@ def test_search_builds_one_complement_half(monkeypatch):
     sols = search_star_sets(ctx, require_regular="sweep")
     assert (len(sols), len(certs), len(builds)) == (12, 12, 1)
     assert builds == [ctx.H.matrix()]
+    assert len(search_star_sets(ctx, require_regular="sweep")) == 12
+    assert (len(certs), builds) == (24, [ctx.H.matrix()] * 2)
 
 
 # the searches of the python -O loop in .github/workflows/tests.yml

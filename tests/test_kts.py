@@ -232,7 +232,7 @@ def test_build_gr_checks_the_built_degree(monkeypatch, t, s, r):
     real = kts.gr_params
     monkeypatch.setattr(kts, "gr_params",
                         lambda *args: real(*args)._replace(vi_size=real(*args).vi_size + 1))
-    with pytest.raises(InternalInconsistency, match=f"is not {r}-regular"):
+    with pytest.raises(InternalInconsistency, match=f"built for degree {r} has degree"):
         build_Gr(t, s, r)
 
 
